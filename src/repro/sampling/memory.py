@@ -34,9 +34,10 @@ Memory Coalescing optimizer consumes.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.machine import MemoryHierarchyParameters
 from repro.isa.registers import MemorySpace
@@ -63,6 +64,39 @@ def check_memory_model(model: str) -> str:
             f"unknown memory model {model!r}; expected one of {MEMORY_MODELS}"
         )
     return model
+
+
+def coalesce(address: int, stride: int, warp_size: int, sector_bytes: int) -> List[int]:
+    """The unique sectors touched by one warp access with ``stride > 0``.
+
+    Thread ``t`` accesses :data:`ACCESS_BYTES` bytes at ``address + t *
+    stride``.  The first and last sector of each thread's footprint are
+    nondecreasing in ``t``, so skipping sectors already emitted yields them
+    in first-seen order, which is also sorted order.  The L1 pipeline
+    positions and DRAM queueing order depend on that order.
+    """
+    sectors: List[int] = []
+    next_index = address // sector_bytes
+    for start in range(address, address + warp_size * stride, stride):
+        last = (start + ACCESS_BYTES - 1) // sector_bytes
+        first = max(start // sector_bytes, next_index)
+        sectors.extend(range(first * sector_bytes, (last + 1) * sector_bytes, sector_bytes))
+        next_index = last + 1
+    return sectors
+
+
+@functools.lru_cache(maxsize=4096)
+def sector_pattern(
+    phase: int, stride: int, warp_size: int, sector_bytes: int
+) -> Tuple[int, ...]:
+    """:func:`coalesce` at ``phase = address % sector_bytes``.
+
+    Coalescing is shift-invariant: ``coalesce(a, ...)`` equals this pattern
+    with ``a - a % sector_bytes`` added to every sector.  The phase and the
+    stride take few values, so the pattern is shared by almost every
+    access.
+    """
+    return tuple(coalesce(phase, stride, warp_size, sector_bytes))
 
 
 @dataclass
@@ -258,26 +292,16 @@ class MemoryHierarchy:
     def sector_addresses(self, op) -> List[int]:
         """The unique 32-byte sectors touched by one warp-level access.
 
-        Coalescing proper: thread ``t`` accesses ``address + t * stride``
-        for :data:`ACCESS_BYTES` bytes; the footprint collapses into unique
-        sectors (first-seen order, which for positive strides equals sorted
-        order — the vector core's pack-time precompute relies on this).
+        Coalescing proper (:func:`coalesce`); accesses without a stride
+        fall back to :meth:`fallback_sectors`.
         """
-        sector = self.parameters.sector_bytes
         stride = getattr(op, "stride_bytes", 0)
         if stride <= 0:
             return self.fallback_sectors(getattr(op, "transactions", 1))
-        base = getattr(op, "address", 0)
-        sectors = []
-        seen = set()
-        for thread in range(self.warp_size):
-            first = (base + thread * stride) // sector
-            last = (base + thread * stride + ACCESS_BYTES - 1) // sector
-            for index in range(first, last + 1):
-                if index not in seen:
-                    seen.add(index)
-                    sectors.append(index * sector)
-        return sectors
+        return coalesce(
+            getattr(op, "address", 0), stride, self.warp_size,
+            self.parameters.sector_bytes,
+        )
 
     # ------------------------------------------------------------------
     def access(self, op, now: int) -> int:

@@ -9,11 +9,18 @@ becomes a :class:`TraceOp` annotated with its dynamic memory latency, the
 number of memory transactions it issues, and any instruction-fetch stall
 charged to it (present when the executed code footprint exceeds the
 instruction cache).
+
+Most executed instructions carry no dynamic state at all.  Each static
+instruction that is not memory, not variable-latency and not a call or exit
+has one *shared* :class:`TraceOp`, and each basic block precomputes the runs
+of such ops so the walk appends straight-line code with one ``list.extend``.
+Shared ops appear in many traces at once, so nothing may mutate a
+:class:`TraceOp` after the walk returns it: replace the list entry instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.machine import GpuArchitecture
@@ -27,7 +34,11 @@ from repro.structure.program import FunctionStructure, ProgramStructure
 
 @dataclass(slots=True)
 class TraceOp:
-    """One dynamically executed instruction of one warp."""
+    """One dynamically executed instruction of one warp.
+
+    An op may be shared by many traces (see the module docstring), so it is
+    never mutated once a trace holds it.
+    """
 
     #: Function the instruction belongs to (kernel or device function).
     function: str
@@ -200,43 +211,56 @@ def _scale_kind(space: Optional[MemorySpace]) -> int:
     return _SCALE_NONE
 
 
-#: id(block) -> (block, records): per-instruction static tuples the walk
+#: id(block) -> (block, function, records): the (run, step) pairs the walk
 #: consumes.  Identity-pinned like :data:`_META_CACHE`; blocks live as long
 #: as the program structure they belong to, so the memo amortizes the
 #: per-instruction attribute dispatch across every warp of a launch.
-_BLOCK_CACHE: Dict[int, Tuple[object, list]] = {}
+_BLOCK_CACHE: Dict[int, Tuple[object, str, list]] = {}
 _BLOCK_CACHE_LIMIT = 1 << 18
 
 
-def _block_records(block) -> list:
-    """Packed per-instruction walk records of one basic block.
+def _block_records(block, function: str) -> list:
+    """Packed walk records of one basic block of ``function``.
 
-    One record per instruction:
+    One ``(run, step)`` pair per instruction the walk must look at:
+    ``run`` is the tuple of shared :class:`TraceOp` of the static
+    instructions before it (not memory, not variable-latency, not call or
+    exit), and ``step`` is
     ``(instruction, needs_dynamic, is_memory, throttled, line, is_call,
-    is_exit, scale_kind, opcode)``.
+    is_exit, scale_kind, opcode)``.  A final ``(run, None)`` closes a
+    block that ends in a run.
     """
     key = id(block)
     entry = _BLOCK_CACHE.get(key)
-    if entry is not None and entry[0] is block:
-        return entry[1]
+    if entry is not None and entry[0] is block and entry[1] == function:
+        return entry[2]
     records = []
+    run: List[TraceOp] = []
     for instruction in block.instructions:
         is_memory = instruction.is_memory
-        is_variable = instruction.info.is_variable_latency
-        records.append((
+        needs_dynamic = is_memory or instruction.info.is_variable_latency
+        is_call = instruction.is_call
+        is_exit = instruction.is_exit
+        if not (needs_dynamic or is_call or is_exit):
+            run.append(TraceOp(function=function, instruction=instruction))
+            continue
+        records.append((tuple(run), (
             instruction,
-            is_memory or is_variable,
+            needs_dynamic,
             is_memory,
             is_memory and instruction.memory_space in THROTTLED_SPACES,
             instruction.line,
-            instruction.is_call,
-            instruction.is_exit,
+            is_call,
+            is_exit,
             _scale_kind(instruction.memory_space),
             instruction.opcode,
-        ))
+        )))
+        run = []
+    if run:
+        records.append((tuple(run), None))
     if len(_BLOCK_CACHE) >= _BLOCK_CACHE_LIMIT:
         _BLOCK_CACHE.clear()
-    _BLOCK_CACHE[key] = (block, records)
+    _BLOCK_CACHE[key] = (block, function, records)
     return records
 
 
@@ -253,6 +277,7 @@ def generate_warp_trace(
     uniform = rng.uniform
     ops: List[TraceOp] = []
     append_op = ops.append
+    extend_ops = ops.extend
     executed_functions: Set[str] = set()
     sector_bytes = architecture.memory.sector_bytes
     warp_size = architecture.warp_size
@@ -286,11 +311,19 @@ def generate_warp_trace(
         while True:
             if len(ops) >= max_trace_ops:
                 return
-            for record in _block_records(block):
-                if len(ops) >= max_trace_ops:
+            for run, step in _block_records(block, function_name):
+                if run:
+                    room = max_trace_ops - len(ops)
+                    if len(run) >= room:
+                        extend_ops(run[:room])
+                        return
+                    extend_ops(run)
+                elif len(ops) >= max_trace_ops:
                     return
+                if step is None:
+                    break
                 (instruction, needs_dynamic, is_memory, throttled, line,
-                 is_call, is_exit, scale_kind, opcode) = record
+                 is_call, is_exit, scale_kind, opcode) = step
                 transactions = 0
                 latency = 0
                 address = 0
@@ -417,7 +450,8 @@ def _charge_fetch_stalls(
     The footprint is the total code size of every function the warp executed.
     Pressure above 1.0 causes periodic fetch stalls whose frequency and size
     grow with the pressure — the signal the Function Split optimizer matches
-    (Table 2: "Match instruction fetch stalls").
+    (Table 2: "Match instruction fetch stalls").  Each charged op is
+    replaced by a fresh copy, since the op in the list may be shared.
     """
     footprint = sum(
         structure.function(name).function.code_size for name in executed_functions
@@ -428,4 +462,4 @@ def _charge_fetch_stalls(
     period = max(6, int(48 / pressure))
     stall = max(4, int(8 * min(pressure, 4.0)))
     for index in range(period, len(ops), period):
-        ops[index].fetch_stall = stall
+        ops[index] = replace(ops[index], fetch_stall=stall)

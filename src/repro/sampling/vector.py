@@ -12,12 +12,12 @@ warp's trace is packed once into a structure of flat arrays:
   slots, precomputed fixed-op latency (``architecture.latency`` never runs
   inside the loop), precomputed ``max(1, ...)`` latency/stall increments,
   and — under the hierarchy memory model — the access's coalesced sector
-  addresses resolved at pack time with numpy (:func:`coalesced_sectors`).
-  Records are interned aggressively: the static prefix is memoized per
-  instruction, ops with no dynamic state (the common fixed-latency ALU op)
-  share one record tuple outright, and coalesced sector lists are memoized
-  per ``(address, stride)`` — so packing a trace costs little more than one
-  dict hit per op.
+  addresses, resolved at pack time by shifting the memoized phase pattern
+  (:func:`~repro.sampling.memory.sector_pattern`).  Records are interned
+  aggressively: the static prefix is memoized per instruction, ops with no
+  dynamic state (the common fixed-latency ALU op) share one record tuple
+  outright, and the trace walk's shared ops find that record by identity —
+  so such an op costs one dict hit.
 * **Warp state** — PC indices, ready/blocked cycles, fetch timers, barrier
   membership and finished flags live in flat per-warp arrays; the
   fixed-latency scoreboard is a dense ``warps x registers`` table of
@@ -32,9 +32,8 @@ sampling probe — so the two cores stay *bit-identical* on every output
 speed comes from the packing: one tuple index replaces every chain of
 attribute dispatches, the scheduler scan tests one flag word and walks the
 register scoreboard inline on the common path, and all per-op
-``max()``/latency/coalescing work is hoisted out of the loop.  Numpy does
-the batch work at the edges (sector coalescing, register-file sizing, the
-scoreboard view); the stepping itself stays a tight scalar loop because
+``max()``/latency/coalescing work is hoisted out of the loop.  Packing and
+stepping are pure Python; numpy only backs the scoreboard view, because
 per-SM warp populations (8–64) sit far below numpy's vectorization
 break-even for this access pattern.
 
@@ -55,7 +54,7 @@ except ImportError:  # pragma: no cover
     _np = None
 
 from repro.arch.machine import GpuArchitecture
-from repro.sampling.memory import ACCESS_BYTES, MemoryHierarchy, check_memory_model
+from repro.sampling.memory import MemoryHierarchy, check_memory_model, sector_pattern
 from repro.sampling.sample import PCSample
 from repro.sampling.simulator import DEFAULT_MAX_CYCLES, SimulationResult, SMSimulator
 from repro.sampling.stall_reasons import StallReason
@@ -155,26 +154,6 @@ def make_sm_simulator(
 
 
 # ----------------------------------------------------------------------
-def coalesced_sectors(
-    address: int, stride: int, warp_size: int, sector_bytes: int
-) -> Tuple[int, ...]:
-    """Pack-time coalescing of one positive-stride warp access.
-
-    Replicates :meth:`MemoryHierarchy.sector_addresses` for ``stride > 0``:
-    each thread's ``ACCESS_BYTES`` footprint contributes its first and last
-    sector index, and because both sequences are nondecreasing in the
-    thread id, first-seen order equals sorted order — so a sorted unique
-    (one vectorized ``np.unique``) reproduces the scalar loop's ordering
-    exactly, including the L1-pipeline positions and DRAM queueing order
-    that depend on it.
-    """
-    starts = address + _np.arange(warp_size, dtype=_np.int64) * stride
-    firsts = starts // sector_bytes
-    lasts = (starts + (ACCESS_BYTES - 1)) // sector_bytes
-    unique = _np.unique(_np.concatenate((firsts, lasts)))
-    return tuple((unique * sector_bytes).tolist())
-
-
 def _pack_warp(
     trace: Sequence[TraceOp],
     architecture: GpuArchitecture,
@@ -182,22 +161,30 @@ def _pack_warp(
     sector_bytes: int,
     warp_size: int,
     static_memo: dict,
-    sector_memo: dict,
-) -> Tuple[list, int]:
-    """One warp's packed op records plus its highest register index.
+    shared_memo: dict,
+) -> list:
+    """One warp's packed op records.
 
     ``static_memo`` interns, per instruction: the record's static prefix,
     a complete default record (shared outright by ops with no dynamic
     state — the common case), and the instruction's highest register
-    index.  ``sector_memo`` interns coalesced sector tuples per
-    ``(address, stride)``.  Both memos are per-``simulate()`` dicts keyed
-    by ``id(instruction)`` — the instructions are pinned by the traces for
+    index.  ``shared_memo`` maps ``id(op)`` of every op that packed to a
+    default record to that record: the trace walk appends one shared,
+    never-mutated :class:`TraceOp` per static instruction for such ops, so
+    each costs one dict hit.  Both memos are per-``simulate()`` dicts keyed
+    by object identity — the traces pin the ops and their instructions for
     the duration of the call, so ids cannot be recycled underneath them.
+    Sector addresses shift the process-wide phase pattern of
+    :func:`~repro.sampling.memory.sector_pattern`.
     """
     records = []
     append = records.append
-    max_reg = -1
+    shared_record = shared_memo.get
     for op in trace:
+        record = shared_record(id(op))
+        if record is not None:
+            append(record)
+            continue
         instruction = op.instruction
         entry = static_memo.get(id(instruction))
         if entry is None:
@@ -239,9 +226,7 @@ def _pack_warp(
             default_rec = static + (0, 1, 20, 1, op.function, None)
             entry = (static, default_rec, top)
             static_memo[id(instruction)] = entry
-        static, default_rec, top = entry
-        if top > max_reg:
-            max_reg = top
+        static, default_rec, _ = entry
 
         latency = op.latency
         transactions = op.transactions
@@ -249,18 +234,17 @@ def _pack_warp(
         flags = static[0]
         needs_sectors = hierarchy and flags & _F_THROTTLE
         if not (latency or transactions or fetch or needs_sectors):
+            shared_memo[id(op)] = default_rec
             append(default_rec)
             continue
 
         sectors = None
         if needs_sectors and op.stride_bytes > 0:
-            skey = (op.address, op.stride_bytes)
-            sectors = sector_memo.get(skey)
-            if sectors is None:
-                sectors = coalesced_sectors(
-                    op.address, op.stride_bytes, warp_size, sector_bytes
-                )
-                sector_memo[skey] = sectors
+            address = op.address
+            phase = address % sector_bytes
+            pattern = sector_pattern(phase, op.stride_bytes, warp_size, sector_bytes)
+            shift = address - phase
+            sectors = tuple([shift + sector for sector in pattern])
         if fetch:
             static = (flags | _F_FETCH,) + static[1:]
         append(static + (
@@ -271,7 +255,7 @@ def _pack_warp(
             op.function,
             sectors,
         ))
-    return records, max_reg
+    return records
 
 
 class VectorSMSimulator:
@@ -336,19 +320,18 @@ class VectorSMSimulator:
         sector_bytes = arch.memory.sector_bytes
 
         # ---- pack phase: per-op records + register-file sizing ----------
-        recs_of_warp: List[list] = []
         static_memo: dict = {}
-        sector_memo: dict = {}
-        max_reg = -1
-        for trace in traces:
-            records, warp_max_reg = _pack_warp(
+        shared_memo: dict = {}
+        recs_of_warp: List[list] = [
+            _pack_warp(
                 trace, arch, hierarchy is not None, sector_bytes,
-                arch.warp_size, static_memo, sector_memo,
+                arch.warp_size, static_memo, shared_memo,
             )
-            recs_of_warp.append(records)
-            if warp_max_reg > max_reg:
-                max_reg = warp_max_reg
-        num_regs = max_reg + 1
+            for trace in traces
+        ]
+        # Every packed op's instruction is in static_memo with its highest
+        # register index.
+        num_regs = 1 + max((top for _, _, top in static_memo.values()), default=-1)
 
         # ---- flat warp-state arrays ------------------------------------
         op_count = [len(records) for records in recs_of_warp]

@@ -1,9 +1,11 @@
 """Tests for dynamic trace generation."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch.machine import VoltaV100
-from repro.sampling.trace import generate_warp_trace
+from repro.sampling.trace import _block_records, generate_warp_trace
 from repro.sampling.workload import WorkloadSpec
 from repro.structure.program import build_program_structure
 from repro.workloads.apps import quicksilver
@@ -63,6 +65,45 @@ def test_max_trace_ops_bounds_runaway_loops(toy_structure):
     workload = WorkloadSpec(loop_trip_counts={12: 10_000_000}, max_trace_ops=500)
     trace = trace_for(toy_structure, workload)
     assert len(trace) == 500
+
+
+def op_fields(op):
+    return tuple(getattr(op, field.name) for field in dataclasses.fields(op))
+
+
+def shared_op_ids(structure):
+    """Identities of every op the walk shares across traces."""
+    ids = set()
+    for name, function in structure.functions.items():
+        for block in function.cfg.blocks:
+            for run, _ in _block_records(block, name):
+                ids.update(id(op) for op in run)
+    return ids
+
+
+def test_every_trace_cap_yields_a_prefix_of_the_full_trace(toy_structure):
+    workload = WorkloadSpec(loop_trip_counts={12: 4}, seed=5)
+    full = trace_for(toy_structure, workload)
+    assert any(id(op) in shared_op_ids(toy_structure) for op in full)
+    expected = [op_fields(op) for op in full]
+    for cap in range(1, len(full) + 1):
+        capped = trace_for(toy_structure, dataclasses.replace(workload, max_trace_ops=cap))
+        assert [op_fields(op) for op in capped] == expected[:cap], cap
+
+
+def test_fetch_stalls_never_leak_through_shared_ops():
+    setup = myocyte.baseline()
+    structure = build_program_structure(setup.cubin)
+    first = generate_warp_trace(structure, setup.kernel, setup.workload, VoltaV100, 0, 8)
+    stalls = [op.fetch_stall for op in first]
+    second = generate_warp_trace(structure, setup.kernel, setup.workload, VoltaV100, 1, 8)
+    assert any(op.fetch_stall > 0 for op in second)
+    assert [op.fetch_stall for op in first] == stalls
+    shared = shared_op_ids(structure)
+    assert any(id(op) in shared for op in first + second)
+    assert not any(
+        id(op) in shared for op in first + second if op.fetch_stall > 0
+    )
 
 
 def test_calls_descend_into_device_functions():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.arch.machine import VoltaV100
 from repro.sampling import vector
-from repro.sampling.memory import MemoryHierarchy
+from repro.sampling.memory import MemoryHierarchy, sector_pattern
 from repro.sampling.simulator import SMSimulator
 from repro.sampling.trace import generate_warp_trace
 from repro.sampling.vector import (
@@ -14,7 +14,6 @@ from repro.sampling.vector import (
     SIMULATOR_BACKENDS,
     VectorSMSimulator,
     check_simulator_backend,
-    coalesced_sectors,
     make_sm_simulator,
     resolve_simulator_backend,
     vector_backend_available,
@@ -113,20 +112,23 @@ class TestScoreboard:
         assert int(board.max()) > 0
 
 
-class TestCoalescedSectors:
-    @pytest.mark.parametrize("stride", [1, 4, 8, 32, 128])
-    def test_matches_scalar_hierarchy_coalescing(self, toy_traces, stride):
+class TestSectorPattern:
+    """The pack path shifts a phase-relative pattern; it must equal direct
+    coalescing at every phase a whole-GPU trace can hit."""
+
+    @pytest.mark.parametrize("stride", [1, 4, 8, 32, 36, 128])
+    def test_shifted_pattern_matches_hierarchy_at_every_phase(self, toy_traces, stride):
         hierarchy = MemoryHierarchy(VoltaV100.memory, warp_size=VoltaV100.warp_size)
+        sector_bytes = VoltaV100.memory.sector_bytes
+        assert sector_bytes == 32
         traces, _ = toy_traces
-        op = next(
-            op for trace in traces for op in trace if op.transactions
-        )
-        probe = dataclasses.replace(op, address=0x1000, stride_bytes=stride)
-        expected = tuple(hierarchy.sector_addresses(probe))
-        actual = coalesced_sectors(
-            0x1000, stride, VoltaV100.warp_size, VoltaV100.memory.sector_bytes
-        )
-        assert actual == expected
+        op = next(op for trace in traces for op in trace if op.transactions)
+        for phase in range(sector_bytes):
+            address = 0x1000 + phase
+            probe = dataclasses.replace(op, address=address, stride_bytes=stride)
+            pattern = sector_pattern(phase, stride, VoltaV100.warp_size, sector_bytes)
+            shifted = [address - phase + sector for sector in pattern]
+            assert shifted == hierarchy.sector_addresses(probe), (phase, stride)
 
 
 class TestBackendResolution:

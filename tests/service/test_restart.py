@@ -25,6 +25,9 @@ from repro.service import ServiceClient
 pytestmark = pytest.mark.xdist_group("service_restart")
 
 CASE_ID = "rodinia/hotspot:strength_reduction"
+#: A case whose single-wave profile takes ~0.6-0.9 s: long enough to hold
+#: the daemon's single worker while a backlog queues behind it.
+SLOW_CASE_ID = "rodinia/myocyte:fast_math"
 
 
 def start_daemon(tmp_path, store, cache_dir, extra=()):
@@ -75,14 +78,17 @@ def test_sigkill_restart_replays_results_byte_identically(tmp_path):
         assert view.state == "done"
         before = raw_job_bytes(url, done)
 
-        # Pile a backlog behind a running job, then pull the plug.  Distinct
+        # Park the single worker on a slow job, pile a backlog behind it,
+        # and pull the plug while the backlog is still queued.  Distinct
         # sample periods so nothing coalesces: the point is the queue.
+        client.submit(request_for_case(SLOW_CASE_ID, arch_flag="sm_70"))
         backlog = [
             client.submit(request_for_case(
                 CASE_ID, arch_flag="sm_70", sample_period=period,
             ))
             for period in (3, 5, 7)
         ]
+        assert [client.job(job_id).state for job_id in backlog] == ["queued"] * 3
         sigkill(process)
 
         survivor, url2 = start_daemon(tmp_path, store, cache_dir)
