@@ -9,20 +9,19 @@ accidental slow-down of the simulator cannot land silently::
     PYTHONPATH=src python benchmarks/check_simulator_regression.py fresh.json
 
 Both files hold a list of pinned **measurement blocks** (one per simulator
-configuration x simulator backend — the flat single-wave path and the
-whole-GPU + hierarchy path, each on the ``vector`` and the ``object``
-core), and the gate is applied *block for block*: every reference block
-must have a fresh twin that measured the identical workload (same case
-list, simulation scope, memory model, sample period **and** simulator
-backend), and every twin must hold its throughput.  A fresh run that
-silently skipped the expensive configuration — or that dropped the vector
-core, e.g. because numpy vanished from the runner and every measurement
-quietly fell back to the object core — therefore fails the gate instead of
-passing vacuously.  The reference itself must pin at least one vector
-block; a baseline regenerated without the vector core is rejected so the
-gate cannot be weakened by accident.  Pre-suite single-block summaries
-(and ad-hoc ``--scope ...`` measurements) are still understood — they are
-treated as one-block lists measuring the historical ``object`` core.
+configuration — the flat single-wave path and the whole-GPU + hierarchy
+path, both on the production ``vector`` core), and the gate is applied
+*block for block*: every reference block must have a fresh twin that
+measured the identical workload (same case list, simulation scope, memory
+model, sample period **and** simulator backend label), and every twin must
+hold its throughput.  A fresh run that silently skipped the expensive
+configuration therefore fails the gate instead of passing vacuously.  The
+reference itself must pin at least one vector block; a baseline without one
+is rejected so the gate cannot be weakened by accident.  Older summaries
+are still understood: blocks of the retired ``object`` core pair only with
+``object`` blocks, and pre-suite single-block summaries (and ad-hoc
+``--scope ...`` measurements) are treated as one-block lists measuring that
+historical core.
 
 The gate is one-sided: faster is always fine.  The committed reference is
 refreshed by hand — rerun ``simulator_smoke.py --repeat 3 --output

@@ -8,17 +8,18 @@ every SM's cycles across every wave for the whole-GPU scope) divided by the
 time spent inside :meth:`AdvisingSession.profile`.
 
 By default the smoke measures the **pinned suite** — one block per
-configuration x simulator backend the regression gate watches:
+configuration the regression gate watches:
 
 * ``single_wave`` + ``flat`` over 3 cases — the cheap extrapolating path
   every CI run and most users exercise;
 * ``whole_gpu`` + ``hierarchy`` over 1 case — the expensive path (full-grid
   dispatch through the L1/L2/DRAM model), so a slow-down that only affects
-  the detailed engines cannot land silently;
+  the detailed engines cannot land silently.
 
-each measured once on the ``vector`` (packed-array) core and once on the
-``object`` (reference) core, so a regression in either backend fails the
-gate on its own block.
+Every block runs on the production (packed-array) core and records
+``"simulator_backend": "vector"``, so its identity stays comparable with
+gate references and history lines measured when a second core was pinned
+too.
 
 The result is written as JSON — by default to ``BENCH_simulator.json`` at
 the repository root — so CI can track the simulator's perf trajectory run
@@ -27,11 +28,10 @@ over run::
     PYTHONPATH=src python benchmarks/simulator_smoke.py --repeat 3
     PYTHONPATH=src python benchmarks/simulator_smoke.py \
         --scope whole_gpu --memory-model hierarchy --cases 1 \
-        --backend vector --output /tmp/bench.json
+        --output /tmp/bench.json
 
-Passing any of ``--scope``/``--memory-model``/``--cases``/``--sample-period``/
-``--backend`` measures just that one configuration instead of the pinned
-suite.  ``--repeat N`` runs one unrecorded warm-up pass and then ``N``
+Passing any of ``--scope``/``--memory-model``/``--cases``/``--sample-period``
+measures just that one configuration instead of the pinned suite.  ``--repeat N`` runs one unrecorded warm-up pass and then ``N``
 measured passes per block, reporting the **median** throughput (the
 regression gate always compares the headline ``cycles_per_second``, so a
 median-of-N reference absorbs runner noise).  ``--profile`` prints a
@@ -56,30 +56,25 @@ from repro.api.session import AdvisingSession
 from repro.sampling.gpu import GpuSimulationResult
 from repro.sampling.memory import MEMORY_MODELS
 from repro.sampling.profiler import SIMULATION_SCOPES
-from repro.sampling.vector import SIMULATOR_BACKENDS, resolve_simulator_backend
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 #: The bench_pipeline_batch subset the smoke run profiles.
 SMOKE_CASES = CASES[:3]
-#: The pinned configurations (scope, memory model, case count); each is
-#: measured once per :data:`SMOKE_BACKENDS` entry.  The whole-GPU +
-#: hierarchy block walks ~70x more simulated cycles per case, so it pins
-#: one case.
+#: The pinned configurations (scope, memory model, case count).  The
+#: whole-GPU + hierarchy block walks ~70x more simulated cycles per case, so
+#: it pins one case.
 SMOKE_SUITE = (
     ("single_wave", "flat", 3),
     ("whole_gpu", "hierarchy", 1),
 )
-#: Backends the pinned suite measures (vector first: it is the default
-#: core, so its numbers lead the report).
-SMOKE_BACKENDS = ("vector", "object")
 
 
 def run_once(case_ids, sample_period: int, simulation_scope: str,
-             memory_model: str, simulator_backend) -> dict:
+             memory_model: str) -> dict:
     """Profile every case variant once; return the throughput summary."""
     session = AdvisingSession(
         sample_period=sample_period, simulation_scope=simulation_scope,
-        memory_model=memory_model, simulator_backend=simulator_backend,
+        memory_model=memory_model,
     )
     per_case = []
     simulated_cycles = 0
@@ -109,7 +104,7 @@ def run_once(case_ids, sample_period: int, simulation_scope: str,
     return {
         "simulation_scope": simulation_scope,
         "memory_model": memory_model,
-        "simulator_backend": session.simulator_backend,
+        "simulator_backend": "vector",
         "sample_period": sample_period,
         "cases": list(case_ids),
         "profiles": per_case,
@@ -120,8 +115,7 @@ def run_once(case_ids, sample_period: int, simulation_scope: str,
 
 
 def run_smoke(case_ids, sample_period: int = 8, simulation_scope: str = "single_wave",
-              memory_model: str = "flat", simulator_backend=None,
-              repeat: int = 1) -> dict:
+              memory_model: str = "flat", repeat: int = 1) -> dict:
     """One measurement block; with ``repeat > 1``, warm up once and report
     the median-throughput pass (plus every pass's rate for trajectory
     plots)."""
@@ -130,11 +124,9 @@ def run_smoke(case_ids, sample_period: int = 8, simulation_scope: str = "single_
     if repeat > 1:
         # Unrecorded warm-up: first-touch costs (imports, trace generation
         # caches, the registry) land here instead of skewing pass 1.
-        run_once(case_ids, sample_period, simulation_scope, memory_model,
-                 simulator_backend)
+        run_once(case_ids, sample_period, simulation_scope, memory_model)
     runs = [
-        run_once(case_ids, sample_period, simulation_scope, memory_model,
-                 simulator_backend)
+        run_once(case_ids, sample_period, simulation_scope, memory_model)
         for _ in range(repeat)
     ]
     rates = sorted(run["cycles_per_second"] for run in runs)
@@ -147,23 +139,21 @@ def run_smoke(case_ids, sample_period: int = 8, simulation_scope: str = "single_
 
 
 def run_suite(sample_period: int = 8, repeat: int = 1) -> list:
-    """Measure every pinned configuration on every pinned backend."""
+    """Measure every pinned configuration."""
     return [
         run_smoke(
             SMOKE_CASES[:case_count],
             sample_period=sample_period,
             simulation_scope=scope,
             memory_model=memory_model,
-            simulator_backend=backend,
             repeat=repeat,
         )
         for scope, memory_model, case_count in SMOKE_SUITE
-        for backend in SMOKE_BACKENDS
     ]
 
 
 def profile_block(case_ids, sample_period, simulation_scope, memory_model,
-                  simulator_backend, top: int = 20) -> None:
+                  top: int = 20) -> None:
     """Run one block under cProfile and print the hottest functions."""
     import cProfile
     import io
@@ -172,15 +162,13 @@ def profile_block(case_ids, sample_period, simulation_scope, memory_model,
 
     profiler = cProfile.Profile()
     profiler.enable()
-    run_once(case_ids, sample_period, simulation_scope, memory_model,
-             simulator_backend)
+    run_once(case_ids, sample_period, simulation_scope, memory_model)
     profiler.disable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(top)
-    backend = resolve_simulator_backend(simulator_backend)
     print(
-        f"--- cProfile [{simulation_scope}+{memory_model} backend={backend}] ---",
+        f"--- cProfile [{simulation_scope}+{memory_model}] ---",
         file=sys.stderr,
     )
     print(stream.getvalue(), file=sys.stderr)
@@ -197,10 +185,6 @@ def main(argv=None) -> int:
                         choices=SIMULATION_SCOPES, dest="simulation_scope")
     parser.add_argument("--memory-model", default=None,
                         choices=MEMORY_MODELS, dest="memory_model")
-    parser.add_argument("--backend", default=None, choices=SIMULATOR_BACKENDS,
-                        dest="simulator_backend",
-                        help="measure one simulator core (single-measurement "
-                             "mode; the pinned suite measures both)")
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
                         help="measured passes per block after one warm-up "
                              "pass; the median pass is reported (default 1, "
@@ -215,8 +199,7 @@ def main(argv=None) -> int:
     single_config = any(
         value is not None
         for value in (args.cases, args.simulation_scope,
-                      args.memory_model, args.sample_period,
-                      args.simulator_backend)
+                      args.memory_model, args.sample_period)
     )
     period = args.sample_period if args.sample_period is not None else 8
 
@@ -226,17 +209,11 @@ def main(argv=None) -> int:
                 args.simulation_scope or "single_wave",
                 args.memory_model or "flat",
                 args.cases if args.cases is not None else len(SMOKE_CASES),
-                args.simulator_backend,
             )]
         else:
-            plan = [
-                (scope, memory_model, case_count, backend)
-                for scope, memory_model, case_count in SMOKE_SUITE
-                for backend in SMOKE_BACKENDS
-            ]
-        for scope, memory_model, case_count, backend in plan:
-            profile_block(SMOKE_CASES[:case_count], period, scope,
-                          memory_model, backend)
+            plan = SMOKE_SUITE
+        for scope, memory_model, case_count in plan:
+            profile_block(SMOKE_CASES[:case_count], period, scope, memory_model)
         return 0
 
     if single_config:
@@ -246,7 +223,6 @@ def main(argv=None) -> int:
                 sample_period=period,
                 simulation_scope=args.simulation_scope or "single_wave",
                 memory_model=args.memory_model or "flat",
-                simulator_backend=args.simulator_backend,
                 repeat=args.repeat,
             )
         ]
@@ -260,8 +236,7 @@ def main(argv=None) -> int:
     Path(args.output).write_text(json.dumps(summary, indent=2) + "\n")
     for block in measurements:
         print(
-            f"[{block['simulation_scope']}+{block['memory_model']}"
-            f" backend={block['simulator_backend']}] "
+            f"[{block['simulation_scope']}+{block['memory_model']}] "
             f"{len(block['profiles'])} profiles, "
             f"{block['simulated_cycles']} simulated cycles in "
             f"{block['wall_seconds']:.2f}s -> "

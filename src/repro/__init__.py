@@ -80,7 +80,7 @@ from repro.staticcheck.engine import StaticChecker
 from repro.staticcheck.report import StaticDiagnostic, StaticReport, render_static_report
 from repro.structure.program import ProgramStructure, build_program_structure
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "API_SCHEMA_VERSION",

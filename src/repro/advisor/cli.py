@@ -63,7 +63,6 @@ from repro.pipeline.batch import error_summary
 from repro.pipeline.runner import ProgressEvent
 from repro.sampling.memory import MEMORY_MODELS
 from repro.sampling.profiler import SIMULATION_SCOPES
-from repro.sampling.vector import SIMULATOR_BACKENDS
 from repro.sampling.sample import KernelProfile
 from repro.workloads.registry import case_by_name, case_names
 
@@ -106,12 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "warp accesses into 32-byte sectors and runs them "
                              "through L1/L2/DRAM with MSHR and bandwidth "
                              "backpressure (reports hit-rate statistics)")
-    parser.add_argument("--simulator-backend", default=None, choices=SIMULATOR_BACKENDS,
-                        dest="simulator_backend", metavar="BACKEND",
-                        help="simulator core: 'vector' steps warps through "
-                             "packed arrays (default when numpy is available), "
-                             "'object' is the reference object-model core; "
-                             "both produce bit-identical profiles")
     parser.add_argument("--optimized", action="store_true",
                         help="analyze the hand-optimized variant instead of the baseline")
     parser.add_argument("--profile", help="path to a dumped kernel profile (JSON)")
@@ -137,7 +130,6 @@ def _session(args: argparse.Namespace) -> AdvisingSession:
         jobs=args.jobs,
         simulation_scope=args.simulation_scope,
         memory_model=args.memory_model,
-        simulator_backend=args.simulator_backend,
     )
 
 
@@ -317,10 +309,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
                         dest="simulation_scope", metavar="SCOPE")
     parser.add_argument("--memory-model", default="flat", choices=MEMORY_MODELS,
                         dest="memory_model", metavar="MODEL")
-    parser.add_argument("--simulator-backend", default=None, choices=SIMULATOR_BACKENDS,
-                        dest="simulator_backend", metavar="BACKEND",
-                        help="simulator core jobs run on by default "
-                             "(default: vector when numpy is available)")
     parser.add_argument("--cache-dir", metavar="PATH",
                         help="on-disk profile cache shared by every worker "
                              "(flock-guarded: safe to share between daemons)")
@@ -397,7 +385,6 @@ def _serve_main(argv: List[str], stop: Optional[threading.Event] = None) -> int:
             sample_period=args.sample_period,
             simulation_scope=args.simulation_scope,
             memory_model=args.memory_model,
-            simulator_backend=args.simulator_backend,
             cache_dir=args.cache_dir,
         )
         daemon = AdvisingDaemon(
@@ -512,10 +499,6 @@ def _build_submit_parser() -> argparse.ArgumentParser:
                         dest="memory_model", metavar="MODEL",
                         help="pin a memory model per request "
                              "(default: the daemon's configured model)")
-    parser.add_argument("--simulator-backend", default=None, choices=SIMULATOR_BACKENDS,
-                        dest="simulator_backend", metavar="BACKEND",
-                        help="pin a simulator core per request "
-                             "(default: the daemon's configured core)")
     parser.add_argument("--top", type=int, default=5, help="number of optimizers to show")
     parser.add_argument("--output", choices=OUTPUT_FORMATS, default="text",
                         help="output format, mirroring the inline CLI")
@@ -569,7 +552,6 @@ def _submit_main(argv: List[str]) -> int:
             sample_period=args.sample_period,
             simulation_scope=args.simulation_scope,
             memory_model=args.memory_model,
-            simulator_backend=args.simulator_backend,
         )
 
     try:

@@ -55,7 +55,10 @@ from typing import Any
 #:    service coalesces identical submissions by.  Loaders are strict: a
 #:    payload whose stated fingerprint does not match its recomputed one is
 #:    rejected instead of silently re-keyed.
-API_SCHEMA_VERSION = 7
+#: 8. Requests no longer carry ``simulator_backend``: production always runs
+#:    the packed-array core, so there is no core to select.  Version-7
+#:    payloads are rejected by the envelope check like any other version.
+API_SCHEMA_VERSION = 8
 
 
 class ApiError(Exception):

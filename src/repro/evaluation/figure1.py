@@ -55,7 +55,6 @@ def sampling_model_demo(
     cache_dir: Optional[str] = None,
     simulation_scope: str = "single_wave",
     memory_model: str = "flat",
-    simulator_backend: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run the Figure 1 demonstration and return its sample statistics.
 
@@ -69,7 +68,6 @@ def sampling_model_demo(
     session = AdvisingSession(
         architecture=arch_flag, sample_period=sample_period, cache=cache_dir,
         simulation_scope=simulation_scope, memory_model=memory_model,
-        simulator_backend=simulator_backend,
     )
     profiled = session.profile(
         AdvisingRequest(

@@ -70,7 +70,6 @@ def evaluate_figure7(
     progress: Optional[ProgressCallback] = None,
     simulation_scope: str = "single_wave",
     memory_model: str = "flat",
-    simulator_backend: Optional[str] = None,
 ) -> List[CoverageRow]:
     """Compute coverage rows for every (unique) benchmark.
 
@@ -95,7 +94,6 @@ def evaluate_figure7(
             jobs=jobs,
             simulation_scope=simulation_scope,
             memory_model=memory_model,
-            simulator_backend=simulator_backend,
         )
     )
     results = advisor.run_cases(coverage_case_worker, unique, progress=progress)

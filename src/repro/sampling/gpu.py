@@ -6,8 +6,8 @@ grid imbalance, or cross-SM variation.  :class:`GpuSimulator` closes that
 gap: it dispatches the full grid across ``architecture.num_sms`` simulated
 SMs in waves — each wave fills every SM up to its per-SM block residency
 limit, the final (possibly partial) tail wave spreads its remaining blocks
-round-robin so some SMs idle — runs one :class:`~repro.sampling.simulator
-.SMSimulator` per occupied SM per wave, and merges the per-SM
+round-robin so some SMs idle — runs one :class:`~repro.sampling.vector
+.VectorSMSimulator` per occupied SM per wave, and merges the per-SM
 :class:`~repro.sampling.simulator.SimulationResult` outputs into a single
 whole-kernel aggregate.
 
@@ -33,7 +33,7 @@ from repro.sampling.sample import PCSample
 from repro.sampling.simulator import DEFAULT_MAX_CYCLES
 from repro.sampling.stall_reasons import StallReason
 from repro.sampling.trace import TraceOp
-from repro.sampling.vector import make_sm_simulator, resolve_simulator_backend
+from repro.sampling.vector import VectorSMSimulator
 
 #: A callable producing the dynamic trace of one warp, keyed by the warp's
 #: *global* id (``block_id * warps_per_block + warp_in_block``).
@@ -128,21 +128,18 @@ class GpuSimulator:
         keep_samples: bool = False,
         max_cycles: int = DEFAULT_MAX_CYCLES,
         memory_model: str = "flat",
-        simulator_backend: Optional[str] = None,
     ):
         self.architecture = architecture
         self.sample_period = sample_period
         self.keep_samples = keep_samples
         self.max_cycles = max_cycles
         self.memory_model = memory_model
-        self.simulator_backend = resolve_simulator_backend(simulator_backend)
-        self._sm_simulator = make_sm_simulator(
+        self._sm_simulator = VectorSMSimulator(
             architecture,
             sample_period=sample_period,
             keep_samples=keep_samples,
             max_cycles=max_cycles,
             memory_model=memory_model,
-            simulator_backend=self.simulator_backend,
         )
 
     # ------------------------------------------------------------------

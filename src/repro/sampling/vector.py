@@ -1,6 +1,8 @@
-"""The array-based (``simulator_backend="vector"``) SM simulator core.
+"""The production SM simulator core.
 
-:class:`VectorSMSimulator` is a drop-in replacement for
+:class:`VectorSMSimulator` is the core every production path runs (the
+profiler's single-wave scope and every SM of the whole-GPU engine).  It is a
+bit-identical re-implementation of the reference
 :class:`~repro.sampling.simulator.SMSimulator` that keeps *no per-op
 objects* on its hot path.  At the start of a ``simulate()`` call every
 warp's trace is packed once into a structure of flat arrays:
@@ -21,9 +23,7 @@ warp's trace is packed once into a structure of flat arrays:
 * **Warp state** — PC indices, ready/blocked cycles, fetch timers, barrier
   membership and finished flags live in flat per-warp arrays; the
   fixed-latency scoreboard is a dense ``warps x registers`` table of
-  ready-cycles (materialized as a 2-D ``int64`` numpy array by
-  :meth:`VectorSMSimulator.scoreboard_array` for inspection) instead of
-  per-warp dicts.
+  ready-cycles instead of per-warp dicts.
 
 The event loop itself is a transliteration of the object core — same
 scheduler scan order, same skip-ahead horizons, same observation-neutral
@@ -33,9 +33,8 @@ speed comes from the packing: one tuple index replaces every chain of
 attribute dispatches, the scheduler scan tests one flag word and walks the
 register scoreboard inline on the common path, and all per-op
 ``max()``/latency/coalescing work is hoisted out of the loop.  Packing and
-stepping are pure Python; numpy only backs the scoreboard view, because
-per-SM warp populations (8–64) sit far below numpy's vectorization
-break-even for this access pattern.
+stepping are pure Python: per-SM warp populations (8–64) sit far below any
+array library's vectorization break-even for this access pattern.
 
 ``docs/SIMULATOR.md`` documents the record layout and how to extend both
 cores together.
@@ -44,35 +43,17 @@ cores together.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
-
-try:  # pragma: no cover - exercised indirectly via backend fallback tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 from repro.arch.machine import GpuArchitecture
 from repro.sampling.memory import MemoryHierarchy, check_memory_model, sector_pattern
 from repro.sampling.sample import PCSample
-from repro.sampling.simulator import DEFAULT_MAX_CYCLES, SimulationResult, SMSimulator
+from repro.sampling.simulator import DEFAULT_MAX_CYCLES, SimulationResult
 from repro.sampling.stall_reasons import StallReason
 from repro.sampling.trace import TraceOp, cached_latency, instruction_meta
 
 _FAR_FUTURE = 1 << 60
-
-#: The two simulator cores.  "vector" is the packed-array core in this
-#: module; "object" is the original :class:`SMSimulator`.
-SIMULATOR_BACKENDS = ("object", "vector")
-
-#: Environment override consulted when no backend is requested explicitly;
-#: lets CI run the whole tier-1 matrix once per backend without threading a
-#: parameter through every test.
-BACKEND_ENV_VAR = "REPRO_SIMULATOR_BACKEND"
-
-#: The default backend when neither the caller nor the environment chose.
-DEFAULT_BACKEND = "vector"
 
 # ----------------------------------------------------------------------
 # Packed-record layout (one tuple per dynamic op).
@@ -96,61 +77,6 @@ _F_FIXED = 64  # fixed-latency op: write the dense scoreboard
 #   4 read_barrier   5 stall_inc     6 fixed_latency 7 defined_regs
 #   8 barrier_reason 9 offset       10 fetch_stall  11 mem_inc
 #  12 read_hold     13 transactions 14 function     15 sectors
-
-
-def vector_backend_available() -> bool:
-    """Whether the vector core can run in this interpreter (numpy present)."""
-    return _np is not None
-
-
-def check_simulator_backend(backend: str) -> str:
-    """``backend`` if valid, else a uniform ``ValueError``."""
-    if backend not in SIMULATOR_BACKENDS:
-        raise ValueError(
-            f"unknown simulator backend {backend!r}; "
-            f"expected one of {SIMULATOR_BACKENDS}"
-        )
-    return backend
-
-
-def resolve_simulator_backend(backend: Optional[str] = None) -> str:
-    """The backend to actually run.
-
-    ``None`` resolves to the :data:`BACKEND_ENV_VAR` environment override
-    when set, else :data:`DEFAULT_BACKEND`.  A resolved ``"vector"`` falls
-    back to ``"object"`` automatically when numpy is unavailable — both
-    cores are bit-identical, so the fallback only changes speed (and the
-    profile-cache key, which digests the *resolved* backend).
-    """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    check_simulator_backend(backend)
-    if backend == "vector" and not vector_backend_available():
-        return "object"
-    return backend
-
-
-def make_sm_simulator(
-    architecture: GpuArchitecture,
-    sample_period: int = 32,
-    keep_samples: bool = False,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-    memory_model: str = "flat",
-    simulator_backend: Optional[str] = None,
-):
-    """Construct the SM simulator for the resolved backend."""
-    cls = (
-        VectorSMSimulator
-        if resolve_simulator_backend(simulator_backend) == "vector"
-        else SMSimulator
-    )
-    return cls(
-        architecture,
-        sample_period=sample_period,
-        keep_samples=keep_samples,
-        max_cycles=max_cycles,
-        memory_model=memory_model,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +185,8 @@ def _pack_warp(
 
 
 class VectorSMSimulator:
-    """Packed-array SM simulator core (bit-identical to :class:`SMSimulator`)."""
+    """Packed-array SM simulator core, bit-identical to the reference
+    :class:`~repro.sampling.simulator.SMSimulator`."""
 
     def __init__(
         self,
@@ -269,11 +196,6 @@ class VectorSMSimulator:
         max_cycles: int = DEFAULT_MAX_CYCLES,
         memory_model: str = "flat",
     ):
-        if _np is None:
-            raise RuntimeError(
-                "the vector simulator backend requires numpy; "
-                "use simulator_backend='object'"
-            )
         if sample_period < 1:
             raise ValueError("sample_period must be >= 1")
         self.architecture = architecture
@@ -281,21 +203,6 @@ class VectorSMSimulator:
         self.keep_samples = keep_samples
         self.max_cycles = max_cycles
         self.memory_model = check_memory_model(memory_model)
-        #: Dense per-warp fixed-latency scoreboards of the *last* simulate
-        #: call (lists while stepping; see :meth:`scoreboard_array`).
-        self._reg_ready: List[List[int]] = []
-
-    # ------------------------------------------------------------------
-    def scoreboard_array(self):
-        """The last call's register scoreboard as a 2-D ``int64`` array.
-
-        Shape ``(num_warps, num_registers)``; entry ``[w, r]`` is the cycle
-        at which warp ``w``'s register ``r`` was last scheduled to become
-        ready.  Diagnostic view of the dense per-warp ready-cycle tables.
-        """
-        if not self._reg_ready:
-            return _np.zeros((0, 0), dtype=_np.int64)
-        return _np.array(self._reg_ready, dtype=_np.int64)
 
     # ------------------------------------------------------------------
     def simulate(
@@ -350,7 +257,6 @@ class VectorSMSimulator:
         ]
         #: Dense scoreboard: reg_ready[w][r] = cycle register r is ready.
         reg_ready = [[0] * num_regs for _ in range(num_warps)]
-        self._reg_ready = reg_ready
 
         scheduler_warps: List[List[int]] = [[] for _ in range(num_schedulers)]
         for w in range(num_warps):

@@ -44,7 +44,7 @@ class TestFingerprint:
     def test_versioned_salt(self):
         # The digest is salted with FINGERPRINT_VERSION, decoupled from the
         # API schema: a wire-format bump alone must not shift fingerprints.
-        assert FINGERPRINT_VERSION == 1
+        assert FINGERPRINT_VERSION == 2
 
     def test_builder_idempotency_key_matches(self):
         builder = AdvisingRequest.builder().case(CASE_ID).sample_period(8)

@@ -1,9 +1,11 @@
 """Tests for AdvisingSession: execution modes, knobs, error capture."""
 
 import json
+import os
 
 import pytest
 
+from repro.api import session as session_module
 from repro.api.request import AdvisingRequest, request_for_case
 from repro.api.result import AdvisingError, AdvisingResult, dump_jsonl, load_jsonl
 from repro.api.schema import ApiValidationError
@@ -11,6 +13,11 @@ from repro.api.session import AdvisingSession
 from repro.pipeline.cache import ProfileCache
 
 SUBSET = ["rodinia/backprop:warp_balance", "rodinia/gaussian:thread_increase"]
+
+
+def _dying_worker(config, payload, index):
+    """A pool worker that kills its process, breaking the whole pool."""
+    os._exit(1)
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +225,23 @@ class TestBatchModes:
         )
         assert not results[0].ok and "KeyError" in results[0].error
         assert results[1].ok
+
+    def test_pool_failure_reports_the_configured_knobs(self, monkeypatch):
+        monkeypatch.setattr(session_module, "_pool_advise", _dying_worker)
+        pooled = AdvisingSession(
+            sample_period=8, jobs=2,
+            simulation_scope="whole_gpu", memory_model="hierarchy",
+        )
+        requests = [
+            request_for_case(SUBSET[0]),
+            request_for_case(SUBSET[1], memory_model="flat"),
+        ]
+        results = pooled.advise_many(requests)
+        assert all("BrokenProcessPool" in result.error for result in results)
+        assert [(result.simulation_scope, result.memory_model) for result in results] == [
+            ("whole_gpu", "hierarchy"),
+            ("whole_gpu", "flat"),
+        ]
 
     def test_progress_events_come_in_adjacent_pairs(self):
         events = []

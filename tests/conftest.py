@@ -21,6 +21,8 @@ from repro.blame.attribution import InstructionBlamer
 from repro.cubin.builder import CubinBuilder, imm, p
 from repro.sampling.profiler import Profiler
 from repro.sampling.sample import LaunchConfig
+from repro.sampling.simulator import SMSimulator
+from repro.sampling.vector import VectorSMSimulator
 from repro.sampling.workload import WorkloadSpec
 
 
@@ -95,3 +97,9 @@ def toy_report(toy_profiled):
 @pytest.fixture(scope="session")
 def gpa():
     return GPA(sample_period=8)
+
+
+@pytest.fixture(params=[SMSimulator, VectorSMSimulator], ids=lambda cls: cls.__name__)
+def core(request):
+    """Each SM-simulator core in turn: the reference and the production one."""
+    return request.param

@@ -10,7 +10,6 @@ from repro.sampling.memory import (
     SectorCache,
     check_memory_model,
 )
-from repro.sampling.simulator import SMSimulator
 from repro.sampling.stall_reasons import StallReason
 from repro.sampling.trace import TraceOp, generate_warp_trace
 from repro.structure.program import build_program_structure
@@ -181,11 +180,13 @@ def _traces(structure, workload, num_warps=8):
 
 
 class TestSimulatorIntegration:
-    def test_flat_is_the_default_and_unchanged(self, micro_setup):
+    """Runs on both cores (the ``core`` fixture)."""
+
+    def test_flat_is_the_default_and_unchanged(self, core, micro_setup):
         _cubin, structure = micro_setup
         traces, blocks = _traces(structure, streaming_workload())
-        default = SMSimulator(VoltaV100, sample_period=8)
-        explicit = SMSimulator(VoltaV100, sample_period=8, memory_model="flat")
+        default = core(VoltaV100, sample_period=8)
+        explicit = core(VoltaV100, sample_period=8, memory_model="flat")
         a = default.simulate("memory_stream", traces, blocks)
         b = explicit.simulate("memory_stream", traces, blocks)
         assert default.memory_model == "flat"
@@ -193,33 +194,33 @@ class TestSimulatorIntegration:
         assert a.stall_counts == b.stall_counts
         assert a.memory is None and b.memory is None
 
-    def test_hierarchy_changes_timing_and_records_statistics(self, micro_setup):
+    def test_hierarchy_changes_timing_and_records_statistics(self, core, micro_setup):
         _cubin, structure = micro_setup
         traces, blocks = _traces(structure, strided_workload())
-        flat = SMSimulator(VoltaV100, sample_period=8).simulate(
+        flat = core(VoltaV100, sample_period=8).simulate(
             "memory_stream", traces, blocks)
-        hier = SMSimulator(VoltaV100, sample_period=8, memory_model="hierarchy").simulate(
+        hier = core(VoltaV100, sample_period=8, memory_model="hierarchy").simulate(
             "memory_stream", traces, blocks)
         assert hier.wave_cycles != flat.wave_cycles
         assert hier.memory is not None
         assert hier.memory.requests > 0
         assert hier.memory.transactions_per_request > 4.0  # uncoalesced
 
-    def test_cache_resident_beats_streaming(self, micro_setup):
+    def test_cache_resident_beats_streaming(self, core, micro_setup):
         _cubin, structure = micro_setup
         resident_traces, blocks = _traces(structure, cache_resident_workload())
         stream_traces, _ = _traces(structure, streaming_workload())
-        simulator = SMSimulator(VoltaV100, sample_period=8, memory_model="hierarchy")
+        simulator = core(VoltaV100, sample_period=8, memory_model="hierarchy")
         resident = simulator.simulate("memory_stream", resident_traces, blocks)
         stream = simulator.simulate("memory_stream", stream_traces, blocks)
         assert resident.memory.l1_hit_rate > 0.5
         assert resident.memory.l1_hit_rate > stream.memory.l1_hit_rate
         assert resident.wave_cycles < stream.wave_cycles
 
-    def test_strided_access_produces_memory_throttle_stalls(self, micro_setup):
+    def test_strided_access_produces_memory_throttle_stalls(self, core, micro_setup):
         _cubin, structure = micro_setup
         traces, blocks = _traces(structure, strided_workload(), num_warps=16)
-        result = SMSimulator(VoltaV100, sample_period=2, memory_model="hierarchy").simulate(
+        result = core(VoltaV100, sample_period=2, memory_model="hierarchy").simulate(
             "memory_stream", traces, blocks)
         reasons = {}
         for counts in result.stall_counts.values():
@@ -227,29 +228,29 @@ class TestSimulatorIntegration:
                 reasons[reason] = reasons.get(reason, 0) + count
         assert reasons.get(StallReason.MEMORY_THROTTLE, 0) > 0
 
-    def test_hierarchy_sampling_is_observation_neutral(self, micro_setup):
+    def test_hierarchy_sampling_is_observation_neutral(self, core, micro_setup):
         _cubin, structure = micro_setup
         traces, blocks = _traces(structure, strided_workload())
         cycles = {
-            period: SMSimulator(
+            period: core(
                 VoltaV100, sample_period=period, memory_model="hierarchy"
             ).simulate("memory_stream", traces, blocks).wave_cycles
             for period in (2, 8, 32, 128)
         }
         assert len(set(cycles.values())) == 1, cycles
 
-    def test_hierarchy_is_deterministic(self, micro_setup):
+    def test_hierarchy_is_deterministic(self, core, micro_setup):
         _cubin, structure = micro_setup
         traces, blocks = _traces(structure, streaming_workload())
-        simulator = SMSimulator(VoltaV100, sample_period=8, memory_model="hierarchy")
+        simulator = core(VoltaV100, sample_period=8, memory_model="hierarchy")
         a = simulator.simulate("memory_stream", traces, blocks)
         b = simulator.simulate("memory_stream", traces, blocks)
         assert a.wave_cycles == b.wave_cycles
         assert a.memory.to_dict() == b.memory.to_dict()
 
-    def test_rejects_unknown_memory_model(self):
+    def test_rejects_unknown_memory_model(self, core):
         with pytest.raises(ValueError):
-            SMSimulator(VoltaV100, memory_model="banked")
+            core(VoltaV100, memory_model="banked")
 
 
 class TestTraceAddresses:

@@ -1,10 +1,14 @@
-"""Tests for the SM simulator and its PC sampling."""
+"""Tests for the SM simulator and its PC sampling.
+
+Every behaviour test runs on both cores (the ``core`` fixture): the
+production :class:`~repro.sampling.vector.VectorSMSimulator` and the
+reference :class:`~repro.sampling.simulator.SMSimulator`.
+"""
 
 import pytest
 
 from repro.arch.machine import VoltaV100
 from repro.cubin.builder import CubinBuilder, imm, p
-from repro.sampling.simulator import SMSimulator
 from repro.sampling.stall_reasons import StallReason
 from repro.sampling.trace import generate_warp_trace
 from repro.sampling.workload import WorkloadSpec
@@ -27,23 +31,23 @@ def toy_traces(toy_cubin, toy_workload):
 
 
 class TestSimulation:
-    def test_all_instructions_issue(self, toy_cubin, toy_traces):
+    def test_all_instructions_issue(self, core, toy_cubin, toy_traces):
         traces, blocks = toy_traces
-        result = SMSimulator(VoltaV100, sample_period=4).simulate("toy_kernel", traces, blocks)
+        result = core(VoltaV100, sample_period=4).simulate("toy_kernel", traces, blocks)
         assert result.issued_instructions == sum(len(t) for t in traces)
         assert result.wave_cycles > 0
 
-    def test_sample_totals_are_consistent(self, toy_traces):
+    def test_sample_totals_are_consistent(self, core, toy_traces):
         traces, blocks = toy_traces
-        result = SMSimulator(VoltaV100, sample_period=4).simulate("toy_kernel", traces, blocks)
+        result = core(VoltaV100, sample_period=4).simulate("toy_kernel", traces, blocks)
         assert result.total_samples == result.active_samples + result.latency_samples
         per_instruction = sum(sum(v.values()) for v in result.stall_counts.values())
         assert per_instruction == result.latency_samples
         assert sum(result.issue_counts.values()) == result.active_samples
 
-    def test_memory_dependency_stalls_at_consumer(self, toy_cubin, toy_traces):
+    def test_memory_dependency_stalls_at_consumer(self, core, toy_cubin, toy_traces):
         traces, blocks = toy_traces
-        result = SMSimulator(VoltaV100, sample_period=2).simulate("toy_kernel", traces, blocks)
+        result = core(VoltaV100, sample_period=2).simulate("toy_kernel", traces, blocks)
         function = toy_cubin.function("toy_kernel")
         use_offsets = [i.offset for i in function.instructions
                        if i.opcode == "FFMA" and i.line == 14]
@@ -54,53 +58,53 @@ class TestSimulation:
         )
         assert memory_stalls > 0
 
-    def test_synchronization_stalls_with_imbalanced_warps(self, toy_cubin):
+    def test_synchronization_stalls_with_imbalanced_warps(self, core, toy_cubin):
         workload = WorkloadSpec(
             loop_trip_counts={12: lambda warp, total: 20 if warp % 4 == 0 else 3}
         )
         traces, blocks = build_traces(toy_cubin, "toy_kernel", workload, num_warps=8)
-        result = SMSimulator(VoltaV100, sample_period=2).simulate("toy_kernel", traces, blocks)
+        result = core(VoltaV100, sample_period=2).simulate("toy_kernel", traces, blocks)
         reasons = {}
         for counts in result.stall_counts.values():
             for reason, count in counts.items():
                 reasons[reason] = reasons.get(reason, 0) + count
         assert reasons.get(StallReason.SYNCHRONIZATION, 0) > 0
 
-    def test_barrier_mismatch_does_not_deadlock(self, toy_cubin):
+    def test_barrier_mismatch_does_not_deadlock(self, core, toy_cubin):
         # Warps of the same block execute different numbers of barriers; the
         # simulator must still terminate (live-warp release rule).
         workload = WorkloadSpec(
             loop_trip_counts={12: lambda warp, total: 6 if warp % 2 == 0 else 2}
         )
         traces, blocks = build_traces(toy_cubin, "toy_kernel", workload, num_warps=4)
-        result = SMSimulator(VoltaV100, sample_period=4, max_cycles=200_000).simulate(
+        result = core(VoltaV100, sample_period=4, max_cycles=200_000).simulate(
             "toy_kernel", traces, blocks)
         assert result.issued_instructions == sum(len(t) for t in traces)
 
-    def test_sample_period_scales_sample_count(self, toy_traces):
+    def test_sample_period_scales_sample_count(self, core, toy_traces):
         traces, blocks = toy_traces
-        dense = SMSimulator(VoltaV100, sample_period=2).simulate("toy_kernel", traces, blocks)
-        sparse = SMSimulator(VoltaV100, sample_period=16).simulate("toy_kernel", traces, blocks)
+        dense = core(VoltaV100, sample_period=2).simulate("toy_kernel", traces, blocks)
+        sparse = core(VoltaV100, sample_period=16).simulate("toy_kernel", traces, blocks)
         assert dense.total_samples > sparse.total_samples
 
-    def test_keep_samples_records_raw_stream(self, toy_traces):
+    def test_keep_samples_records_raw_stream(self, core, toy_traces):
         traces, blocks = toy_traces
-        result = SMSimulator(VoltaV100, sample_period=8, keep_samples=True).simulate(
+        result = core(VoltaV100, sample_period=8, keep_samples=True).simulate(
             "toy_kernel", traces, blocks)
         assert len(result.samples) == result.total_samples
         schedulers = {sample.scheduler_id for sample in result.samples}
         assert schedulers <= set(range(VoltaV100.schedulers_per_sm))
         assert all(sample.cycle <= result.wave_cycles for sample in result.samples)
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            SMSimulator(VoltaV100).simulate("k", [], [])
-        with pytest.raises(ValueError):
-            SMSimulator(VoltaV100).simulate("k", [[]], [0, 1])
+    def test_empty_input_rejected(self, core):
+        with pytest.raises(ValueError, match="empty"):
+            core(VoltaV100).simulate("k", [], [])
+        with pytest.raises(ValueError, match="same length"):
+            core(VoltaV100).simulate("k", [[]], [0, 1])
 
-    def test_invalid_sample_period_rejected(self):
-        with pytest.raises(ValueError):
-            SMSimulator(VoltaV100, sample_period=0)
+    def test_invalid_sample_period_rejected(self, core):
+        with pytest.raises(ValueError, match="sample_period"):
+            core(VoltaV100, sample_period=0)
 
 
 def build_fetch_pressure_cubin():
@@ -144,8 +148,8 @@ class TestObservationNeutrality:
 
     PERIODS = (1, 3, 8, 32, 128)
 
-    def _timing(self, traces, blocks, period):
-        result = SMSimulator(VoltaV100, sample_period=period).simulate(
+    def _timing(self, core, traces, blocks, period):
+        result = core(VoltaV100, sample_period=period).simulate(
             "toy_kernel", traces, blocks)
         return (result.wave_cycles, result.issued_instructions)
 
@@ -155,14 +159,14 @@ class TestObservationNeutrality:
         WorkloadSpec(loop_trip_counts={12: 10}, uncoalesced_lines={13},
                      uncoalesced_transactions=8),
     ], ids=["uniform", "imbalanced-barrier", "memory-throttle"])
-    def test_wave_cycles_invariant_across_sample_periods(self, toy_cubin, workload):
+    def test_wave_cycles_invariant_across_sample_periods(self, core, toy_cubin, workload):
         traces, blocks = build_traces(toy_cubin, "toy_kernel", workload, num_warps=12)
         timings = {
-            period: self._timing(traces, blocks, period) for period in self.PERIODS
+            period: self._timing(core, traces, blocks, period) for period in self.PERIODS
         }
         assert len(set(timings.values())) == 1, timings
 
-    def test_fetch_stall_timing_invariant_across_sample_periods(self):
+    def test_fetch_stall_timing_invariant_across_sample_periods(self, core):
         cubin = build_fetch_pressure_cubin()
         structure = build_program_structure(cubin)
         workload = WorkloadSpec()
@@ -173,16 +177,16 @@ class TestObservationNeutrality:
         blocks = [warp // 4 for warp in range(8)]
         timings = {}
         for period in self.PERIODS:
-            result = SMSimulator(VoltaV100, sample_period=period).simulate(
+            result = core(VoltaV100, sample_period=period).simulate(
                 "fat_kernel", traces, blocks)
             timings[period] = (result.wave_cycles, result.issued_instructions)
         assert len(set(timings.values())) == 1, timings
 
-    def test_sampling_density_only_changes_sample_counts(self, toy_traces):
+    def test_sampling_density_only_changes_sample_counts(self, core, toy_traces):
         traces, blocks = toy_traces
-        dense = SMSimulator(VoltaV100, sample_period=2).simulate(
+        dense = core(VoltaV100, sample_period=2).simulate(
             "toy_kernel", traces, blocks)
-        sparse = SMSimulator(VoltaV100, sample_period=64).simulate(
+        sparse = core(VoltaV100, sample_period=64).simulate(
             "toy_kernel", traces, blocks)
         assert dense.total_samples > sparse.total_samples
         assert dense.wave_cycles == sparse.wave_cycles
@@ -190,7 +194,7 @@ class TestObservationNeutrality:
 
 
 class TestMemoryThrottle:
-    def test_uncoalesced_accesses_cause_throttle_stalls(self):
+    def test_uncoalesced_accesses_cause_throttle_stalls(self, core):
         builder = CubinBuilder()
         k = builder.kernel("throttle_kernel", source_file="t.cu")
         k.at_line(1)
@@ -217,7 +221,7 @@ class TestMemoryThrottle:
                                 uncoalesced_transactions=8)
         traces, blocks = build_traces(cubin, "throttle_kernel", workload,
                                       num_warps=32, warps_per_block=8)
-        result = SMSimulator(VoltaV100, sample_period=4).simulate(
+        result = core(VoltaV100, sample_period=4).simulate(
             "throttle_kernel", traces, blocks)
         totals = {}
         for counts in result.stall_counts.values():

@@ -1,26 +1,15 @@
-"""The vector (packed-array) simulator core: identity, layout, fallback."""
+"""The production (packed-array) simulator core: identity and layout."""
 
 import dataclasses
 
 import pytest
 
 from repro.arch.machine import VoltaV100
-from repro.sampling import vector
 from repro.sampling.memory import MemoryHierarchy, sector_pattern
 from repro.sampling.simulator import SMSimulator
 from repro.sampling.trace import generate_warp_trace
-from repro.sampling.vector import (
-    DEFAULT_BACKEND,
-    SIMULATOR_BACKENDS,
-    VectorSMSimulator,
-    check_simulator_backend,
-    make_sm_simulator,
-    resolve_simulator_backend,
-    vector_backend_available,
-)
+from repro.sampling.vector import VectorSMSimulator
 from repro.structure.program import build_program_structure
-
-np = pytest.importorskip("numpy")
 
 
 def build_traces(cubin, kernel, workload, num_warps, warps_per_block=4):
@@ -98,20 +87,6 @@ class TestObservationNeutrality:
         assert facts[0] == facts[1] == facts[2]
 
 
-class TestScoreboard:
-    def test_scoreboard_array_shape_and_dtype(self, toy_traces):
-        traces, blocks = toy_traces
-        simulator = VectorSMSimulator(VoltaV100, sample_period=32)
-        assert simulator.scoreboard_array().shape == (0, 0)
-        simulator.simulate("toy_kernel", traces, blocks)
-        board = simulator.scoreboard_array()
-        assert board.dtype == np.int64
-        assert board.shape[0] == len(traces)
-        assert board.shape[1] > 0
-        # Registers were written: at least one entry advanced past cycle 0.
-        assert int(board.max()) > 0
-
-
 class TestSectorPattern:
     """The pack path shifts a phase-relative pattern; it must equal direct
     coalescing at every phase a whole-GPU trace can hit."""
@@ -129,67 +104,3 @@ class TestSectorPattern:
             pattern = sector_pattern(phase, stride, VoltaV100.warp_size, sector_bytes)
             shifted = [address - phase + sector for sector in pattern]
             assert shifted == hierarchy.sector_addresses(probe), (phase, stride)
-
-
-class TestBackendResolution:
-    def test_valid_backends(self):
-        assert SIMULATOR_BACKENDS == ("object", "vector")
-        for backend in SIMULATOR_BACKENDS:
-            assert check_simulator_backend(backend) == backend
-
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown simulator backend"):
-            check_simulator_backend("gpu")
-        with pytest.raises(ValueError, match="unknown simulator backend"):
-            resolve_simulator_backend("gpu")
-
-    def test_none_resolves_to_default(self, monkeypatch):
-        monkeypatch.delenv(vector.BACKEND_ENV_VAR, raising=False)
-        assert resolve_simulator_backend(None) == DEFAULT_BACKEND
-
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(vector.BACKEND_ENV_VAR, "object")
-        assert resolve_simulator_backend(None) == "object"
-        # An explicit argument wins over the environment.
-        assert resolve_simulator_backend("vector") == "vector"
-
-    def test_vector_falls_back_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(vector, "_np", None)
-        assert not vector_backend_available()
-        assert resolve_simulator_backend("vector") == "object"
-        assert resolve_simulator_backend(None) == "object"
-        with pytest.raises(RuntimeError, match="requires numpy"):
-            VectorSMSimulator(VoltaV100)
-
-    def test_factory_builds_the_resolved_core(self):
-        assert isinstance(
-            make_sm_simulator(VoltaV100, simulator_backend="vector"), VectorSMSimulator
-        )
-        assert isinstance(
-            make_sm_simulator(VoltaV100, simulator_backend="object"), SMSimulator
-        )
-
-    def test_factory_forwards_configuration(self):
-        simulator = make_sm_simulator(
-            VoltaV100, sample_period=16, keep_samples=True,
-            max_cycles=1000, memory_model="hierarchy", simulator_backend="vector",
-        )
-        assert simulator.sample_period == 16
-        assert simulator.keep_samples is True
-        assert simulator.max_cycles == 1000
-        assert simulator.memory_model == "hierarchy"
-
-
-class TestInputValidation:
-    def test_mismatched_blocks_rejected(self, toy_traces):
-        traces, blocks = toy_traces
-        with pytest.raises(ValueError, match="same length"):
-            VectorSMSimulator(VoltaV100).simulate("toy_kernel", traces, blocks[:-1])
-
-    def test_empty_warp_set_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            VectorSMSimulator(VoltaV100).simulate("toy_kernel", [], [])
-
-    def test_bad_sample_period_rejected(self):
-        with pytest.raises(ValueError, match="sample_period"):
-            VectorSMSimulator(VoltaV100, sample_period=0)

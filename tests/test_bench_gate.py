@@ -1,4 +1,4 @@
-"""The simulator benchmark regression gate: pairing, backends, medians.
+"""The simulator benchmark regression gate: pairing, backend labels, medians.
 
 These tests drive :mod:`benchmarks.check_simulator_regression` (and the
 median-of-repeats selection in :mod:`benchmarks.simulator_smoke`) on
@@ -94,7 +94,7 @@ class TestMedianOfRepeats:
         smoke = load("simulator_smoke")
         rates = iter([999_999, 100_000, 400_000, 200_000])  # warm-up first
 
-        def fake_run_once(case_ids, sample_period, scope, memory_model, backend):
+        def fake_run_once(case_ids, sample_period, scope, memory_model):
             return block(rate=next(rates), cases=case_ids)
 
         monkeypatch.setattr(smoke, "run_once", fake_run_once)
@@ -107,7 +107,7 @@ class TestMedianOfRepeats:
         smoke = load("simulator_smoke")
         calls = []
 
-        def fake_run_once(case_ids, sample_period, scope, memory_model, backend):
+        def fake_run_once(case_ids, sample_period, scope, memory_model):
             calls.append(1)
             return block(rate=123, cases=case_ids)
 

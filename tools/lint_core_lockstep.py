@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Lockstep linter for the two simulator cores.
 
-``repro/sampling/simulator.py`` (the object core) and
-``repro/sampling/vector.py`` (the array core) implement the same scheduling
-semantics twice — that is the whole point of the ``simulator_backend`` knob,
-and the backend-equivalence tests pin their *outputs* bit-for-bit.  This
+``repro/sampling/vector.py`` (the packed-array core every production path
+runs) and ``repro/sampling/simulator.py`` (the object core, kept as the
+readable reference) implement the same scheduling semantics twice, and the
+backend-equivalence tests pin their *outputs* bit-for-bit.  This
 tool pins their *sources*: it AST-parses both files and fails when the
 structural invariants that keep the cores honest drift apart, so a patch
 that teaches one core a new stall reason (or quietly mutates state on the
