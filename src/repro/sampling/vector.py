@@ -28,13 +28,22 @@ warp's trace is packed once into a structure of flat arrays:
 The event loop itself is a transliteration of the object core — same
 scheduler scan order, same skip-ahead horizons, same observation-neutral
 sampling probe — so the two cores stay *bit-identical* on every output
-(``wave_cycles``, stall/issue counts, samples, memory statistics).  The
-speed comes from the packing: one tuple index replaces every chain of
-attribute dispatches, the scheduler scan tests one flag word and walks the
-register scoreboard inline on the common path, and all per-op
-``max()``/latency/coalescing work is hoisted out of the loop.  Packing and
-stepping are pure Python: per-SM warp populations (8–64) sit far below any
-array library's vectorization break-even for this access pattern.
+(``wave_cycles``, stall/issue counts and their first-sample order, samples,
+memory statistics).  The speed comes from keeping the loop on plain ints:
+
+* one tuple index replaces every chain of attribute dispatches, and all
+  per-op ``max()``/latency/coalescing work is hoisted out of the loop;
+* stall reasons are small-int codes, and every record carries the index of
+  its ``(function, offset)`` *site*, so a sample bumps one int-keyed
+  counter; ``StallReason`` members and ``(function, offset)`` keys are
+  built once per call, when the result is assembled;
+* the scheduler scan walks a precomputed ``(slot, warp)`` order per start
+  slot, tests one flag word and walks the register scoreboard inline on the
+  common path, and issues a plain fixed-latency op inline too.
+
+Packing and stepping are pure Python: per-SM warp populations (8–64) sit
+far below any array library's vectorization break-even for this access
+pattern.
 
 ``docs/SIMULATOR.md`` documents the record layout and how to extend both
 cores together.
@@ -56,6 +65,22 @@ from repro.sampling.trace import TraceOp, cached_latency, instruction_meta
 _FAR_FUTURE = 1 << 60
 
 # ----------------------------------------------------------------------
+# Stall codes.  The step loop carries stall reasons as small ints: a code is
+# the member's index in ``_REASONS``, and ``_REASONS[code]`` turns it back
+# into the member where a PCSample or the result is built.
+_REASONS: Tuple[StallReason, ...] = tuple(StallReason)
+_NUM_REASONS = len(_REASONS)
+_CODE_OF: Dict[StallReason, int] = {reason: code for code, reason in enumerate(_REASONS)}
+_R_SELECTED = _CODE_OF[StallReason.SELECTED]
+_R_NOT_SELECTED = _CODE_OF[StallReason.NOT_SELECTED]
+_R_EXEC_DEP = _CODE_OF[StallReason.EXECUTION_DEPENDENCY]
+_R_SYNC = _CODE_OF[StallReason.SYNCHRONIZATION]
+_R_THROTTLE = _CODE_OF[StallReason.MEMORY_THROTTLE]
+_R_FETCH = _CODE_OF[StallReason.INSTRUCTION_FETCH]
+_R_IDLE = _CODE_OF[StallReason.IDLE]
+_R_OTHER = _CODE_OF[StallReason.OTHER]
+
+# ----------------------------------------------------------------------
 # Packed-record layout (one tuple per dynamic op).
 #
 # Check-phase flag bits — ops with none of these (the common ALU op) take
@@ -72,11 +97,13 @@ _F_READ_BAR = 32
 _F_FIXED = 64  # fixed-latency op: write the dense scoreboard
 
 # Record tuple positions (static prefix 0-9 is memoized per instruction,
-# dynamic tail 10-15 varies per op):
+# dynamic tail 10-16 varies per op):
 #   0 flags          1 wait_mask     2 used_regs     3 write_barrier
 #   4 read_barrier   5 stall_inc     6 fixed_latency 7 defined_regs
 #   8 barrier_reason 9 offset       10 fetch_stall  11 mem_inc
 #  12 read_hold     13 transactions 14 function     15 sectors
+#  16 site
+# Slot 8 is a stall code; slot 16 numbers the op's (function, offset).
 
 
 # ----------------------------------------------------------------------
@@ -88,6 +115,7 @@ def _pack_warp(
     warp_size: int,
     static_memo: dict,
     shared_memo: dict,
+    sites: dict,
 ) -> list:
     """One warp's packed op records.
 
@@ -100,6 +128,8 @@ def _pack_warp(
     each costs one dict hit.  Both memos are per-``simulate()`` dicts keyed
     by object identity — the traces pin the ops and their instructions for
     the duration of the call, so ids cannot be recycled underneath them.
+    ``sites``, also per call, numbers each ``(function, offset)`` a record
+    charges its samples to; the number is the record's slot 16.
     Sector addresses shift the process-wide phase pattern of
     :func:`~repro.sampling.memory.sector_pattern`.
     """
@@ -144,12 +174,13 @@ def _pack_warp(
                 max(1, meta.stall_cycles),
                 fixed_latency,
                 meta.defined_regs,
-                meta.barrier_reason,
+                _CODE_OF[meta.barrier_reason],
                 meta.offset,
             )
+            site = sites.setdefault((op.function, meta.offset), len(sites))
             # Default record for ops with no dynamic state: latency 0
             # (mem_inc 1, read_hold 20), no transactions, no fetch stall.
-            default_rec = static + (0, 1, 20, 1, op.function, None)
+            default_rec = static + (0, 1, 20, 1, op.function, None, site)
             entry = (static, default_rec, top)
             static_memo[id(instruction)] = entry
         static, default_rec, _ = entry
@@ -173,6 +204,9 @@ def _pack_warp(
             sectors = tuple([shift + sector for sector in pattern])
         if fetch:
             static = (flags | _F_FETCH,) + static[1:]
+        site = default_rec[16]
+        if op.function != default_rec[14]:
+            site = sites.setdefault((op.function, static[9]), len(sites))
         append(static + (
             fetch,
             latency if latency >= 1 else 1,
@@ -180,8 +214,21 @@ def _pack_warp(
             transactions if transactions >= 1 else 1,
             op.function,
             sectors,
+            site,
         ))
     return records
+
+
+def _scan_orders(warps: Sequence[int]) -> List[Tuple[Tuple[int, int], ...]]:
+    """Per start slot, one scheduler's ``(slot, warp)`` pairs in scan order.
+
+    The round-robin scan and the sampler's warp pick walk
+    ``orders[start]``, so they do no modular arithmetic per slot.  A
+    scheduler without warps gets one empty order, so its scan finds
+    nothing.
+    """
+    pairs = list(enumerate(warps))
+    return [tuple(pairs[start:] + pairs[:start]) for start in range(len(pairs))] or [()]
 
 
 class VectorSMSimulator:
@@ -229,16 +276,19 @@ class VectorSMSimulator:
         # ---- pack phase: per-op records + register-file sizing ----------
         static_memo: dict = {}
         shared_memo: dict = {}
+        sites: Dict[Tuple[str, int], int] = {}
         recs_of_warp: List[list] = [
             _pack_warp(
                 trace, arch, hierarchy is not None, sector_bytes,
-                arch.warp_size, static_memo, shared_memo,
+                arch.warp_size, static_memo, shared_memo, sites,
             )
             for trace in traces
         ]
         # Every packed op's instruction is in static_memo with its highest
         # register index.
         num_regs = 1 + max((top for _, _, top in static_memo.values()), default=-1)
+        #: site -> (function, offset), the inverse of ``sites``.
+        site_keys = list(sites)
 
         # ---- flat warp-state arrays ------------------------------------
         op_count = [len(records) for records in recs_of_warp]
@@ -250,17 +300,18 @@ class VectorSMSimulator:
         fetch_done_idx = [-1] * num_warps
         sync_arrived = [False] * num_warps
         sync_released = [False] * num_warps
-        last_reason = [StallReason.OTHER] * num_warps
+        last_reason = [_R_OTHER] * num_warps
         barrier_clear = [[0, 0, 0, 0, 0, 0] for _ in range(num_warps)]
-        barrier_reason = [
-            [StallReason.EXECUTION_DEPENDENCY] * 6 for _ in range(num_warps)
-        ]
+        barrier_reason = [[_R_EXEC_DEP] * 6 for _ in range(num_warps)]
         #: Dense scoreboard: reg_ready[w][r] = cycle register r is ready.
         reg_ready = [[0] * num_regs for _ in range(num_warps)]
 
-        scheduler_warps: List[List[int]] = [[] for _ in range(num_schedulers)]
-        for w in range(num_warps):
-            scheduler_warps[w % num_schedulers].append(w)
+        #: rotations[s][start]: scheduler s's scan order from slot ``start``;
+        #: warps are dealt to schedulers round-robin.
+        rotations = [
+            _scan_orders(range(s, num_warps, num_schedulers))
+            for s in range(num_schedulers)
+        ]
         warps_of_block: Dict[int, List[int]] = defaultdict(list)
         for w in range(num_warps):
             warps_of_block[block_of_warp[w]].append(w)
@@ -269,11 +320,12 @@ class VectorSMSimulator:
         pending_memory: List[int] = []
         memory_limit = arch.max_outstanding_memory_requests
 
-        stall_counts: Dict[Tuple[str, int], Dict[StallReason, int]] = defaultdict(
-            lambda: defaultdict(int)
-        )
-        issue_counts: Dict[Tuple[str, int], int] = defaultdict(int)
+        #: Latency samples per ``site * _NUM_REASONS + code`` and active
+        #: samples per site, both in first-sample order.
+        stall_codes: Dict[int, int] = defaultdict(int)
+        issue_sites: Dict[int, int] = defaultdict(int)
         samples: List[PCSample] = []
+        keep_samples = self.keep_samples
         active_samples = 0
         latency_samples = 0
         issued_instructions = 0
@@ -287,13 +339,9 @@ class VectorSMSimulator:
         sample_index = 0
         barrier_dirty = False
 
-        EXEC_DEP = StallReason.EXECUTION_DEPENDENCY
-        SELECTED = StallReason.SELECTED
-        IDLE = StallReason.IDLE
-
         # ------------------------------------------------------------------
-        def check(w: int, now: int, commit: bool = True) -> Tuple[bool, StallReason, int]:
-            """Whether warp ``w`` can issue at ``now``; else (reason, recheck).
+        def check(w: int, now: int, commit: bool = True) -> Tuple[bool, int, int]:
+            """Whether warp ``w`` can issue at ``now``; else (stall code, recheck).
 
             Mirrors the object core's single check routine, including the
             observation-neutral ``commit=False`` probe the PC sampler uses.
@@ -303,9 +351,9 @@ class VectorSMSimulator:
             """
             nonlocal barrier_dirty
             if finished[w]:
-                return False, IDLE, _FAR_FUTURE
+                return False, _R_IDLE, _FAR_FUTURE
             if now < ready_cycle[w]:
-                return False, EXEC_DEP, ready_cycle[w]
+                return False, _R_EXEC_DEP, ready_cycle[w]
             i = idx[w]
             rec = recs_of_warp[w][i]
             flags = rec[0]
@@ -319,7 +367,7 @@ class VectorSMSimulator:
                         if commit:
                             fetch_ready[w] = ready_at
                     if now < ready_at:
-                        return False, StallReason.INSTRUCTION_FETCH, ready_at
+                        return False, _R_FETCH, ready_at
                     if commit:
                         fetch_done_idx[w] = i
                         fetch_ready[w] = None
@@ -327,7 +375,7 @@ class VectorSMSimulator:
                 # Barrier wait mask (variable-latency dependencies).
                 if flags & _F_WAIT:
                     latest = -1
-                    latest_reason = EXEC_DEP
+                    latest_reason = _R_EXEC_DEP
                     clears = barrier_clear[w]
                     for bar in rec[1]:
                         clear = clears[bar]
@@ -345,7 +393,7 @@ class VectorSMSimulator:
                 if ready > latest:
                     latest = ready
             if now < latest:
-                return False, EXEC_DEP, latest
+                return False, _R_EXEC_DEP, latest
 
             if flags & _CHECK_MASK:
                 # Block-wide synchronization.
@@ -355,27 +403,27 @@ class VectorSMSimulator:
                             sync_arrived[w] = True
                             barrier_arrived[block_of_warp[w]].add(w)
                             barrier_dirty = True
-                        return False, StallReason.SYNCHRONIZATION, _FAR_FUTURE
+                        return False, _R_SYNC, _FAR_FUTURE
 
                 # Memory throttle.
                 if flags & _F_THROTTLE:
                     if hierarchy is not None:
                         recheck = hierarchy.backpressure(now, commit=commit)
                         if recheck is not None:
-                            return False, StallReason.MEMORY_THROTTLE, recheck
+                            return False, _R_THROTTLE, recheck
                     elif commit:
                         while pending_memory and pending_memory[0] <= now:
                             heapq.heappop(pending_memory)
                         if len(pending_memory) >= memory_limit:
-                            return False, StallReason.MEMORY_THROTTLE, pending_memory[0]
+                            return False, _R_THROTTLE, pending_memory[0]
                     else:
                         in_flight = sum(
                             1 for completion in pending_memory if completion > now
                         )
                         if in_flight >= memory_limit:
-                            return False, StallReason.MEMORY_THROTTLE, now + 1
+                            return False, _R_THROTTLE, now + 1
 
-            return True, SELECTED, now
+            return True, _R_SELECTED, now
 
         # ------------------------------------------------------------------
         def issue(w: int, now: int) -> None:
@@ -383,7 +431,7 @@ class VectorSMSimulator:
             i = idx[w]
             (flags, _wait, _used, write_barrier, read_barrier, stall_inc,
              fixed_latency, defined, dep_reason, _offset, _fetch, mem_inc,
-             read_hold, transactions, _function, sectors
+             read_hold, transactions, _function, sectors, _site
              ) = recs_of_warp[w][i]
 
             is_hierarchy_memory = hierarchy is not None and flags & _F_THROTTLE
@@ -455,44 +503,37 @@ class VectorSMSimulator:
             return released
 
         # ------------------------------------------------------------------
-        def record_sample(
-            scheduler: int, now: int, issued_key: Optional[Tuple[str, int]]
-        ) -> None:
+        def record_sample(scheduler: int, now: int, issued_site: int) -> None:
+            """One PC sample of ``scheduler``: active if it issued the op at
+            ``issued_site`` this cycle, a latency sample if that is -1."""
             nonlocal active_samples, latency_samples
-            indices = scheduler_warps[scheduler]
-            if not indices:
-                return
-            pointer = sample_pointer[scheduler]
-            sampled = -1
-            for probe in range(len(indices)):
-                candidate = indices[(pointer + probe) % len(indices)]
-                if not finished[candidate]:
-                    sampled = candidate
-                    sample_pointer[scheduler] = (pointer + probe + 1) % len(indices)
+            order = rotations[scheduler][sample_pointer[scheduler]]
+            for slot, sampled in order:
+                if not finished[sampled]:
+                    sample_pointer[scheduler] = (slot + 1) % len(order)
                     break
-            if sampled < 0:
+            else:
                 return
 
-            is_active = issued_key is not None
-            if is_active:
+            if issued_site >= 0:
                 active_samples += 1
-                issue_counts[issued_key] += 1
-                reason = SELECTED
-                function, offset = issued_key
+                issue_sites[issued_site] += 1
+                site = issued_site
+                reason = _R_SELECTED
             else:
                 latency_samples += 1
-                rec = recs_of_warp[sampled][idx[sampled]]
+                site = recs_of_warp[sampled][idx[sampled]][16]
                 reason = last_reason[sampled]
-                if reason in (SELECTED, IDLE, StallReason.OTHER):
+                if reason == _R_SELECTED or reason == _R_IDLE or reason == _R_OTHER:
                     # Stale cached reason: probe in observation mode so
                     # sampling never perturbs execution.
                     _ready, reason, _recheck = check(sampled, now, commit=False)
-                    if reason in (SELECTED, IDLE):
-                        reason = StallReason.NOT_SELECTED
-                function, offset = rec[14], rec[9]
-                stall_counts[(function, offset)][reason] += 1
+                    if reason == _R_SELECTED or reason == _R_IDLE:
+                        reason = _R_NOT_SELECTED
+                stall_codes[site * _NUM_REASONS + reason] += 1
 
-            if self.keep_samples:
+            if keep_samples:
+                function, offset = site_keys[site]
                 samples.append(
                     PCSample(
                         cycle=now,
@@ -501,39 +542,37 @@ class VectorSMSimulator:
                         warp_id=sampled,
                         function=function,
                         offset=offset,
-                        reason=reason,
-                        is_active=is_active,
+                        reason=_REASONS[reason],
+                        is_active=issued_site >= 0,
                     )
                 )
 
         # ------------------------------------------------------------------
         # Main loop — the object core's event-driven scan over flat arrays.
         # The ready test for unflagged ops (the common case) is inlined:
-        # one flag word test plus a walk of the op's used registers.
+        # one flag word test plus a walk of the op's used registers.  So is
+        # the issue of a plain fixed-latency op that is not its warp's last.
         # ------------------------------------------------------------------
         sched_next = [0] * num_schedulers
-        issued_key_by_scheduler: List[Optional[Tuple[str, int]]] = [None] * num_schedulers
         sample_period = self.sample_period
         max_cycles = self.max_cycles
 
         while unfinished > 0 and cycle < max_cycles:
             any_issued = False
+            # Only the scheduler sampled this cycle needs its issued site.
+            if cycle >= next_sample_cycle:
+                sampled_scheduler = sample_index % num_schedulers
+            else:
+                sampled_scheduler = -1
+            issued_site = -1
 
             for scheduler in range(num_schedulers):
-                issued_key_by_scheduler[scheduler] = None
                 if cycle < sched_next[scheduler]:
                     continue
-                indices = scheduler_warps[scheduler]
-                if not indices:
-                    sched_next[scheduler] = _FAR_FUTURE
-                    continue
-                count = len(indices)
-                start = last_issued_slot[scheduler]
+                orders = rotations[scheduler]
                 chosen_slot = -1
                 min_next = _FAR_FUTURE
-                for probe in range(count):
-                    slot = (start + probe) % count
-                    w = indices[slot]
+                for slot, w in orders[last_issued_slot[scheduler]]:
                     if finished[w]:
                         continue
                     until = blocked_until[w]
@@ -544,7 +583,7 @@ class VectorSMSimulator:
                     # Inline of check(w, cycle) for the unflagged fast path.
                     if cycle < ready_cycle[w]:
                         ready = False
-                        reason = EXEC_DEP
+                        reason = _R_EXEC_DEP
                         recheck = ready_cycle[w]
                     else:
                         rec = recs_of_warp[w][idx[w]]
@@ -559,11 +598,11 @@ class VectorSMSimulator:
                                     latest = t
                             if cycle < latest:
                                 ready = False
-                                reason = EXEC_DEP
+                                reason = _R_EXEC_DEP
                                 recheck = latest
                             else:
                                 ready = True
-                                reason = SELECTED
+                                reason = _R_SELECTED
                                 recheck = cycle
                     last_reason[w] = reason
                     if ready:
@@ -573,11 +612,24 @@ class VectorSMSimulator:
                     if recheck < min_next:
                         min_next = recheck
                 if chosen_slot >= 0:
-                    w = indices[chosen_slot]
-                    rec = recs_of_warp[w][idx[w]]
-                    issued_key_by_scheduler[scheduler] = (rec[14], rec[9])
-                    issue(w, cycle)
-                    last_issued_slot[scheduler] = (chosen_slot + 1) % count
+                    # The scan broke out on the chosen warp ``w`` and its op ``rec``.
+                    if scheduler == sampled_scheduler:
+                        issued_site = rec[16]
+                    i = idx[w]
+                    if rec[0] == _F_FIXED and i + 1 < op_count[w]:
+                        # Inline of issue(w, cycle) for a plain fixed-latency op.
+                        regs = reg_ready[w]
+                        done = cycle + rec[6]
+                        for r in rec[7]:
+                            regs[r] = done
+                        issued_instructions += 1
+                        idx[w] = i + 1
+                        ready_at = cycle + rec[5]
+                        ready_cycle[w] = ready_at
+                        blocked_until[w] = ready_at
+                    else:
+                        issue(w, cycle)
+                    last_issued_slot[scheduler] = (chosen_slot + 1) % len(orders)
                     any_issued = True
                     # An issuing scheduler may pick another warp next cycle.
                     sched_next[scheduler] = cycle + 1
@@ -590,9 +642,8 @@ class VectorSMSimulator:
             else:
                 released = False
 
-            if cycle >= next_sample_cycle:
-                scheduler = sample_index % num_schedulers
-                record_sample(scheduler, cycle, issued_key_by_scheduler[scheduler])
+            if sampled_scheduler >= 0:
+                record_sample(sampled_scheduler, cycle, issued_site)
                 sample_index += 1
                 next_sample_cycle += sample_period
 
@@ -605,17 +656,22 @@ class VectorSMSimulator:
                 if target <= cycle:
                     target = cycle + 1
                 while next_sample_cycle < target:
-                    scheduler = sample_index % num_schedulers
-                    record_sample(scheduler, next_sample_cycle, None)
+                    record_sample(sample_index % num_schedulers, next_sample_cycle, -1)
                     sample_index += 1
                     next_sample_cycle += sample_period
                 cycle = target
 
+        # Counters back to (function, offset) keys and StallReason members,
+        # in first-sample order.
+        stall_counts: Dict[Tuple[str, int], Dict[StallReason, int]] = {}
+        for key, count in stall_codes.items():
+            site, code = divmod(key, _NUM_REASONS)
+            stall_counts.setdefault(site_keys[site], {})[_REASONS[code]] = count
         return SimulationResult(
             kernel=kernel,
             wave_cycles=cycle,
-            stall_counts={key: dict(value) for key, value in stall_counts.items()},
-            issue_counts=dict(issue_counts),
+            stall_counts=stall_counts,
+            issue_counts={site_keys[site]: count for site, count in issue_sites.items()},
             active_samples=active_samples,
             latency_samples=latency_samples,
             issued_instructions=issued_instructions,

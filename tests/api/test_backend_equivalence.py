@@ -73,7 +73,9 @@ def wire_form(scope, memory_model, case_id):
     payload = result.to_dict()
     assert not payload.get("error"), payload.get("error")
     payload["duration"] = 0.0
-    return json.dumps(payload, sort_keys=True)
+    # Unsorted: every serialized output keeps the result's dict order, so
+    # first-sample order is part of the bytes the cores must agree on.
+    return json.dumps(payload)
 
 
 def assert_cores_agree(monkeypatch, scope, memory_model, case_id):

@@ -29,13 +29,17 @@ def toy_traces(toy_cubin, toy_workload):
 
 
 def result_facts(result):
-    """Everything a SimulationResult reports, in comparable form."""
+    """Everything a SimulationResult reports, in comparable form.
+
+    The counters compare as ordered item lists: results serialize without
+    sorting, so their first-sample insertion order is part of the output.
+    """
     memory = result.memory.to_dict() if result.memory is not None else None
     return (
         result.kernel,
         result.wave_cycles,
-        result.stall_counts,
-        result.issue_counts,
+        [(key, list(reasons.items())) for key, reasons in result.stall_counts.items()],
+        list(result.issue_counts.items()),
         result.active_samples,
         result.latency_samples,
         result.issued_instructions,
@@ -68,6 +72,62 @@ class TestBitIdentity:
         ).simulate("toy_kernel", traces, blocks, sm_id=7)
         assert result_facts(actual) == result_facts(expected)
         assert all(sample.sm_id == 7 for sample in actual.samples)
+
+    @pytest.mark.parametrize("num_warps", [1, 3])
+    def test_matches_object_core_with_idle_schedulers(
+        self, toy_cubin, toy_workload, num_warps
+    ):
+        """Fewer warps than schedulers: some schedulers have no warps to
+        scan or sample."""
+        assert num_warps < VoltaV100.schedulers_per_sm
+        traces, blocks = build_traces(toy_cubin, "toy_kernel", toy_workload, num_warps)
+        kwargs = {"sample_period": 4, "keep_samples": True}
+        expected = SMSimulator(VoltaV100, **kwargs).simulate("toy_kernel", traces, blocks)
+        actual = VectorSMSimulator(VoltaV100, **kwargs).simulate(
+            "toy_kernel", traces, blocks
+        )
+        assert result_facts(actual) == result_facts(expected)
+        assert actual.issued_instructions == sum(len(trace) for trace in traces)
+
+
+class TestCycleCap:
+    """``max_cycles`` clamps the skip-ahead target and the gap samples run
+    up to it, so both cores must also agree on a run cut short."""
+
+    #: Uncapped length of the toy run under each memory model.
+    FULL_CYCLES = {"flat": 5801, "hierarchy": 6158}
+
+    @pytest.mark.parametrize("memory_model", ["flat", "hierarchy"])
+    def test_full_run_length(self, toy_traces, memory_model):
+        traces, blocks = toy_traces
+        result = VectorSMSimulator(VoltaV100, memory_model=memory_model).simulate(
+            "toy_kernel", traces, blocks
+        )
+        assert result.wave_cycles == self.FULL_CYCLES[memory_model]
+
+    @pytest.mark.parametrize("memory_model", ["flat", "hierarchy"])
+    @pytest.mark.parametrize("sample_period", [4, 32])
+    @pytest.mark.parametrize(
+        "cap", [1, 7, 50, 333, 1000, "half", "full-1", "full"]
+    )
+    def test_truncated_run_matches_object_core(
+        self, toy_traces, memory_model, sample_period, cap
+    ):
+        full = self.FULL_CYCLES[memory_model]
+        max_cycles = {"half": full // 2, "full-1": full - 1, "full": full}.get(cap, cap)
+        traces, blocks = toy_traces
+        kwargs = {
+            "sample_period": sample_period,
+            "keep_samples": True,
+            "max_cycles": max_cycles,
+            "memory_model": memory_model,
+        }
+        expected = SMSimulator(VoltaV100, **kwargs).simulate("toy_kernel", traces, blocks)
+        actual = VectorSMSimulator(VoltaV100, **kwargs).simulate(
+            "toy_kernel", traces, blocks
+        )
+        assert result_facts(actual) == result_facts(expected)
+        assert actual.wave_cycles <= max_cycles
 
 
 class TestObservationNeutrality:
