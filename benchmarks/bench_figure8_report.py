@@ -7,19 +7,17 @@ distances.  The benchmark times one full profile-and-advise pass.
 
 from __future__ import annotations
 
-from repro.advisor.advisor import GPA
 from repro.advisor.report import render_report
-from repro.workloads.registry import case_by_name
+from repro.api.request import request_for_case
+from repro.api.session import AdvisingSession
 
 
 def test_figure8_exatensor_report(benchmark):
-    gpa = GPA(sample_period=8)
-    case = case_by_name("ExaTENSOR:strength_reduction")
-    setup = case.build_baseline()
+    session = AdvisingSession(sample_period=8)
+    request = request_for_case("ExaTENSOR:strength_reduction")
 
     report = benchmark.pedantic(
-        gpa.advise, args=(setup.cubin, setup.kernel, setup.config, setup.workload),
-        iterations=1, rounds=1,
+        session.report_for, args=(request,), iterations=1, rounds=1,
     )
 
     text = render_report(report, top=3)

@@ -1,8 +1,9 @@
-"""Pipeline batch driver: sequential vs. parallel vs. warm-cache wall time.
+"""Batch advising: sequential vs. parallel vs. warm-cache wall time.
 
 ``pytest benchmarks/bench_pipeline_batch.py --benchmark-only`` sweeps a
 representative Table 3 subset three ways through
-:class:`~repro.pipeline.batch.BatchAdvisor`:
+:func:`~repro.evaluation.table3.evaluate_table3`, which runs each case as
+two requests on one :class:`~repro.api.session.AdvisingSession`:
 
 1. sequential, no cache (the seed code's behaviour),
 2. parallel across 4 worker processes, cold cache,

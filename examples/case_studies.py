@@ -9,18 +9,18 @@ the achieved speedup next to the paper's.
 Run with:  python examples/case_studies.py
 """
 
-from repro import GPA
+from repro import AdvisingSession, request_for_case
 from repro.evaluation.table3 import evaluate_case
 from repro.workloads.registry import application_cases
 
 
 def main():
-    gpa = GPA(sample_period=8)
+    session = AdvisingSession(sample_period=8)
     print(f"{'Application':14s} {'Kernel':24s} {'Optimization':30s} "
           f"{'Achieved':>9s} {'Estimated':>10s} {'Paper A/E':>13s}")
     print("-" * 106)
     for case in application_cases():
-        row = evaluate_case(case, gpa=gpa)
+        row = evaluate_case(case, session=session)
         print(
             f"{case.name:14s} {case.kernel:24s} {case.optimization:30s} "
             f"{row.achieved_speedup:8.2f}x {row.estimated_speedup:9.2f}x "
@@ -33,8 +33,7 @@ def main():
         if case.name in seen:
             continue
         seen.add(case.name)
-        setup = case.build_baseline()
-        report = gpa.advise(setup.cubin, setup.kernel, setup.config, setup.workload)
+        report = session.report_for(request_for_case(case))
         top = [item for item in report.advice if item.applicable][:3]
         print(f"\n  {case.name} / {case.kernel}:")
         for rank, advice in enumerate(top, start=1):

@@ -16,14 +16,18 @@ speedup measured by re-simulating the changed kernel.
 Run with:  python examples/exatensor_report.py
 """
 
-from repro import GPA
-from repro.advisor.report import render_report
+from repro import AdvisingRequest, AdvisingSession, render_report
 from repro.workloads.apps import exatensor
 
 
-def profile_and_report(gpa, setup, title):
-    profiled = gpa.profile(setup.cubin, setup.kernel, setup.config, setup.workload)
-    report = gpa.advise_profiled(profiled)
+def profile_and_report(session, setup, title):
+    request = (
+        AdvisingRequest.builder()
+        .binary(setup.cubin, setup.kernel, setup.config, setup.workload)
+        .build()
+    )
+    profiled = session.profile(request)
+    report = session.advise_profiled(profiled)
     print("=" * 78)
     print(title)
     print(render_report(report, top=2, hotspots_per_advice=2))
@@ -31,14 +35,14 @@ def profile_and_report(gpa, setup, title):
 
 
 def main():
-    gpa = GPA(sample_period=8)
+    session = AdvisingSession(sample_period=8)
 
     baseline = exatensor.baseline()
-    baseline_profiled, _ = profile_and_report(gpa, baseline, "Step 0: original kernel")
+    baseline_profiled, _ = profile_and_report(session, baseline, "Step 0: original kernel")
 
     step1 = exatensor.strength_reduced()
     step1_profiled, _ = profile_and_report(
-        gpa, step1, "Step 1: integer division replaced by reciprocal multiply"
+        session, step1, "Step 1: integer division replaced by reciprocal multiply"
     )
     speedup1 = baseline_profiled.kernel_cycles / step1_profiled.kernel_cycles
     print(f"\n--> Strength Reduction achieved speedup: {speedup1:.2f}x "
@@ -46,7 +50,7 @@ def main():
 
     step2 = exatensor.constant_memory()
     step2_profiled, _ = profile_and_report(
-        gpa, step2, "Step 2: shared read-only data moved to constant memory"
+        session, step2, "Step 2: shared read-only data moved to constant memory"
     )
     speedup2 = step1_profiled.kernel_cycles / step2_profiled.kernel_cycles
     print(f"\n--> Memory Transaction Reduction achieved speedup: {speedup2:.2f}x "

@@ -9,16 +9,24 @@ speedup measured by actually re-simulating each configuration.
 Run with:  python examples/parallel_tuning.py
 """
 
-from repro import GPA, LaunchConfig
+from repro import AdvisingRequest, AdvisingSession, LaunchConfig
 from repro.estimators.parallel import ParallelEstimator
 from repro.workloads.rodinia import gaussian
 
 
+def profile(session, setup):
+    """Simulate one kernel setup (no analysis)."""
+    return session.profile(
+        AdvisingRequest.builder()
+        .binary(setup.cubin, setup.kernel, setup.config, setup.workload)
+        .build()
+    )
+
+
 def main():
-    gpa = GPA(sample_period=8)
+    session = AdvisingSession(sample_period=8)
     baseline = gaussian.baseline()
-    profiled = gpa.profile(baseline.cubin, baseline.kernel, baseline.config,
-                           baseline.workload)
+    profiled = profile(session, baseline)
     estimator = ParallelEstimator()
     total_threads = baseline.config.total_threads
 
@@ -33,8 +41,7 @@ def main():
         blocks = max(1, total_threads // threads)
         estimate = estimator.estimate(profiled.profile, LaunchConfig(blocks, threads))
         candidate = gaussian._build(threads_per_block=threads)
-        measured_profile = gpa.profile(candidate.cubin, candidate.kernel,
-                                       candidate.config, candidate.workload)
+        measured_profile = profile(session, candidate)
         measured = profiled.kernel_cycles / measured_profile.kernel_cycles
         print(f"{threads:13d} {blocks:8d} {estimate.cw:6.2f} {estimate.ci:6.2f} "
               f"{estimate.f:6.2f} {estimate.speedup:9.2f}x {measured:8.2f}x")

@@ -12,11 +12,10 @@ The package is organised as the paper's Figure 2:
 * :mod:`repro.blame`, :mod:`repro.optimizers`, :mod:`repro.estimators` — the
   dynamic analyzer: the instruction blamer, the Table 2 optimizers and the
   Equation 2-10 estimators;
-* :mod:`repro.advisor` — the GPA facade, report generator and CLI;
+* :mod:`repro.advisor` — the static and dynamic analyzers, the report
+  generator and the CLI;
 * :mod:`repro.pipeline` — the staged advising pipeline: explicit
-  profile/analyze stages, the on-disk profile cache, the process-parallel
-  :class:`~repro.pipeline.batch.BatchAdvisor` and the plan/execute runner
-  that every sweep (CLI ``--all``, Table 3, Figure 7) drives;
+  profile/analyze stages and the on-disk profile cache;
 * :mod:`repro.workloads`, :mod:`repro.evaluation` — the synthetic Rodinia /
   application kernels and the harness that regenerates Table 3 and Figures
   1 and 7.
@@ -50,7 +49,6 @@ session::
         print(result.label, result.ok, f"{result.duration:.2f}s")
 """
 
-from repro.advisor.advisor import GPA
 from repro.advisor.report import AdviceReport, render_report
 from repro.api.advisor import Advisor
 from repro.api.request import AdvisingRequest, RequestBuilder, request_for_case
@@ -58,7 +56,6 @@ from repro.api.result import AdvisingResult
 from repro.api.schema import API_SCHEMA_VERSION
 from repro.api.session import AdvisingSession
 from repro.arch.machine import GpuArchitecture, VoltaV100, get_architecture
-from repro.pipeline.batch import BatchAdvisor, BatchConfig, BatchResult
 from repro.pipeline.cache import ProfileCache, profile_cache_key
 from repro.pipeline.stages import AnalyzeStage, ProfileRequest, ProfileStage
 from repro.blame.attribution import BlameResult, InstructionBlamer
@@ -80,7 +77,7 @@ from repro.staticcheck.engine import StaticChecker
 from repro.staticcheck.report import StaticDiagnostic, StaticReport, render_static_report
 from repro.structure.program import ProgramStructure, build_program_structure
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "API_SCHEMA_VERSION",
@@ -92,16 +89,12 @@ __all__ = [
     "AdvisingSession",
     "AnalyzeStage",
     "AuthPolicy",
-    "BatchAdvisor",
-    "BatchConfig",
-    "BatchResult",
     "BlameResult",
     "Cubin",
     "CubinBuilder",
     "DetailedStallReason",
     "Function",
     "FunctionVisibility",
-    "GPA",
     "GpuArchitecture",
     "GpuSimulationResult",
     "GpuSimulator",

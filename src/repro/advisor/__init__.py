@@ -7,8 +7,6 @@ This package glues the pipeline of Figure 2 together:
 * :class:`~repro.advisor.dynamic_analyzer.DynamicAnalyzer` — runs the
   instruction blamer, matches every registered optimizer and estimates its
   speedup;
-* :class:`~repro.advisor.advisor.GPA` — the user-facing facade that combines
-  the profiler, the static analyzer and the dynamic analyzer;
 * :mod:`repro.advisor.report` — the ASCII advice report (Figure 8 format);
 * :mod:`repro.advisor.cli` — the ``gpa-advise`` command line tool.
 """
@@ -16,12 +14,10 @@ This package glues the pipeline of Figure 2 together:
 from repro.advisor.static_analyzer import StaticAnalysis, StaticAnalyzer
 from repro.advisor.dynamic_analyzer import DynamicAnalyzer
 from repro.advisor.report import AdviceReport, render_report
-from repro.advisor.advisor import GPA
 
 __all__ = [
     "AdviceReport",
     "DynamicAnalyzer",
-    "GPA",
     "StaticAnalysis",
     "StaticAnalyzer",
     "render_report",

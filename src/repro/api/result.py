@@ -22,15 +22,20 @@ from repro.api.request import AdvisingRequest
 from repro.api.schema import ApiError, check_envelope, envelope, require_key
 
 
+def error_summary(error: Optional[str]) -> str:
+    """The last non-empty line of a captured traceback, for one-line display."""
+    lines = (error or "").strip().splitlines()
+    return lines[-1] if lines else "unknown error"
+
+
 class AdvisingError(ApiError, RuntimeError):
     """Raised when a caller demands the report of a failed result."""
 
     def __init__(self, result: "AdvisingResult"):
         self.result = result
-        summary = (result.error or "").strip().splitlines()
         super().__init__(
             f"advising {result.label or result.request.describe()!r} failed: "
-            f"{summary[-1] if summary else 'unknown error'}"
+            f"{error_summary(result.error)}"
         )
 
 

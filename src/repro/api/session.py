@@ -16,9 +16,8 @@ period, the profile cache, the worker count — and executes declarative
   and results cross the pool boundary in their ``to_dict`` wire form — the
   same envelope a service daemon or a remote worker would speak.
 
-The session is the seam every façade now stands on: ``GPA``,
-``BatchAdvisor``, the CLI and the evaluation harnesses are thin adapters
-over it.
+The session is the one advising front door: the CLI, the evaluation
+harnesses and the service daemon are thin adapters over it.
 """
 
 from __future__ import annotations
@@ -51,6 +50,29 @@ from repro.structure.program import ProgramStructure, build_program_structure
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.staticcheck.report import StaticReport
+
+
+def reported_knobs(request: AdvisingRequest, defaults) -> dict:
+    """The knobs a result for ``request`` reports, failed or not.
+
+    Each is the request's own, else the one ``defaults`` carries (anything
+    with ``arch_flag``, ``sample_period``, ``simulation_scope`` and
+    ``memory_model`` attributes: a session, or a daemon's service config).
+    """
+    if request.source == "profile":
+        # Nothing is simulated: report the scope and memory model the
+        # loaded profile was actually collected with, not the defaults.
+        scope = request.profile.statistics.simulation_scope
+        memory_model = request.profile.statistics.memory_model
+    else:
+        scope = request.simulation_scope or defaults.simulation_scope
+        memory_model = request.memory_model or defaults.memory_model
+    return {
+        "arch_flag": request.arch_flag or defaults.arch_flag,
+        "sample_period": request.sample_period or defaults.sample_period,
+        "simulation_scope": scope,
+        "memory_model": memory_model,
+    }
 
 
 class AdvisingSession:
@@ -93,8 +115,8 @@ class AdvisingSession:
         self.optimizers: List[Optimizer] = resolved
         self.registry = OptimizerRegistry(resolved)
 
-        # The default stage pair, shared with the `GPA` façade for
-        # backward-compatible attribute access.
+        # The default stage pair, used by every request that keeps the
+        # session's knobs.
         self.profiler = Profiler(
             self.architecture, sample_period=sample_period,
             simulation_scope=simulation_scope, memory_model=memory_model,
@@ -255,29 +277,10 @@ class AdvisingSession:
         """Analyze an already-profiled kernel launch."""
         return self.analyze(profiled.profile, profiled.structure)
 
-    def _reported_knobs(self, request: AdvisingRequest) -> dict:
-        """The knobs a result for ``request`` reports, failed or not: the
-        request's own, else the session defaults."""
-        if request.source == "profile":
-            # Nothing is simulated: report the scope and memory model the
-            # loaded profile was actually collected with, not the session
-            # defaults.
-            scope = request.profile.statistics.simulation_scope
-            memory_model = request.profile.statistics.memory_model
-        else:
-            scope = request.simulation_scope or self.simulation_scope
-            memory_model = request.memory_model or self.memory_model
-        return {
-            "arch_flag": request.arch_flag or self.arch_flag,
-            "sample_period": request.sample_period or self.sample_period,
-            "simulation_scope": scope,
-            "memory_model": memory_model,
-        }
-
     def advise(self, request: AdvisingRequest, index: int = 0) -> AdvisingResult:
         """Execute one request inline; failures land in ``result.error``."""
         label = request.describe()
-        knobs = self._reported_knobs(request)
+        knobs = reported_knobs(request, self)
         started = time.perf_counter()
         try:
             if request.source == "profile":
@@ -313,7 +316,7 @@ class AdvisingSession:
             return request.cubin, request.kernel, request.config, request.workload
         # Imported lazily: resolving a case id constructs the full benchmark
         # registry, which sessions over inline binaries never need.
-        from repro.pipeline.batch import resolve_case
+        from repro.workloads.registry import resolve_case
 
         case = resolve_case(request.case_id)
         setup = (
@@ -391,7 +394,7 @@ class AdvisingSession:
                     # payload could not cross the boundary.
                     result = AdvisingResult(
                         request=request, index=index, label=label,
-                        **self._reported_knobs(request),
+                        **reported_knobs(request, self),
                         error=traceback.format_exc(),
                     )
                 emit(ProgressEvent(label, index, total, "start"))

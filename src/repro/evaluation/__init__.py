@@ -6,7 +6,8 @@
   after pruning cold edges (Figure 7);
 * :mod:`repro.evaluation.figure1` — the PC-sampling mental model of Figure 1
   (stall/active ratios from round-robin scheduler sampling);
-* :mod:`repro.evaluation.metrics` — shared helpers (geometric mean, error).
+* :mod:`repro.evaluation.metrics` — shared helpers (geometric mean, error)
+  and the Table 3 row and aggregate functions every harness shares.
 
 The ``benchmarks/`` directory wraps these entry points with pytest-benchmark;
 ``examples/`` and ``EXPERIMENTS.md`` use them directly.

@@ -9,8 +9,9 @@ running advising daemon (``--via-service``).  Because every knob of a
 :class:`~repro.evaluation.fleet.plan.SweepConfiguration` rides on the
 :class:`~repro.api.request.AdvisingRequest` itself, one advisor serves
 every configuration in the shard, and the numbers are bit-identical to the
-serial :func:`~repro.evaluation.table3.evaluate_table3` harness by the
-simulator's determinism contract.
+serial :func:`~repro.evaluation.table3.evaluate_table3` harness: both
+build rows with :func:`~repro.evaluation.metrics.case_outcome`, and the
+simulator is deterministic.
 
 Failure taxonomy (this drives the CI retry policy, see
 :mod:`repro.evaluation.exitcodes`):
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Union
 
+from repro.api.result import error_summary
 from repro.evaluation.fleet.checkpoint import (
     ShardCheckpoint,
     UnitRecord,
@@ -40,6 +42,7 @@ from repro.evaluation.fleet.checkpoint import (
     store_checkpoint,
 )
 from repro.evaluation.fleet.plan import EvaluationPlan, FleetError, WorkUnit
+from repro.evaluation.metrics import case_outcome
 from repro.pipeline.runner import ProgressCallback, ProgressEvent
 
 
@@ -47,7 +50,7 @@ class CaseFailure(Exception):
     """One unit's case failed evaluation; carries the captured traceback."""
 
     def __init__(self, error: str):
-        super().__init__(error.strip().splitlines()[-1] if error.strip() else "case failed")
+        super().__init__(error_summary(error))
         self.error = error
 
 
@@ -74,13 +77,12 @@ def unit_request(unit: WorkUnit, variant: str):
 def evaluate_unit(advisor, unit: WorkUnit) -> dict:
     """One unit's Table 3 outcome, derived from two ``advise`` calls.
 
-    Identical numbers to :func:`repro.pipeline.batch.evaluate_case_outcome`
-    (the baseline report carries the same profile the profile stage would
-    return), but expressed against the :class:`~repro.api.advisor.Advisor`
-    protocol so it runs equally over an inline session or a service client.
-    Raises :class:`CaseFailure` when either variant's advising failed.
+    The row is :func:`~repro.evaluation.metrics.case_outcome`, the same
+    computation :func:`~repro.evaluation.table3.evaluate_table3` uses,
+    expressed against the :class:`~repro.api.advisor.Advisor` protocol so
+    it runs equally over an inline session or a service client.  Raises
+    :class:`CaseFailure` when either variant's advising failed.
     """
-    from repro.evaluation.metrics import relative_error
     from repro.workloads.registry import case_by_name
 
     case = case_by_name(unit.case_id)
@@ -90,32 +92,7 @@ def evaluate_unit(advisor, unit: WorkUnit) -> dict:
     optimized = advisor.advise(unit_request(unit, "optimized"))
     if not optimized.ok:
         raise CaseFailure(optimized.error or "optimized advising failed")
-
-    baseline_report = baseline.report
-    baseline_cycles = baseline_report.profile.statistics.kernel_cycles
-    optimized_cycles = optimized.report.profile.statistics.kernel_cycles
-    achieved = baseline_cycles / optimized_cycles if optimized_cycles else 1.0
-
-    advice = baseline_report.advice_for(case.optimizer_name)
-    estimated = advice.estimated_speedup if advice is not None else 1.0
-    applicable = [
-        item.optimizer for item in baseline_report.advice if item.applicable
-    ]
-    rank = (
-        applicable.index(case.optimizer_name) + 1
-        if case.optimizer_name in applicable
-        else None
-    )
-    return {
-        "case_id": case.case_id,
-        "baseline_cycles": baseline_cycles,
-        "optimized_cycles": optimized_cycles,
-        "achieved_speedup": achieved,
-        "estimated_speedup": estimated,
-        "error": relative_error(estimated, achieved),
-        "optimizer_rank": rank,
-        "total_samples": baseline_report.profile.total_samples,
-    }
+    return case_outcome(case, baseline.report, optimized.report)
 
 
 @dataclass

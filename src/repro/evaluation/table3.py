@@ -11,29 +11,31 @@ For each row the harness
    estimated kernel cycles;
 3. reports the estimate error ``|estimated - achieved| / achieved``.
 
+The row and its aggregates come from
+:func:`~repro.evaluation.metrics.case_outcome` and
+:func:`~repro.evaluation.metrics.outcome_summary`, the same functions the
+fleet sweep uses.
+
 Absolute times are simulator cycles, not the paper's microseconds; only the
 speedups and their ordering are meaningful for comparison.
 """
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.advisor.advisor import GPA
-from repro.evaluation.metrics import geometric_mean
-from repro.pipeline.batch import (
-    BatchAdvisor,
-    BatchConfig,
-    error_summary,
-    evaluate_case_outcome,
-)
+from repro.api.request import request_for_case
+from repro.api.result import error_summary
+from repro.api.session import AdvisingSession
+from repro.evaluation.metrics import ROW_FIELDS, case_outcome, outcome_summary
 from repro.pipeline.runner import ProgressCallback
 from repro.workloads.base import BenchmarkCase
 from repro.workloads.registry import all_cases
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.api.session import AdvisingSession
+#: The two requests each case runs as, in this order.
+VARIANTS = ("baseline", "optimized")
 
 
 @dataclass
@@ -58,6 +60,11 @@ class Table3Row:
     def optimization(self) -> str:
         return self.case.optimization
 
+    @classmethod
+    def from_outcome(cls, case: BenchmarkCase, outcome: dict) -> "Table3Row":
+        """The row of a :func:`~repro.evaluation.metrics.case_outcome` dict."""
+        return cls(case=case, **{name: outcome[name] for name in ROW_FIELDS})
+
 
 @dataclass
 class Table3Result:
@@ -68,58 +75,44 @@ class Table3Result:
     #: one bad case never kills the whole table.
     failures: List[Tuple[str, str]] = field(default_factory=list)
 
+    def summary(self) -> dict:
+        """The four aggregates over :attr:`rows`, computed as the fleet
+        merge computes them."""
+        return outcome_summary([vars(row) for row in self.rows])
+
     @property
     def geomean_achieved(self) -> float:
-        return geometric_mean(row.achieved_speedup for row in self.rows)
+        return self.summary()["geomean_achieved"]
 
     @property
     def geomean_estimated(self) -> float:
-        return geometric_mean(row.estimated_speedup for row in self.rows)
+        return self.summary()["geomean_estimated"]
 
     @property
     def geomean_error(self) -> float:
-        return geometric_mean(max(row.error, 1e-4) for row in self.rows)
+        return self.summary()["geomean_error"]
 
     @property
     def mean_error(self) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(row.error for row in self.rows) / len(self.rows)
-
-
-def _row_from_outcome(case: BenchmarkCase, outcome: dict) -> Table3Row:
-    """Build a :class:`Table3Row` from a batch-worker outcome dict."""
-    return Table3Row(
-        case=case,
-        baseline_cycles=outcome["baseline_cycles"],
-        optimized_cycles=outcome["optimized_cycles"],
-        achieved_speedup=outcome["achieved_speedup"],
-        estimated_speedup=outcome["estimated_speedup"],
-        error=outcome["error"],
-        optimizer_rank=outcome["optimizer_rank"],
-        total_samples=outcome["total_samples"],
-    )
+        return self.summary()["mean_error"]
 
 
 def evaluate_case(
     case: BenchmarkCase,
-    gpa: Optional[GPA] = None,
     sample_period: int = 8,
-    session: Optional["AdvisingSession"] = None,
+    session: Optional[AdvisingSession] = None,
 ) -> Table3Row:
-    """Evaluate one Table 3 row (profile baseline, advise, profile optimized).
+    """Evaluate one Table 3 row: advise the baseline and the optimized variant.
 
-    ``session`` is the preferred engine; the legacy ``gpa`` argument is kept
-    for compatibility (its internal session is used).
+    Runs on ``session`` (default: a fresh inline session with
+    ``sample_period``) and raises
+    :class:`~repro.api.result.AdvisingError` if either variant fails.
     """
     if session is None:
-        if gpa is not None:
-            session = gpa.session
-        else:
-            from repro.api.session import AdvisingSession
-
-            session = AdvisingSession(sample_period=sample_period)
-    return _row_from_outcome(case, evaluate_case_outcome(case, session))
+        session = AdvisingSession(sample_period=sample_period)
+    baseline = session.report_for(request_for_case(case, "baseline"))
+    optimized = session.report_for(request_for_case(case, "optimized"))
+    return Table3Row.from_outcome(case, case_outcome(case, baseline, optimized))
 
 
 def evaluate_table3(
@@ -134,35 +127,58 @@ def evaluate_table3(
 ) -> Table3Result:
     """Evaluate every Table 3 row (or the supplied subset).
 
-    Each case's baseline + optimized profiles are pipeline jobs: ``jobs > 1``
-    fans registry cases across worker processes, ``cache_dir`` replays
-    previously simulated profiles from disk, ``arch_flag`` retargets the
-    sweep onto any registered architecture, and ``simulation_scope``
-    selects the simulation engine (``"whole_gpu"`` measures whole-kernel
-    cycles across every SM instead of extrapolating one wave), and
-    ``memory_model`` selects the memory system (``"hierarchy"`` services
-    accesses through the coalescing L1/L2/DRAM model).  Per-case
-    failures land in :attr:`Table3Result.failures` instead of aborting the
-    sweep.
+    Each case runs as two advising requests, its baseline and then its
+    optimized variant, through one :class:`AdvisingSession`:
+    ``jobs > 1`` fans the requests across worker processes, ``cache_dir``
+    replays previously simulated profiles from disk, ``arch_flag``
+    retargets the sweep onto any registered architecture,
+    ``simulation_scope`` selects the simulation engine (``"whole_gpu"``
+    measures whole-kernel cycles across every SM instead of extrapolating
+    one wave), and ``memory_model`` selects the memory system
+    (``"hierarchy"`` services accesses through the coalescing L1/L2/DRAM
+    model).  ``progress`` sees each request's events, so two pairs per
+    case.  Per-case failures land in :attr:`Table3Result.failures` instead
+    of aborting the sweep.
     """
     case_list = list(cases) if cases is not None else all_cases()
-    advisor = BatchAdvisor(
-        BatchConfig(
-            arch_flag=arch_flag,
-            sample_period=sample_period,
-            cache_dir=str(cache_dir) if cache_dir is not None else None,
-            jobs=jobs,
-            simulation_scope=simulation_scope,
-            memory_model=memory_model,
-        )
+    session = AdvisingSession(
+        architecture=arch_flag,
+        sample_period=sample_period,
+        cache=str(cache_dir) if cache_dir is not None else None,
+        jobs=jobs,
+        simulation_scope=simulation_scope,
+        memory_model=memory_model,
     )
-    result = Table3Result()
-    for case, outcome in zip(case_list, advisor.evaluate_table3(case_list, progress=progress)):
-        if outcome.ok:
-            result.rows.append(_row_from_outcome(case, outcome.value))
-        else:
-            result.failures.append((outcome.case_id, outcome.error))
-    return result
+    # Per case: the position of its request pair, or the traceback of
+    # building it (an ad-hoc case builds its binaries right here).
+    requests = []
+    slots: List[Union[int, str]] = []
+    for case in case_list:
+        try:
+            pair = [
+                request_for_case(case, variant, arch_flag=arch_flag)
+                for variant in VARIANTS
+            ]
+        except Exception:
+            slots.append(traceback.format_exc())
+            continue
+        slots.append(len(requests))
+        requests.extend(pair)
+    results = session.advise_many(requests, progress=progress)
+
+    table = Table3Result()
+    for case, slot in zip(case_list, slots):
+        if isinstance(slot, str):
+            table.failures.append((case.case_id, slot))
+            continue
+        baseline, optimized = results[slot : slot + 2]
+        if not baseline.ok or not optimized.ok:
+            failed = baseline if not baseline.ok else optimized
+            table.failures.append((case.case_id, failed.error))
+            continue
+        outcome = case_outcome(case, baseline.report, optimized.report)
+        table.rows.append(Table3Row.from_outcome(case, outcome))
+    return table
 
 
 def format_table3(result: Table3Result, include_paper: bool = True) -> str:
@@ -220,13 +236,7 @@ def table3_payload(result: Table3Result, config: dict) -> dict:
                 "application": row.case.name,
                 "kernel": row.case.kernel,
                 "optimization": row.case.optimization,
-                "baseline_cycles": row.baseline_cycles,
-                "optimized_cycles": row.optimized_cycles,
-                "achieved_speedup": row.achieved_speedup,
-                "estimated_speedup": row.estimated_speedup,
-                "error": row.error,
-                "optimizer_rank": row.optimizer_rank,
-                "total_samples": row.total_samples,
+                **{name: getattr(row, name) for name in ROW_FIELDS},
                 "paper_achieved_speedup": row.case.paper_achieved_speedup,
                 "paper_estimated_speedup": row.case.paper_estimated_speedup,
             }
@@ -236,10 +246,7 @@ def table3_payload(result: Table3Result, config: dict) -> dict:
             {"case": case_id, "error": error}
             for case_id, error in result.failures
         ],
-        "geomean_achieved": result.geomean_achieved,
-        "geomean_estimated": result.geomean_estimated,
-        "geomean_error": result.geomean_error,
-        "mean_error": result.mean_error,
+        **result.summary(),
     }
 
 
@@ -303,7 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if event.status == "start":
             return
         status = "ok" if event.status == "done" else "FAILED"
-        print(f"  {event.step:55s} {status} ({event.duration:.2f}s)",
+        step = f"{event.step} [{VARIANTS[event.index % 2]}]"
+        print(f"  {step:55s} {status} ({event.duration:.2f}s)",
               file=sys.stderr, flush=True)
 
     try:

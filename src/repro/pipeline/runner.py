@@ -1,19 +1,16 @@
-"""A small plan/execute driver with progress callbacks.
+"""Progress events of a batch of advising requests.
 
-The sequential paths of the pipeline (single-process batch sweeps, the CLI
-without ``--jobs``) all need the same bookkeeping: run named steps in order,
-time each one, capture per-step failures without aborting the plan, and tell
-an observer what is happening.  :class:`PipelineRunner` centralises that so
-:class:`~repro.pipeline.batch.BatchAdvisor` and the harnesses emit identical
-progress events whether work runs inline or in a process pool.
+:meth:`AdvisingSession.stream <repro.api.session.AdvisingSession.stream>`
+reports each request it runs to an optional :data:`ProgressCallback`: a
+``"start"`` event, then a ``"done"`` or ``"error"`` event for the same
+request.  The CLI, the Table 3 harness and the fleet's shard runner all
+speak this one event type.
 """
 
 from __future__ import annotations
 
-import time
-import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -31,62 +28,3 @@ class ProgressEvent:
 
 #: Observer signature: called synchronously; exceptions are the caller's.
 ProgressCallback = Callable[[ProgressEvent], None]
-
-
-@dataclass(frozen=True)
-class PipelineStep:
-    """One named unit of work in a plan."""
-
-    name: str
-    action: Callable[[], Any]
-
-
-@dataclass
-class StepOutcome:
-    """What happened to one step: its value or its captured traceback."""
-
-    name: str
-    value: Any = None
-    error: Optional[str] = None
-    duration: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-class PipelineRunner:
-    """Executes a plan of steps in order, capturing failures per step."""
-
-    def __init__(self, progress: Optional[ProgressCallback] = None):
-        self.progress = progress
-
-    def _emit(self, event: ProgressEvent) -> None:
-        if self.progress is not None:
-            self.progress(event)
-
-    def execute(self, plan: Sequence[PipelineStep]) -> List[StepOutcome]:
-        """Run every step; a failing step never aborts the rest of the plan."""
-        total = len(plan)
-        outcomes: List[StepOutcome] = []
-        for index, step in enumerate(plan):
-            self._emit(ProgressEvent(step.name, index, total, "start"))
-            started = time.perf_counter()
-            try:
-                value = step.action()
-            except Exception:
-                duration = time.perf_counter() - started
-                error = traceback.format_exc()
-                outcomes.append(
-                    StepOutcome(name=step.name, error=error, duration=duration)
-                )
-                self._emit(
-                    ProgressEvent(step.name, index, total, "error", duration, error)
-                )
-            else:
-                duration = time.perf_counter() - started
-                outcomes.append(
-                    StepOutcome(name=step.name, value=value, duration=duration)
-                )
-                self._emit(ProgressEvent(step.name, index, total, "done", duration))
-        return outcomes

@@ -1,6 +1,6 @@
 """The profile → analyze stage decomposition.
 
-``GPA.advise`` is a two-stage pipeline; these classes make the stages
+Advising is a two-stage pipeline; these classes make the stages
 explicit, typed units:
 
 * :class:`ProfileStage` turns a :class:`ProfileRequest` (binary, kernel,

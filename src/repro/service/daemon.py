@@ -18,7 +18,7 @@ Because that is the same engine, the same serialization and the same
 deterministic simulator, a daemon result's report is **bit-identical** to
 an inline ``AdvisingSession.advise`` report for the same request.
 
-Failure handling mirrors the batch advisor: advising failures are captured
+Failure handling mirrors the session's: advising failures are captured
 into the result (the job ends ``failed`` with the traceback), and a worker
 *process* crash synthesizes a failed result instead of poisoning the
 daemon — the broken pool is replaced and later jobs keep running.
@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.api.request import AdvisingRequest
 from repro.api.result import AdvisingResult
 from repro.api.schema import API_SCHEMA_VERSION, ApiError
-from repro.api.session import AdvisingSession
+from repro.api.session import AdvisingSession, reported_knobs
 from repro.arch.machine import ArchitectureError, get_architecture
 from repro.sampling.memory import check_memory_model
 from repro.sampling.profiler import check_simulation_scope
@@ -686,12 +686,7 @@ class AdvisingDaemon:
                 request=request,
                 index=job.index,
                 label=job.label,
-                arch_flag=request.arch_flag or self.config.arch_flag,
-                sample_period=request.sample_period or self.config.sample_period,
-                simulation_scope=(
-                    request.simulation_scope or self.config.simulation_scope
-                ),
-                memory_model=request.memory_model or self.config.memory_model,
+                **reported_knobs(request, self.config),
                 error=error,
             ).to_dict()
         except Exception:  # pragma: no cover - payload was validated at submit

@@ -60,7 +60,7 @@ class Job:
     state: str = "queued"
     #: The ``advising_result`` envelope once terminal (present for failed
     #: jobs too: execution failures are captured into the result, mirroring
-    #: the batch advisor's error capture).
+    #: the session's error capture).
     result: Optional[dict] = None
     #: The captured error text when the job failed, ``None`` otherwise.
     error: Optional[str] = None

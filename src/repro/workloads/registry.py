@@ -1,8 +1,13 @@
-"""Registry of every Table 3 benchmark case."""
+"""Registry of every Table 3 benchmark case.
+
+Importing this module imports every workload module, so code that
+``import repro`` pulls in must import it lazily, inside the function that
+needs a case.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Union
 
 from repro.workloads.base import BenchmarkCase
 from repro.workloads.rodinia import (
@@ -70,3 +75,22 @@ def case_by_name(name: str) -> BenchmarkCase:
         if case.name == name or case.kernel == name:
             return case
     raise KeyError(f"no benchmark case named {name!r}; known: {case_names()}")
+
+
+def resolve_case(case_or_id: Union[str, BenchmarkCase]) -> BenchmarkCase:
+    """Accept a registry ``case_id`` or a :class:`BenchmarkCase` object."""
+    if isinstance(case_or_id, str):
+        return case_by_name(case_or_id)
+    return case_or_id
+
+
+def is_registry_case(case: BenchmarkCase) -> bool:
+    """Whether ``case`` is the registry's own object (not an ad-hoc case).
+
+    Only registry cases can travel by ``case_id``; an ad-hoc case, even
+    one cloned from a registry case, has to travel as its binaries.
+    """
+    try:
+        return case_by_name(case.case_id) is case
+    except KeyError:
+        return False

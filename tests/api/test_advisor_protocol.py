@@ -88,8 +88,11 @@ class TestPolymorphicUse:
             request_for_case(CASE_ID, arch_flag="sm_70", sample_period=period)
             for period in (4, 8)
         ]
-        inline = {r.label: r.report.to_dict()
+        # Keyed by submission index: both requests carry the case id as
+        # their label, and completion order differs between transports.
+        inline = {r.index: r.report.to_dict()
                   for r in AdvisingSession().stream(requests)}
-        remote = {r.label: r.report.to_dict()
+        remote = {r.index: r.report.to_dict()
                   for r in make_service().stream(requests, timeout=120.0)}
+        assert sorted(inline) == [0, 1]
         assert remote == inline

@@ -20,11 +20,6 @@ def _dying_worker(config, payload, index):
     os._exit(1)
 
 
-@pytest.fixture(scope="module")
-def session():
-    return AdvisingSession(sample_period=8)
-
-
 class TestAdvise:
     def test_case_request(self, session):
         result = session.advise(request_for_case(SUBSET[0]))
@@ -35,18 +30,18 @@ class TestAdvise:
         assert result.report.advice
         assert result.duration > 0.0
 
-    def test_matches_legacy_gpa_facade(self, session):
-        from repro.advisor.advisor import GPA
+    def test_binary_request_matches_case_request(self, session):
         from repro.workloads.registry import case_by_name
 
-        case = case_by_name(SUBSET[0])
-        setup = case.build_baseline()
-        with pytest.deprecated_call():
-            legacy = GPA(sample_period=8).advise(
-                setup.cubin, setup.kernel, setup.config, setup.workload
-            )
-        modern = session.report_for(request_for_case(SUBSET[0]))
-        assert legacy.to_dict() == modern.to_dict()
+        setup = case_by_name(SUBSET[0]).build_baseline()
+        request = (
+            AdvisingRequest.builder()
+            .binary(setup.cubin, setup.kernel, setup.config, setup.workload)
+            .build()
+        )
+        by_binary = session.report_for(request)
+        by_case = session.report_for(request_for_case(SUBSET[0]))
+        assert by_binary.to_dict() == by_case.to_dict()
 
     def test_binary_request(self, session, toy_cubin, toy_config, toy_workload):
         request = (
@@ -270,6 +265,12 @@ class TestBatchModes:
         pooled = AdvisingSession(sample_period=8, jobs=2)
         results = pooled.advise_many(requests)
         assert all(result.ok for result in results)
+
+    def test_ampere_sweep_completes(self):
+        ampere = AdvisingSession(architecture="sm_80", sample_period=8)
+        results = ampere.advise_many([request_for_case(name) for name in SUBSET])
+        assert all(result.ok for result in results)
+        assert {result.arch_flag for result in results} == {"sm_80"}
 
     def test_custom_optimizer_instances_run_inline(self):
         from repro.optimizers.registry import default_optimizers

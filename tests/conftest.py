@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.advisor.advisor import GPA
-
 
 def pytest_configure(config):
     # `xdist_group` pins a module's tests to one pytest-xdist worker under
@@ -16,6 +14,7 @@ def pytest_configure(config):
         "markers",
         "xdist_group(name): run all tests of this group on one xdist worker",
     )
+from repro.api.session import AdvisingSession
 from repro.arch.machine import VoltaV100
 from repro.blame.attribution import InstructionBlamer
 from repro.cubin.builder import CubinBuilder, imm, p
@@ -90,13 +89,13 @@ def toy_blame(toy_profiled):
 
 @pytest.fixture(scope="session")
 def toy_report(toy_profiled):
-    gpa = GPA(sample_period=4)
-    return gpa.advise_profiled(toy_profiled)
+    return AdvisingSession(sample_period=4).advise_profiled(toy_profiled)
 
 
 @pytest.fixture(scope="session")
-def gpa():
-    return GPA(sample_period=8)
+def session():
+    """An inline session at the harnesses' default sample period."""
+    return AdvisingSession(sample_period=8)
 
 
 @pytest.fixture(params=[SMSimulator, VectorSMSimulator], ids=lambda cls: cls.__name__)

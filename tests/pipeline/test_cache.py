@@ -6,7 +6,7 @@ from repro.arch.machine import TuringLike, VoltaV100
 from repro.pipeline.cache import ProfileCache, profile_cache_key
 from repro.pipeline.stages import ProfileRequest, ProfileStage
 from repro.sampling.sample import LaunchConfig
-from repro.sampling.simulator import SMSimulator
+from repro.sampling.vector import VectorSMSimulator
 from repro.sampling.workload import WorkloadSpec
 
 
@@ -393,7 +393,7 @@ class TestProfileStageCaching:
         def explode(self, *args, **kwargs):
             raise AssertionError("simulator invoked on a warm cache")
 
-        monkeypatch.setattr(SMSimulator, "simulate", explode)
+        monkeypatch.setattr(VectorSMSimulator, "simulate", explode)
         warm = stage.run(request)
         assert warm.simulation is None
         assert warm.profile.to_json() == cold.profile.to_json()

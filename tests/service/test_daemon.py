@@ -207,7 +207,7 @@ class TestWorkerCrash:
         job = daemon.store.get(job_id)
         assert job.state == "failed"
         assert "worker process died mid-simulation" in job.error
-        # Mirroring BatchAdvisor error capture: a well-formed failed result
+        # Mirroring the session's pool path: a well-formed failed result
         # is synthesized, with the traceback in result.error.
         result = AdvisingResult.from_dict(job.result)
         assert not result.ok
@@ -215,6 +215,42 @@ class TestWorkerCrash:
         assert result.label == job.label
         # The worker thread survived; the daemon keeps serving.
         assert daemon.state == "serving"
+
+    def test_crash_of_a_profile_request_reports_the_profiles_knobs(
+        self, make_daemon, toy_cubin, toy_workload
+    ):
+        from repro.sampling.profiler import Profiler
+        from repro.sampling.sample import LaunchConfig
+
+        # A tiny grid-limited launch keeps the whole-GPU collection cheap.
+        profiled = Profiler(
+            sample_period=32, simulation_scope="whole_gpu", memory_model="hierarchy"
+        ).profile(toy_cubin, "toy_kernel", LaunchConfig(2, 64), toy_workload)
+        request = AdvisingRequest.builder().profile(profiled.profile, toy_cubin).build()
+        succeeded = AdvisingSession().advise(request)
+        assert succeeded.ok
+        assert (succeeded.simulation_scope, succeeded.memory_model) == (
+            "whole_gpu", "hierarchy",
+        )
+
+        daemon = make_daemon(start=False, workers=1)  # single_wave + flat
+
+        def exploding_execute(payload, index):
+            raise RuntimeError("worker process died mid-analysis")
+
+        daemon._execute = exploding_execute
+        daemon.start()
+        job_id = daemon.submit(request.to_dict())
+        assert wait_until(lambda: daemon.store.get(job_id).terminal)
+        failed = AdvisingResult.from_dict(daemon.store.get(job_id).result)
+        assert not failed.ok
+        # A failure reports the knobs a success would have reported.
+        assert (failed.simulation_scope, failed.memory_model) == (
+            "whole_gpu", "hierarchy",
+        )
+        assert (failed.arch_flag, failed.sample_period) == (
+            succeeded.arch_flag, succeeded.sample_period,
+        )
 
     def test_advising_failure_is_captured_not_raised(self, make_daemon):
         daemon = make_daemon()

@@ -7,7 +7,6 @@ import pytest
 from repro.advisor.cli import main
 from repro.api.request import AdvisingRequest, request_for_case
 from repro.api.schema import ApiValidationError
-from repro.api.session import AdvisingSession
 from repro.arch.machine import ArchitectureError
 from repro.staticcheck.crosscheck import cross_check
 from repro.staticcheck.engine import StaticChecker
@@ -23,11 +22,6 @@ def _golden(case_id):
 
 
 @pytest.fixture(scope="module")
-def session():
-    return AdvisingSession()
-
-
-@pytest.fixture(scope="module")
 def advised(session):
     result = session.advise(request_for_case(CASE))
     assert result.ok, result.error
@@ -40,7 +34,7 @@ def test_session_lint_matches_engine(session):
 
 
 def test_session_lint_rejects_profile_requests(session, advised):
-    from repro.pipeline.batch import resolve_case
+    from repro.workloads.registry import resolve_case
 
     setup = resolve_case(CASE).build_baseline()
     profile_request = AdvisingRequest(

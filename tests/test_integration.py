@@ -1,18 +1,12 @@
 """End-to-end integration tests reproducing the paper's headline behaviours."""
 
-import pytest
-
-from repro.advisor.advisor import GPA
+from repro.advisor.report import render_report
+from repro.api.request import request_for_case
 from repro.evaluation.table3 import evaluate_case
 from repro.workloads.registry import case_by_name
 
 
-@pytest.fixture(scope="module")
-def advisor():
-    return GPA(sample_period=8)
-
-
-def test_hotspot_listing1_strength_reduction(advisor):
+def test_hotspot_listing1_strength_reduction():
     """Listing 1: hotspot's double-constant multiply is traced to conversions
     and the Strength Reduction fix yields a real speedup."""
     row = evaluate_case(case_by_name("rodinia/hotspot:strength_reduction"))
@@ -20,12 +14,11 @@ def test_hotspot_listing1_strength_reduction(advisor):
     assert row.optimizer_rank is not None and row.optimizer_rank <= 5
 
 
-def test_btree_listing2_code_reordering(advisor):
+def test_btree_listing2_code_reordering(session):
     """Listing 2: b+tree's short load-to-use distance is matched by Code
     Reordering and widening the distance speeds the kernel up."""
     case = case_by_name("rodinia/b+tree:code_reorder")
-    setup = case.build_baseline()
-    report = advisor.advise(setup.cubin, setup.kernel, setup.config, setup.workload)
+    report = session.report_for(request_for_case(case))
     advice = report.advice_for("GPUCodeReorderingOptimizer")
     assert advice.applicable and advice.matched_samples > 0
     row = evaluate_case(case)
@@ -35,7 +28,7 @@ def test_btree_listing2_code_reordering(advisor):
     assert row.achieved_speedup >= 1.0
 
 
-def test_exatensor_case_study_sequence(advisor):
+def test_exatensor_case_study_sequence():
     """Section 7.1: strength reduction first, then memory transaction
     reduction on the updated code — both steps give real speedups."""
     first = evaluate_case(case_by_name("ExaTENSOR:strength_reduction"))
@@ -48,13 +41,12 @@ def test_exatensor_case_study_sequence(advisor):
     assert second.optimizer_rank is not None
 
 
-def test_every_advice_report_is_renderable(advisor):
+def test_every_advice_report_is_renderable(session):
     for name in ("rodinia/nw:warp_balance", "PeleC:block_increase",
                  "Minimod:fast_math"):
         case = case_by_name(name)
-        setup = case.build_baseline()
-        report = advisor.advise(setup.cubin, setup.kernel, setup.config, setup.workload)
-        text = GPA.render(report)
+        report = session.report_for(request_for_case(case))
+        text = render_report(report)
         assert case.kernel in text
         assert "estimate speedup" in text
 

@@ -1,15 +1,40 @@
 """Tests for the benchmark-case registry and the synthetic kernels."""
 
+import dataclasses
+import subprocess
+import sys
+
 import pytest
 
+from repro.api.request import request_for_case
 from repro.optimizers.registry import default_optimizers
 from repro.workloads.registry import (
     all_cases,
     application_cases,
     case_by_name,
     case_names,
+    is_registry_case,
+    resolve_case,
     rodinia_cases,
 )
+
+
+class TestLazyRegistryImport:
+    def test_import_repro_does_not_load_the_workload_registry(self):
+        """`import repro` (and every spawned pool worker) must not pay for
+        constructing the whole benchmark registry."""
+        loaded = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro; "
+                "print(sum(m.startswith('repro.workloads') for m in sys.modules))",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert loaded.stdout.strip() == "0"
 
 
 def test_registry_reproduces_all_26_table3_rows():
@@ -35,6 +60,22 @@ def test_paper_numbers_recorded_for_every_case():
         assert case.paper_achieved_speedup >= 1.0
         assert case.paper_estimated_speedup >= 1.0
         assert case.paper_original_time
+
+
+def test_resolve_case_accepts_ids_and_case_objects():
+    case = case_by_name("rodinia/gaussian:thread_increase")
+    assert resolve_case("rodinia/gaussian:thread_increase") is case
+    assert resolve_case(case) is case
+    with pytest.raises(KeyError):
+        resolve_case("not-a-benchmark")
+
+
+def test_only_the_registry_objects_are_registry_cases():
+    case = case_by_name("rodinia/gaussian:thread_increase")
+    assert is_registry_case(case)
+    # An equal-valued copy is ad hoc: it cannot travel by case_id.
+    assert not is_registry_case(dataclasses.replace(case))
+    assert not is_registry_case(dataclasses.replace(case, name="custom/clone"))
 
 
 def test_lookup_by_id_name_and_kernel():
@@ -72,8 +113,7 @@ def test_baseline_and_optimized_setups_build(case):
 
 
 @pytest.mark.parametrize("case", rodinia_cases()[:4], ids=lambda case: case.case_id)
-def test_baseline_kernels_profile_cleanly(case, gpa):
-    setup = case.build_baseline()
-    profiled = gpa.profile(setup.cubin, setup.kernel, setup.config, setup.workload)
+def test_baseline_kernels_profile_cleanly(case, session):
+    profiled = session.profile(request_for_case(case))
     assert profiled.profile.total_samples > 0
     assert profiled.simulation.issued_instructions > 0
