@@ -26,8 +26,8 @@ The package is organised as the paper's Figure 2:
   ordered batch, or streamed from a process pool), and lossless
   request/result serialization under an explicit schema version;
 * :mod:`repro.service` — the persistent advising daemon: a bounded job
-  queue with backpressure, a TTL-evicting job store, a versioned
-  JSON-over-HTTP protocol (``gpa-advise serve``) and the
+  queue with backpressure, a TTL-evicting SQLite job store (in memory, or
+  on disk with ``--store``), a versioned JSON-over-HTTP protocol (``gpa-advise serve``) and the
   :class:`~repro.service.client.ServiceClient` whose results are
   bit-identical to inline advising.
 
@@ -77,7 +77,7 @@ from repro.staticcheck.engine import StaticChecker
 from repro.staticcheck.report import StaticDiagnostic, StaticReport, render_static_report
 from repro.structure.program import ProgramStructure, build_program_structure
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "API_SCHEMA_VERSION",

@@ -460,6 +460,8 @@ def _serve_main(argv: List[str], stop: Optional[threading.Event] = None) -> int:
             f"({summary['jobs_failed']} failed, {summary['jobs_aborted']} aborted)",
             file=sys.stderr, flush=True,
         )
+        # Closing the last connection checkpoints a --store file's WAL.
+        daemon.store.close()
     return 0
 
 

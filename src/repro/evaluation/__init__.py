@@ -9,25 +9,8 @@
 * :mod:`repro.evaluation.metrics` — shared helpers (geometric mean, error)
   and the Table 3 row and aggregate functions every harness shares.
 
-The ``benchmarks/`` directory wraps these entry points with pytest-benchmark;
-``examples/`` and ``EXPERIMENTS.md`` use them directly.
+Import the submodules directly.  The package re-exports nothing, so
+``python -m repro.evaluation.table3`` runs a module that is not already
+imported.  The ``benchmarks/`` directory wraps these entry points with
+pytest-benchmark, and ``examples/`` uses them directly.
 """
-
-from repro.evaluation.metrics import geometric_mean, relative_error
-from repro.evaluation.table3 import Table3Result, Table3Row, evaluate_case, evaluate_table3, format_table3
-from repro.evaluation.figure7 import CoverageRow, evaluate_figure7, format_figure7
-from repro.evaluation.figure1 import sampling_model_demo
-
-__all__ = [
-    "CoverageRow",
-    "Table3Result",
-    "Table3Row",
-    "evaluate_case",
-    "evaluate_figure7",
-    "evaluate_table3",
-    "format_figure7",
-    "format_table3",
-    "geometric_mean",
-    "relative_error",
-    "sampling_model_demo",
-]

@@ -7,12 +7,11 @@ profile cache and worker pool:
 
 * a bounded FIFO :class:`~repro.service.queue.JobQueue` applies
   backpressure (HTTP 429) instead of accepting unbounded work;
-* a :class:`~repro.service.jobs.JobStore` tracks every job through
-  ``queued -> running -> done | failed`` and TTL-evicts settled results —
-  or, with ``--store``, the SQLite-backed
-  :class:`~repro.service.repository.JobRepository` persists jobs and their
-  result wire forms so a killed-and-restarted daemon replays completed
-  results byte-identically and requeues the interrupted backlog;
+* the SQLite-backed :class:`~repro.service.repository.JobRepository`
+  tracks every job through ``queued -> running -> done | failed`` and
+  TTL-evicts settled results; it lives in memory by default, and with
+  ``--store`` in a file, so a killed-and-restarted daemon replays
+  completed results byte-identically and requeues the interrupted backlog;
 * concurrent identical submissions (same
   :meth:`~repro.api.request.AdvisingRequest.fingerprint`) **coalesce**
   onto one in-flight simulation, whose result fans out to every attached
@@ -63,14 +62,7 @@ from repro.service.errors import (
     UnknownJobError,
 )
 from repro.service.http import ServiceHTTPServer, ServiceRequestHandler
-from repro.service.jobs import (
-    JOB_STATES,
-    Job,
-    JobCounts,
-    JobRegistry,
-    JobStore,
-    TERMINAL_STATES,
-)
+from repro.service.jobs import JOB_STATES, TERMINAL_STATES, Job, JobCounts
 from repro.service.queue import JobQueue
 from repro.service.repository import (
     REPOSITORY_SCHEMA_VERSION,
@@ -89,9 +81,7 @@ __all__ = [
     "Job",
     "JobCounts",
     "JobQueue",
-    "JobRegistry",
     "JobRepository",
-    "JobStore",
     "JobView",
     "JOB_STATES",
     "QueueFullError",

@@ -3,11 +3,12 @@
 :class:`AdvisingDaemon` is the long-lived heart of ``repro.service``: it
 owns one advising configuration (:class:`ServiceConfig`), a bounded
 :class:`~repro.service.queue.JobQueue`, a TTL-evicting
-:class:`~repro.service.jobs.JobStore` and a worker pool, and multiplexes
-any number of clients over them.  Where every one-shot ``gpa-advise``
-invocation pays full process startup and tears its pool down again, the
-daemon pays once and keeps the worker processes, the warm profile cache and
-the benchmark registry alive across requests.
+:class:`~repro.service.repository.JobRepository` (a SQLite file with
+``store_path``, an in-memory database without) and a worker pool, and
+multiplexes any number of clients over them.  Where every one-shot
+``gpa-advise`` invocation pays full process startup and tears its pool down
+again, the daemon pays once and keeps the worker processes, the warm profile
+cache and the benchmark registry alive across requests.
 
 Execution mirrors :meth:`AdvisingSession.stream
 <repro.api.session.AdvisingSession.stream>` exactly: requests cross into
@@ -53,7 +54,7 @@ from repro.service.errors import (
     ServiceUnavailableError,
     ServiceValidationError,
 )
-from repro.service.jobs import Job, JobRegistry, JobStore
+from repro.service.jobs import Job
 from repro.service.queue import JobQueue
 from repro.service.repository import JobRepository
 
@@ -192,9 +193,7 @@ class AdvisingDaemon:
         queue_capacity: int = 64,
         job_ttl: Optional[float] = 900.0,
         use_pool: bool = True,
-        clock=time.monotonic,
         store_path: Optional[str] = None,
-        store: Optional[JobRegistry] = None,
         eviction_interval: Optional[float] = None,
         coalesce: bool = True,
     ):
@@ -209,19 +208,10 @@ class AdvisingDaemon:
         self.workers = workers
         self.use_pool = use_pool
         self.queue = JobQueue(queue_capacity)
-        # The registry backend: an injected store wins (tests), then a
-        # --store path (durable SQLite, wall-clock TTL so eviction survives
-        # restarts), then the in-memory default.
-        if store is not None:
-            self.store = store
-        elif store_path is not None:
-            self.store = JobRepository(store_path, ttl=job_ttl)
-        else:
-            self.store = JobStore(ttl=job_ttl, clock=clock)
+        self.store = JobRepository(store_path or ":memory:", ttl=job_ttl)
         self.store_path = store_path
         self.eviction_interval = eviction_interval
         self.coalesce = coalesce
-        self._clock = clock
         self._state = "new"
         self._state_lock = threading.RLock()
         self._threads: List[threading.Thread] = []
@@ -261,7 +251,7 @@ class AdvisingDaemon:
             if self._state != "new":
                 raise ServiceError(f"daemon already started (state {self._state!r})")
             self._state = "serving"
-        self._started_at = self._clock()
+        self._started_at = time.monotonic()
         # Crash recovery: whatever a previous daemon admitted but never
         # finished goes back on the queue before any worker starts, so
         # restarts resume the backlog instead of forgetting it.  The
@@ -291,9 +281,9 @@ class AdvisingDaemon:
             thread.start()
             self._threads.append(thread)
         if self.eviction_interval is not None and self.store.ttl is not None:
-            # Explicit, scheduled eviction (the shared registry contract):
-            # an idle daemon still sheds expired results instead of only
-            # cleaning when someone happens to talk to it.
+            # Explicit, scheduled eviction: an idle daemon still sheds
+            # expired results instead of only cleaning when someone happens
+            # to talk to it.
             self._eviction_thread = threading.Thread(
                 target=self._eviction_loop, name="gpa-service-evictor",
                 daemon=True,
@@ -315,7 +305,9 @@ class AdvisingDaemon:
         workers finish everything already queued; ``drain=False`` aborts
         queued jobs (they end ``failed``) and only waits for the in-flight
         ones.  Waiting for the pool also flushes its profile-cache writes,
-        so the on-disk cache is fully persisted when this returns.
+        so the on-disk cache is fully persisted when this returns.  The
+        job store stays open, so results and :meth:`stats` stay readable;
+        closing it is the caller's (``gpa-advise serve`` does, on exit).
         Idempotent: repeated calls return the first call's summary.
         """
         with self._state_lock:
@@ -324,7 +316,6 @@ class AdvisingDaemon:
             if self._state == "new":
                 self._state = "stopped"
                 self._shutdown_summary = self._summary()
-                self.store.close()
                 return dict(self._shutdown_summary)
             if self._state == "draining":
                 concurrent = True
@@ -360,7 +351,6 @@ class AdvisingDaemon:
         with self._state_lock:
             self._state = "stopped"
             self._shutdown_summary = self._summary()
-        self.store.close()
         return dict(self._shutdown_summary)
 
     def _summary(self) -> dict:
@@ -587,10 +577,7 @@ class AdvisingDaemon:
                 "in_flight_keys": inflight_keys,
             },
             "persistence": {
-                "backend": (
-                    "sqlite" if isinstance(self.store, JobRepository)
-                    else "memory"
-                ),
+                "backend": "sqlite" if self.store_path else "memory",
                 "path": self.store_path,
             },
             "cache": None if self.config.cache_dir is None else {
@@ -599,7 +586,7 @@ class AdvisingDaemon:
                 "hit_rate": round(hits / lookups, 6) if lookups else 0.0,
             },
             "uptime_seconds": (
-                round(self._clock() - self._started_at, 3)
+                round(time.monotonic() - self._started_at, 3)
                 if self._started_at is not None else 0.0
             ),
         }

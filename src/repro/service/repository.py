@@ -1,13 +1,13 @@
-"""The SQLite-backed durable job repository.
+"""The SQLite-backed job repository: the daemon's one job store.
 
-:class:`JobRepository` is the persistent twin of the in-memory
-:class:`~repro.service.jobs.JobStore`: same :class:`JobRegistry
-<repro.service.jobs.JobRegistry>` contract, but every job — its validated
-request payload, its state transitions, and its terminal
-``advising_result`` wire form — lives in a SQLite file, so a daemon that is
-killed and restarted keeps serving the results it already computed.  Replay
-is *byte-identical*: result envelopes are stored as the JSON text of the
-exact dict the worker produced, and JSON object order round-trips, so a
+:class:`JobRepository` keeps every job — its validated request payload, its
+state transitions, and its terminal ``advising_result`` wire form — in a
+SQLite database.  A daemon started with ``--store PATH`` opens a file, so a
+daemon that is killed and restarted keeps serving the results it already
+computed; a daemon without one opens ``":memory:"``, whose jobs die with the
+process.  Both speak the same contract, eviction included.  Replay is
+*byte-identical*: result envelopes are stored as the JSON text of the exact
+dict the worker produced, and JSON object order round-trips, so a
 ``GET /v1/jobs/<id>`` after a restart serializes the same bytes it would
 have before the crash.
 
@@ -75,6 +75,7 @@ CREATE TABLE IF NOT EXISTS jobs (
     finished_at    REAL
 );
 CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs(state);
+CREATE INDEX IF NOT EXISTS jobs_by_finish ON jobs(finished_at);
 CREATE TABLE IF NOT EXISTS counters (
     name  TEXT PRIMARY KEY,
     value INTEGER NOT NULL
@@ -87,11 +88,12 @@ class RepositoryStateError(ServiceError):
 
 
 class JobRepository:
-    """A :class:`~repro.service.jobs.JobRegistry` persisted in SQLite.
+    """Thread-safe registry of every job a daemon has admitted, in SQLite.
 
-    ``ttl`` has the same meaning as on :class:`JobStore` — how long a
-    *terminal* job's result stays queryable (``None`` disables eviction) —
-    and eviction follows the same contract: piggybacked on access plus an
+    ``path`` is a database file, or ``":memory:"`` for a store that lives
+    and dies with this object.  ``ttl`` bounds how long a *terminal* job's
+    result stays queryable (``None`` disables eviction); queued and running
+    jobs are never evicted.  Eviction is piggybacked on access plus an
     explicit :meth:`evict` the daemon can schedule.
     """
 
@@ -160,10 +162,10 @@ class JobRepository:
             job_id=new_job_id(), index=index, payload=payload, label=label,
             submitted_at=self._clock(),
         )
+        self.evict()
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                self._evict_in_txn()
                 self._conn.execute(
                     "INSERT INTO jobs(job_id, idx, payload, label, state,"
                     " submitted_at) VALUES (?, ?, ?, ?, ?, ?)",
@@ -255,7 +257,7 @@ class JobRepository:
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Job:
         with self._lock:
-            self._evict()
+            self.evict()
             row = self._conn.execute(
                 "SELECT job_id, idx, payload, label, state, result, error,"
                 " coalesced_with, submitted_at, started_at, finished_at"
@@ -325,35 +327,29 @@ class JobRepository:
     # Eviction
     # ------------------------------------------------------------------
     def evict(self) -> int:
-        """Drop terminal jobs older than ``ttl``; returns how many."""
+        """Drop terminal jobs older than ``ttl``; returns how many.
+
+        Only a settling job gets a ``finished_at``, always together with a
+        terminal state, so one range delete over ``jobs_by_finish`` finds
+        exactly the expired rows.  A ``state`` predicate would steer SQLite
+        back onto ``jobs_by_state``, which visits every settled row.
+        """
+        if self.ttl is None:
+            return 0
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                evicted = self._evict_in_txn()
+                cursor = self._conn.execute(
+                    "DELETE FROM jobs WHERE finished_at <= ?",
+                    (self._clock() - self.ttl,),
+                )
+                if cursor.rowcount:
+                    self._bump("evicted", cursor.rowcount)
             except BaseException:
                 self._conn.execute("ROLLBACK")
                 raise
             self._conn.execute("COMMIT")
-            return evicted
-
-    def _evict(self) -> int:
-        """Eviction for callers not already inside a transaction."""
-        if self.ttl is None:
-            return 0
-        return self.evict()
-
-    def _evict_in_txn(self) -> int:
-        if self.ttl is None:
-            return 0
-        deadline = self._clock() - self.ttl
-        cursor = self._conn.execute(
-            "DELETE FROM jobs WHERE state IN (?, ?)"
-            " AND finished_at IS NOT NULL AND finished_at <= ?",
-            (*TERMINAL_STATES, deadline),
-        )
-        if cursor.rowcount:
-            self._bump("evicted", cursor.rowcount)
-        return cursor.rowcount
+            return cursor.rowcount
 
     # ------------------------------------------------------------------
     def close(self) -> None:

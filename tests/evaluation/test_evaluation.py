@@ -1,6 +1,10 @@
 """Tests for the evaluation harness (Table 3, Figure 7, Figure 1)."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +116,17 @@ class TestTable3:
         monkeypatch.setattr(table3_module, "AdvisingSession", RecordingSession)
         evaluate_table3([], simulation_scope="whole_gpu", memory_model="hierarchy")
         assert seen == [("whole_gpu", "hierarchy")]
+
+    def test_module_runs_without_a_runpy_warning(self):
+        # runpy warns when `-m` runs a module its package already imported.
+        src = Path(__file__).resolve().parents[2] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.evaluation.table3", "--help"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestTable3Pipeline:

@@ -36,6 +36,7 @@ def make_daemon():
     yield make
     for daemon in created:
         daemon.shutdown(drain=False)
+        daemon.store.close()
 
 
 @pytest.fixture

@@ -345,11 +345,16 @@ class TestShutdown:
         with pytest.raises(ServiceError):
             daemon.start()  # a stopped daemon does not restart
 
-    def test_results_stay_queryable_after_shutdown(self, make_daemon):
-        daemon = make_daemon()
+    @pytest.mark.parametrize("stored", [False, True], ids=["memory", "sqlite"])
+    def test_results_stay_queryable_after_shutdown(self, make_daemon, tmp_path,
+                                                   stored):
+        daemon = make_daemon(
+            store_path=str(tmp_path / "jobs.sqlite3") if stored else None
+        )
         job_id = daemon.submit(hotspot_request().to_dict())
         assert wait_until(lambda: daemon.store.get(job_id).terminal)
         daemon.shutdown()
         assert daemon.store.view(job_id)["state"] == "done"
+        assert daemon.stats()["jobs_served"] == 1
         with pytest.raises(UnknownJobError):
             daemon.store.view("never-existed")

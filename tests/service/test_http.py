@@ -96,6 +96,16 @@ class TestProtocol:
         assert stats["jobs_served"] == 1
         assert stats["state"] == "serving"
 
+    @pytest.mark.parametrize("stored", [False, True], ids=["memory", "sqlite"])
+    def test_stats_report_the_persistence_backend(self, make_service, tmp_path,
+                                                  stored):
+        store_path = str(tmp_path / "jobs.sqlite3") if stored else None
+        _, _, client = make_service(store_path=store_path)
+        assert client.stats()["persistence"] == {
+            "backend": "sqlite" if stored else "memory",
+            "path": store_path,
+        }
+
 
 class TestFailureModes:
     def test_malformed_envelope_is_400_without_traceback(self, make_service):

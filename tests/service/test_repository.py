@@ -1,19 +1,22 @@
-"""Unit tests of the SQLite job repository: durability, recovery, eviction.
+"""Unit tests of the job repository: the daemon's one job store.
 
-Mirrors ``test_jobs.py`` where the :class:`JobRegistry` contract is shared,
-and adds what only a persistent store can promise: results that survive a
-close/reopen byte-identically, crash recovery that re-queues the interrupted
-backlog, and a schema guard that refuses stores written by other builds.
+``TestContract`` and ``TestEviction`` run on both kinds of store a daemon
+opens: an in-memory database (no ``--store``) and a SQLite file.  The other
+classes cover what only a file can promise: results that survive a
+close/reopen byte-identically, crash recovery that re-queues the
+interrupted backlog, a schema guard that refuses stores written by other
+builds, and two handles sharing one store.
 """
 
 import json
+import re
 import sqlite3
 
 import pytest
 
 from repro.api.schema import API_SCHEMA_VERSION
 from repro.service.errors import UnknownJobError
-from repro.service.jobs import JobRegistry, JobStore
+from repro.service.jobs import JOB_STATES, TERMINAL_STATES
 from repro.service.repository import (
     REPOSITORY_SCHEMA_VERSION,
     JobRepository,
@@ -40,21 +43,31 @@ def store_path(tmp_path):
     return tmp_path / "jobs.sqlite3"
 
 
+@pytest.fixture(params=["memory", "file"])
+def make_repo(request, store_path):
+    """Open repositories on the parametrized backend; all are closed after."""
+    opened = []
+
+    def make(**kwargs):
+        path = ":memory:" if request.param == "memory" else store_path
+        opened.append(JobRepository(path, **kwargs))
+        return opened[-1]
+
+    yield make
+    for repository in opened:
+        repository.close()
+
+
 @pytest.fixture
-def repo(store_path):
-    repository = JobRepository(store_path, ttl=None)
-    yield repository
-    repository.close()
+def repo(make_repo):
+    return make_repo(ttl=None)
 
 
 class TestContract:
-    def test_satisfies_the_job_registry_protocol(self, repo):
-        assert isinstance(repo, JobRegistry)
-        assert isinstance(JobStore(), JobRegistry)
-
     def test_lifecycle(self, repo):
         job = repo.create(PAYLOAD, "case-a")
         assert job.state == "queued" and not job.terminal
+        assert job.state in JOB_STATES
         assert job.job_id in repo and len(repo) == 1
 
         repo.mark_running(job.job_id)
@@ -63,10 +76,11 @@ class TestContract:
         repo.finish(job.job_id, {"ok": True}, None)
         finished = repo.get(job.job_id)
         assert finished.state == "done" and finished.terminal
+        assert finished.state in TERMINAL_STATES
         assert finished.result == {"ok": True}
         counts = repo.counts
         assert counts.submitted == 1 and counts.done == 1
-        assert counts.served == 1
+        assert counts.failed == 0 and counts.served == 1
 
     def test_error_marks_failed(self, repo):
         job = repo.create(PAYLOAD, "case-b")
@@ -76,6 +90,7 @@ class TestContract:
         assert failed.state == "failed"
         assert failed.error == "boom\n  traceback"
         assert repo.counts.failed == 1
+        assert repo.counts.served == 1
 
     def test_abort_counts_separately(self, repo):
         job = repo.create(PAYLOAD, "case-c")
@@ -83,9 +98,22 @@ class TestContract:
         assert repo.get(job.job_id).state == "failed"
         assert repo.counts.aborted == 1 and repo.counts.failed == 0
 
+    def test_finish_straight_from_queue(self, repo):
+        # An aborted (never-run) job still gets coherent timestamps.
+        job = repo.create(PAYLOAD, "case-c")
+        repo.finish(job.job_id, None, "aborted")
+        view = repo.view(job.job_id)
+        assert view["state"] == "failed"
+        assert view["waited_seconds"] is not None
+        assert view["ran_seconds"] == 0.0
+
     def test_unknown_job(self, repo):
         with pytest.raises(UnknownJobError, match="nope"):
             repo.get("nope")
+        with pytest.raises(UnknownJobError):
+            repo.view("nope")
+        with pytest.raises(UnknownJobError):
+            repo.mark_running("nope")
         with pytest.raises(UnknownJobError):
             repo.finish("nope", {}, None)
 
@@ -104,10 +132,133 @@ class TestContract:
         assert repo.counts.coalesced == 1
         assert repo.view(follower.job_id)["coalesced_with"] == primary.job_id
 
-    def test_view_matches_in_memory_store_shape(self, repo):
-        job = repo.create(PAYLOAD, "case-f")
-        reference = JobStore().create(PAYLOAD, "case-f")
-        assert set(repo.view(job.job_id)) == set(reference.view())
+    def test_view_shape(self, repo):
+        job = repo.create(PAYLOAD, "case-f", index=3)
+        view = repo.view(job.job_id)
+        assert list(view) == [
+            "kind", "schema_version", "job_id", "state", "index", "label",
+            "result", "error", "coalesced_with", "waited_seconds",
+            "ran_seconds",
+        ]
+        assert view["kind"] == "job"
+        assert view["schema_version"] == API_SCHEMA_VERSION
+        assert view["job_id"] == job.job_id
+        assert view["state"] == "queued"
+        assert view["index"] == 3
+        assert view["label"] == "case-f"
+        assert view["result"] is None and view["error"] is None
+
+    def test_job_ids_are_unique(self, repo):
+        ids = {repo.create(PAYLOAD, "x").job_id for _ in range(100)}
+        assert len(ids) == 100
+
+    def test_pending_lists_only_live_jobs(self, repo):
+        live = repo.create(PAYLOAD, "live")
+        settled = repo.create(PAYLOAD, "settled")
+        repo.finish(settled.job_id, None, None)
+        assert repo.pending() == [live.job_id]
+
+
+class TestEviction:
+    def test_terminal_jobs_evicted_after_ttl(self, make_repo):
+        clock = FakeClock()
+        repo = make_repo(ttl=10.0, clock=clock)
+        done = repo.create(PAYLOAD, "case-a")
+        repo.finish(done.job_id, {"ok": True}, None)
+        queued = repo.create(PAYLOAD, "case-b")
+
+        clock.advance(11.0)
+        assert repo.evict() == 1
+        assert done.job_id not in repo
+        # Non-terminal jobs are never evicted.
+        assert queued.job_id in repo
+        assert repo.counts.evicted == 1
+
+    def test_running_jobs_never_evict(self, make_repo):
+        clock = FakeClock()
+        repo = make_repo(ttl=60.0, clock=clock)
+        running = repo.create(PAYLOAD, "running")
+        repo.mark_running(running.job_id)
+        clock.advance(3600.0)
+        assert repo.evict() == 0
+        assert repo.get(running.job_id).state == "running"
+
+    def test_evicts_exactly_the_settled_rows(self, make_repo):
+        clock = FakeClock()
+        repo = make_repo(ttl=10.0, clock=clock)
+        done, failed, aborted, queued, running, recovered = (
+            repo.create(PAYLOAD, label).job_id
+            for label in ("done", "failed", "aborted", "queued", "running",
+                          "recovered")
+        )
+        repo.mark_running(done)
+        repo.finish(done, {"ok": True}, None)
+        repo.mark_running(failed)
+        repo.finish(failed, None, "boom")
+        repo.abort(aborted, "shut down before the job ran")
+        repo.mark_running(recovered)
+        # A restart heals the interrupted job: running -> queued.
+        assert repo.recover() == [queued, running, recovered]
+        repo.mark_running(running)
+
+        clock.advance(11.0)
+        assert repo.evict() == 3
+        assert repo.counts.evicted == 3
+        for job_id in (done, failed, aborted):
+            assert job_id not in repo
+        assert len(repo) == 3
+        assert repo.get(queued).state == "queued"
+        assert repo.get(recovered).state == "queued"
+        assert repo.get(running).state == "running"
+
+    def test_evict_searches_the_finish_index(self, make_repo):
+        # The cost of eviction, which runs on every store access, must not
+        # grow with the number of settled rows (each carries its result).
+        repo = make_repo(ttl=10.0, clock=FakeClock())
+        statements = []
+        repo._conn.set_trace_callback(statements.append)
+        try:
+            repo.evict()
+        finally:
+            repo._conn.set_trace_callback(None)
+        (delete,) = [sql for sql in statements if sql.startswith("DELETE")]
+        plan = repo._conn.execute(
+            "EXPLAIN QUERY PLAN " + delete, (0.0,) * delete.count("?")
+        ).fetchall()
+        details = [row[-1] for row in plan]
+        assert any(
+            re.match(r"SEARCH (TABLE )?jobs USING (COVERING )?INDEX jobs_by_finish",
+                     detail)
+            for detail in details
+        ), details
+
+    def test_eviction_piggybacks_on_access(self, make_repo):
+        clock = FakeClock()
+        repo = make_repo(ttl=10.0, clock=clock)
+        done = repo.create(PAYLOAD, "case-a")
+        repo.finish(done.job_id, {"ok": True}, None)
+        clock.advance(11.0)
+        with pytest.raises(UnknownJobError, match="retention"):
+            repo.get(done.job_id)
+
+    def test_eviction_piggybacks_on_create(self, make_repo):
+        clock = FakeClock()
+        repo = make_repo(ttl=60.0, clock=clock)
+        old = repo.create(PAYLOAD, "old")
+        repo.finish(old.job_id, None, None)
+        clock.advance(61.0)
+        fresh = repo.create(PAYLOAD, "fresh")
+        assert old.job_id not in repo
+        assert fresh.job_id in repo
+
+    def test_ttl_none_never_evicts(self, make_repo):
+        clock = FakeClock()
+        repo = make_repo(ttl=None, clock=clock)
+        done = repo.create(PAYLOAD, "case-a")
+        repo.finish(done.job_id, {"ok": True}, None)
+        clock.advance(1e9)
+        assert repo.evict() == 0
+        assert done.job_id in repo
 
 
 class TestDurability:
@@ -163,11 +314,6 @@ class TestDurability:
         finally:
             reopened.close()
 
-    def test_in_memory_store_recover_is_empty(self):
-        store = JobStore()
-        store.create(PAYLOAD, "case-a")
-        assert store.recover() == []
-
 
 class TestSchemaGuard:
     def test_repository_schema_mismatch_refuses_to_open(self, store_path):
@@ -194,62 +340,10 @@ class TestSchemaGuard:
         with pytest.raises(RepositoryStateError, match="api_schema"):
             JobRepository(store_path)
 
-    def test_invalid_ttl_rejected(self, store_path):
+    @pytest.mark.parametrize("ttl", [0, -5.0])
+    def test_invalid_ttl_rejected(self, store_path, ttl):
         with pytest.raises(ValueError, match="ttl"):
-            JobRepository(store_path, ttl=0)
-
-
-class TestEviction:
-    def test_terminal_jobs_evicted_after_ttl(self, store_path):
-        clock = FakeClock()
-        repo = JobRepository(store_path, ttl=10.0, clock=clock)
-        try:
-            done = repo.create(PAYLOAD, "case-a")
-            repo.finish(done.job_id, {"ok": True}, None)
-            queued = repo.create(PAYLOAD, "case-b")
-
-            clock.advance(11.0)
-            assert repo.evict() == 1
-            assert done.job_id not in repo
-            # Non-terminal jobs are never evicted.
-            assert queued.job_id in repo
-            assert repo.counts.evicted == 1
-        finally:
-            repo.close()
-
-    def test_eviction_piggybacks_on_access(self, store_path):
-        clock = FakeClock()
-        repo = JobRepository(store_path, ttl=10.0, clock=clock)
-        try:
-            done = repo.create(PAYLOAD, "case-a")
-            repo.finish(done.job_id, {"ok": True}, None)
-            clock.advance(11.0)
-            with pytest.raises(UnknownJobError, match="retention"):
-                repo.get(done.job_id)
-        finally:
-            repo.close()
-
-    def test_shared_eviction_contract_with_in_memory_store(self):
-        clock = FakeClock()
-        store = JobStore(ttl=10.0, clock=clock)
-        done = store.create(PAYLOAD, "case-a")
-        store.finish(done.job_id, {"ok": True}, None)
-        clock.advance(11.0)
-        assert store.evict() == 1
-        assert done.job_id not in store
-        assert store.counts.evicted == 1
-
-    def test_ttl_none_never_evicts(self, store_path):
-        clock = FakeClock()
-        repo = JobRepository(store_path, ttl=None, clock=clock)
-        try:
-            done = repo.create(PAYLOAD, "case-a")
-            repo.finish(done.job_id, {"ok": True}, None)
-            clock.advance(1e9)
-            assert repo.evict() == 0
-            assert done.job_id in repo
-        finally:
-            repo.close()
+            JobRepository(store_path, ttl=ttl)
 
 
 class TestMultiHandle:
