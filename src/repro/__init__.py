@@ -14,8 +14,8 @@ The package is organised as the paper's Figure 2:
   Equation 2-10 estimators;
 * :mod:`repro.advisor` — the static and dynamic analyzers, the report
   generator and the CLI;
-* :mod:`repro.pipeline` — the staged advising pipeline: explicit
-  profile/analyze stages and the on-disk profile cache;
+* :mod:`repro.pipeline` — the staged advising pipeline: the explicit
+  profile stage and the on-disk profile cache;
 * :mod:`repro.workloads`, :mod:`repro.evaluation` — the synthetic Rodinia /
   application kernels and the harness that regenerates Table 3 and Figures
   1 and 7.
@@ -57,7 +57,7 @@ from repro.api.schema import API_SCHEMA_VERSION
 from repro.api.session import AdvisingSession
 from repro.arch.machine import GpuArchitecture, VoltaV100, get_architecture
 from repro.pipeline.cache import ProfileCache, profile_cache_key
-from repro.pipeline.stages import AnalyzeStage, ProfileRequest, ProfileStage
+from repro.pipeline.stages import ProfileRequest, ProfileStage
 from repro.blame.attribution import BlameResult, InstructionBlamer
 from repro.cubin.binary import Cubin, Function, FunctionVisibility
 from repro.cubin.builder import CubinBuilder, KernelBuilder
@@ -77,7 +77,7 @@ from repro.staticcheck.engine import StaticChecker
 from repro.staticcheck.report import StaticDiagnostic, StaticReport, render_static_report
 from repro.structure.program import ProgramStructure, build_program_structure
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "API_SCHEMA_VERSION",
@@ -87,7 +87,6 @@ __all__ = [
     "AdvisingRequest",
     "AdvisingResult",
     "AdvisingSession",
-    "AnalyzeStage",
     "AuthPolicy",
     "BlameResult",
     "Cubin",

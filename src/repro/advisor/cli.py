@@ -573,14 +573,14 @@ def _submit_main(argv: List[str]) -> int:
             return _emit_single(result, args)
         # --all: one atomic batch, results in submission order.  An empty
         # selection (--limit 0) renders an empty sweep like the inline CLI
-        # does, instead of posting a batch the daemon would reject.
+        # does: the client answers an empty batch without a round trip.
         ids = case_names()
         if args.limit is not None:
             ids = ids[: args.limit]
         results = client.advise_many(
             [build_request(case_id) for case_id in ids],
             timeout=args.timeout, poll_interval=args.poll,
-        ) if ids else []
+        )
         if args.output == "jsonl":
             return _emit_jsonl(results)
         return _emit_batch_results(results, variant, args.arch, args.output, "service")

@@ -17,7 +17,11 @@ period, the profile cache, the worker count — and executes declarative
   same envelope a service daemon or a remote worker would speak.
 
 The session is the one advising front door: the CLI, the evaluation
-harnesses and the service daemon are thin adapters over it.
+harnesses and the service daemon are thin adapters over it.  This module
+also owns the worker side of every process pool: :func:`_pool_advise` runs
+a wire-form request on a per-process session built from six primitives
+(:meth:`AdvisingSession._pool_config`, or a daemon's
+``ServiceConfig.primitives()``), and both ``stream`` and the daemon submit it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.advisor.dynamic_analyzer import DynamicAnalyzer
 from repro.advisor.report import AdviceReport
 from repro.api.request import AdvisingRequest
 from repro.api.result import AdvisingResult
@@ -36,15 +41,9 @@ from repro.optimizers.base import Optimizer
 from repro.optimizers.registry import OptimizerRegistry
 from repro.pipeline.cache import ProfileCache, coerce_cache
 from repro.pipeline.runner import ProgressCallback, ProgressEvent
-from repro.pipeline.stages import (
-    AnalyzeRequest,
-    AnalyzeStage,
-    ProfileRequest,
-    ProfileStage,
-    retarget,
-)
+from repro.pipeline.stages import ProfileRequest, ProfileStage, retarget
 from repro.sampling.memory import check_memory_model
-from repro.sampling.profiler import ProfiledKernel, Profiler, check_simulation_scope
+from repro.sampling.profiler import ProfiledKernel, check_simulation_scope
 from repro.sampling.sample import KernelProfile
 from repro.structure.program import ProgramStructure, build_program_structure
 
@@ -115,16 +114,19 @@ class AdvisingSession:
         self.optimizers: List[Optimizer] = resolved
         self.registry = OptimizerRegistry(resolved)
 
-        # The default stage pair, used by every request that keeps the
-        # session's knobs.
-        self.profiler = Profiler(
-            self.architecture, sample_period=sample_period,
+        # The default profile stage and analyzer, used by every request that
+        # keeps the session's knobs; they seed the per-knob memos below.
+        self.profile_stage = ProfileStage(
+            self.architecture, sample_period=sample_period, cache=self.cache,
             simulation_scope=simulation_scope, memory_model=memory_model,
         )
-        self.profile_stage = ProfileStage(profiler=self.profiler, cache=self.cache)
-        self.analyze_stage = AnalyzeStage(self.architecture, self.optimizers)
-        self._profile_stages: Dict[Tuple[int, bool, str, str], ProfileStage] = {}
-        self._analyze_stages: Dict[Tuple[str, Optional[Tuple[str, ...]]], AnalyzeStage] = {}
+        self.analyzer = DynamicAnalyzer(self.architecture, self.optimizers)
+        self._profile_stages: Dict[Tuple[int, bool, str, str], ProfileStage] = {
+            (sample_period, True, simulation_scope, memory_model): self.profile_stage,
+        }
+        self._analyzers: Dict[Tuple[str, Optional[Tuple[str, ...]]], DynamicAnalyzer] = {
+            (self.arch_flag, None): self.analyzer,
+        }
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -168,13 +170,6 @@ class AdvisingSession:
         scope = request.simulation_scope or self.simulation_scope
         memory_model = request.memory_model or self.memory_model
         cached = request.cache_policy != "bypass"
-        if (
-            period == self.sample_period
-            and scope == self.simulation_scope
-            and memory_model == self.memory_model
-            and cached
-        ):
-            return self.profile_stage
         key = (period, cached, scope, memory_model)
         stage = self._profile_stages.get(key)
         if stage is None:
@@ -188,13 +183,11 @@ class AdvisingSession:
             self._profile_stages[key] = stage
         return stage
 
-    def _analyze_stage_for(self, request: AdvisingRequest) -> AnalyzeStage:
+    def _analyzer_for(self, request: AdvisingRequest) -> DynamicAnalyzer:
         arch_flag = request.arch_flag or self.arch_flag
-        if arch_flag == self.arch_flag and request.optimizers is None:
-            return self.analyze_stage
         key = (arch_flag, request.optimizers)
-        stage = self._analyze_stages.get(key)
-        if stage is None:
+        analyzer = self._analyzers.get(key)
+        if analyzer is None:
             architecture = (
                 self.architecture if arch_flag == self.arch_flag
                 else get_architecture(arch_flag)
@@ -203,9 +196,9 @@ class AdvisingSession:
                 selected = self.optimizers
             else:
                 selected = [self.registry.get(name) for name in request.optimizers]
-            stage = AnalyzeStage(architecture, selected)
-            self._analyze_stages[key] = stage
-        return stage
+            analyzer = DynamicAnalyzer(architecture, selected)
+            self._analyzers[key] = analyzer
+        return analyzer
 
     # ------------------------------------------------------------------
     # Single-request execution
@@ -271,7 +264,7 @@ class AdvisingSession:
 
     def analyze(self, profile: KernelProfile, structure: ProgramStructure) -> AdviceReport:
         """Run the analysis stage on an existing profile."""
-        return self.analyze_stage.run(AnalyzeRequest(profile=profile, structure=structure))
+        return self.analyzer.analyze(profile, structure)
 
     def advise_profiled(self, profiled: ProfiledKernel) -> AdviceReport:
         """Analyze an already-profiled kernel launch."""
@@ -284,17 +277,12 @@ class AdvisingSession:
         started = time.perf_counter()
         try:
             if request.source == "profile":
+                profile = request.profile
                 structure = build_program_structure(request.cubin)
-                stage = self._analyze_stage_for(request)
-                report = stage.run(
-                    AnalyzeRequest(profile=request.profile, structure=structure)
-                )
             else:
                 profiled = self.profile(request)
-                stage = self._analyze_stage_for(request)
-                report = stage.run(
-                    AnalyzeRequest(profile=profiled.profile, structure=profiled.structure)
-                )
+                profile, structure = profiled.profile, profiled.structure
+            report = self._analyzer_for(request).analyze(profile, structure)
         except Exception:
             return AdvisingResult(
                 request=request, index=index, label=label, **knobs,
@@ -388,7 +376,7 @@ class AdvisingSession:
                 request = requests[index]
                 label = request.describe()
                 try:
-                    result = AdvisingResult.from_dict(future.result())
+                    result = AdvisingResult.from_dict(future.result()["result"])
                 except Exception:
                     # Pool-level failure: the worker process died or the
                     # payload could not cross the boundary.
@@ -446,16 +434,48 @@ class AdvisingSession:
         return payloads
 
 
-def _pool_advise(config: dict, payload: dict, index: int) -> dict:
-    """Worker: rebuild the session from primitives and run one request."""
-    session = AdvisingSession(
+# ----------------------------------------------------------------------
+# Worker-process side
+# ----------------------------------------------------------------------
+#: Per-process session cache: a pool worker serves a whole batch, or a
+#: daemon's lifetime of jobs, and rebuilding the session (architecture
+#: model, optimizer set, cache handle) per request would throw its warm
+#: state away.
+_WORKER_SESSIONS: Dict[str, AdvisingSession] = {}
+
+
+def _session_from_primitives(config: dict) -> AdvisingSession:
+    """A fresh inline session for the six primitives of
+    :meth:`AdvisingSession._pool_config` (or ``ServiceConfig.primitives``)."""
+    return AdvisingSession(
         architecture=config["arch_flag"],
         optimizers=config["optimizer_names"],
         sample_period=config["sample_period"],
         cache=config["cache_dir"],
-        jobs=1,
-        simulation_scope=config.get("simulation_scope", "single_wave"),
-        memory_model=config.get("memory_model", "flat"),
+        simulation_scope=config["simulation_scope"],
+        memory_model=config["memory_model"],
     )
-    request = AdvisingRequest.from_dict(payload)
-    return session.advise(request, index=index).to_dict()
+
+
+def _worker_session(config: dict) -> AdvisingSession:
+    """This process's session for ``config``, built on first use."""
+    key = repr(sorted(config.items()))
+    session = _WORKER_SESSIONS.get(key)
+    if session is None:
+        session = _WORKER_SESSIONS[key] = _session_from_primitives(config)
+    return session
+
+
+def _advise_with_session(session: AdvisingSession, payload: dict, index: int) -> dict:
+    """Run one wire-form request on a session; report cache traffic deltas."""
+    cache = session.cache
+    hits, misses = (cache.hits, cache.misses) if cache is not None else (0, 0)
+    result = session.advise(AdvisingRequest.from_dict(payload), index=index)
+    if cache is not None:
+        hits, misses = cache.hits - hits, cache.misses - misses
+    return {"result": result.to_dict(), "cache_hits": hits, "cache_misses": misses}
+
+
+def _pool_advise(config: dict, payload: dict, index: int) -> dict:
+    """Pool worker: run one wire-form request on this process's session."""
+    return _advise_with_session(_worker_session(config), payload, index)

@@ -1,12 +1,12 @@
 """The staged advising pipeline.
 
 Advising is two stages — *profile* (simulate a kernel launch and collect
-PC samples) and *analyze* (blame, match, estimate).  This package makes
-the stages explicit so they can be cached, skipped, or fanned out
-independently:
+PC samples) and *analyze* (blame, match, estimate; that stage is
+:class:`~repro.advisor.dynamic_analyzer.DynamicAnalyzer`).  This package
+makes the profiling stage explicit so it can be cached or skipped:
 
-* :mod:`repro.pipeline.stages` — :class:`ProfileStage` and
-  :class:`AnalyzeStage`, the typed units every harness composes;
+* :mod:`repro.pipeline.stages` — :class:`ProfileStage`, the typed unit
+  every harness composes, and :func:`retarget`;
 * :mod:`repro.pipeline.cache` — an on-disk profile cache keyed by a digest
   of (binary, kernel, launch config, workload, architecture, sample
   period), so re-running a sweep skips simulation entirely;
@@ -19,18 +19,10 @@ pool.
 """
 
 from repro.pipeline.cache import ProfileCache, profile_cache_key
-from repro.pipeline.stages import (
-    AnalyzeRequest,
-    AnalyzeStage,
-    ProfileRequest,
-    ProfileStage,
-    retarget,
-)
+from repro.pipeline.stages import ProfileRequest, ProfileStage, retarget
 from repro.pipeline.runner import ProgressEvent
 
 __all__ = [
-    "AnalyzeRequest",
-    "AnalyzeStage",
     "ProfileCache",
     "ProfileRequest",
     "ProfileStage",

@@ -1,37 +1,36 @@
-"""The profile → analyze stage decomposition.
+"""The profiling stage of the advising pipeline.
 
-Advising is a two-stage pipeline; these classes make the stages
-explicit, typed units:
+Advising is two stages — *profile* (simulate a kernel launch and collect PC
+samples) and *analyze* (blame, match optimizers, estimate, rank).  The
+analysis stage is :class:`~repro.advisor.dynamic_analyzer.DynamicAnalyzer`
+itself; this module holds the profiling one:
 
 * :class:`ProfileStage` turns a :class:`ProfileRequest` (binary, kernel,
   launch config, workload) into a
   :class:`~repro.sampling.profiler.ProfiledKernel`, consulting an optional
   :class:`~repro.pipeline.cache.ProfileCache` first — a hit rebuilds the
   program structure from the binary and recomputes occupancy (both cheap
-  and deterministic) without invoking the simulator at all;
-* :class:`AnalyzeStage` turns an :class:`AnalyzeRequest` (profile +
-  structure) into an :class:`~repro.advisor.report.AdviceReport`.
+  and deterministic) without invoking the simulator at all.
 
-The stages carry no per-run state, so one instance can serve a whole sweep,
-and each stage can be run on its own (offline analysis of dumped profiles is
-just :class:`AnalyzeStage` without :class:`ProfileStage`).
+The stage carries no per-run state, so one instance can serve a whole sweep.
+Offline analysis of dumped profiles skips it: a ``profile``-source
+:class:`~repro.api.request.AdvisingRequest` or
+:meth:`AdvisingSession.analyze <repro.api.session.AdvisingSession.analyze>`
+goes straight to the analyzer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
-from repro.advisor.dynamic_analyzer import DynamicAnalyzer
-from repro.advisor.report import AdviceReport
 from repro.arch.machine import GpuArchitecture, get_architecture
 from repro.cubin.binary import Cubin
-from repro.optimizers.base import Optimizer
 from repro.pipeline.cache import ProfileCache, coerce_cache, profile_cache_key
 from repro.sampling.profiler import ProfiledKernel, Profiler
 from repro.sampling.sample import KernelProfile, LaunchConfig
 from repro.sampling.workload import WorkloadSpec
-from repro.structure.program import ProgramStructure, build_program_structure
+from repro.structure.program import build_program_structure
 
 
 @dataclass(frozen=True)
@@ -42,14 +41,6 @@ class ProfileRequest:
     kernel: str
     config: LaunchConfig
     workload: Optional[WorkloadSpec] = None
-
-
-@dataclass(frozen=True)
-class AnalyzeRequest:
-    """Typed input of :class:`AnalyzeStage`: a profile and its structure."""
-
-    profile: KernelProfile
-    structure: ProgramStructure
 
 
 def retarget(cubin: Cubin, arch_flag: str) -> Cubin:
@@ -167,23 +158,3 @@ class ProfileStage:
             simulation=None,
         )
 
-
-class AnalyzeStage:
-    """The analysis stage: blame, match optimizers, estimate, rank."""
-
-    name = "analyze"
-
-    def __init__(
-        self,
-        architecture: Optional[GpuArchitecture] = None,
-        optimizers: Optional[Iterable[Optimizer]] = None,
-        analyzer: Optional[DynamicAnalyzer] = None,
-    ):
-        self.analyzer = analyzer or DynamicAnalyzer(architecture, optimizers)
-
-    @property
-    def architecture(self) -> GpuArchitecture:
-        return self.analyzer.architecture
-
-    def run(self, request: AnalyzeRequest) -> AdviceReport:
-        return self.analyzer.analyze(request.profile, request.structure)

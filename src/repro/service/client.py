@@ -21,6 +21,7 @@ change — and the results are bit-identical.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -103,6 +104,16 @@ class ServiceClient:
             raise ServiceConnectionError(
                 f"cannot reach the advising service at {self.base_url}: "
                 f"{exc.reason}"
+            ) from exc
+        except (http.client.HTTPException, ConnectionError) as exc:
+            raise ServiceConnectionError(
+                f"the advising service at {self.base_url} dropped the "
+                f"connection: {exc!r}"
+            ) from exc
+        except TimeoutError as exc:
+            raise ServiceTimeoutError(
+                f"the advising service at {self.base_url} did not answer "
+                f"within {self.timeout}s"
             ) from exc
 
     @staticmethod
@@ -237,7 +248,14 @@ class ServiceClient:
         timeout: float = 600.0,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
     ) -> List[AdvisingResult]:
-        """Submit a batch atomically; results come back in submission order."""
+        """Submit a batch atomically; results come back in submission order.
+
+        An empty batch returns ``[]`` without a round trip, like
+        :meth:`AdvisingSession.advise_many
+        <repro.api.session.AdvisingSession.advise_many>`.
+        """
+        if not requests:
+            return []
         job_ids = self.submit_many(requests)
         results = []
         deadline = time.monotonic() + timeout
@@ -261,8 +279,11 @@ class ServiceClient:
         """Yield results in *completion* order (``result.index`` keeps the
         submission position) — the remote twin of
         :meth:`AdvisingSession.stream
-        <repro.api.session.AdvisingSession.stream>`.
+        <repro.api.session.AdvisingSession.stream>`.  An empty batch yields
+        nothing without a round trip.
         """
+        if not requests:
+            return
         outstanding = self.submit_many(requests)
         deadline = time.monotonic() + timeout
         while outstanding:

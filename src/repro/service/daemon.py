@@ -10,14 +10,16 @@ multiplexes any number of clients over them.  Where every one-shot
 again, the daemon pays once and keeps the worker processes, the warm profile
 cache and the benchmark registry alive across requests.
 
-Execution mirrors :meth:`AdvisingSession.stream
-<repro.api.session.AdvisingSession.stream>` exactly: requests cross into
-worker processes as their ``to_dict`` wire form, results cross back the
-same way, and a worker-side :class:`~repro.api.session.AdvisingSession`
-(rebuilt from primitives, cached per process) runs each one inline.
-Because that is the same engine, the same serialization and the same
-deterministic simulator, a daemon result's report is **bit-identical** to
-an inline ``AdvisingSession.advise`` report for the same request.
+Execution shares :meth:`AdvisingSession.stream
+<repro.api.session.AdvisingSession.stream>`'s pool worker: each job is
+submitted to :func:`repro.api.session._pool_advise` (bound here as
+``_service_advise``), which runs the wire-form request on the worker
+process's cached :class:`~repro.api.session.AdvisingSession`, built from the
+daemon's primitives.  Because that is the same worker, the same
+serialization and the same deterministic simulator, a daemon result's
+report is **bit-identical** to an inline ``AdvisingSession.advise`` report
+for the same request.  The daemon keeps its own ``ProcessPoolExecutor``
+because it outlives any one batch and replaces the pool when a worker dies.
 
 Failure handling mirrors the session's: advising failures are captured
 into the result (the job ends ``failed`` with the traceback), and a worker
@@ -44,8 +46,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.api.request import AdvisingRequest
 from repro.api.result import AdvisingResult
-from repro.api.schema import API_SCHEMA_VERSION, ApiError
-from repro.api.session import AdvisingSession, reported_knobs
+from repro.api.schema import API_SCHEMA_VERSION, ApiError, ApiValidationError
+from repro.api.session import (
+    AdvisingSession,
+    _advise_with_session,
+    _pool_advise as _service_advise,
+    _session_from_primitives,
+    _worker_session,
+    reported_knobs,
+)
 from repro.arch.machine import ArchitectureError, get_architecture
 from repro.sampling.memory import check_memory_model
 from repro.sampling.profiler import check_simulation_scope
@@ -94,6 +103,10 @@ class ServiceConfig:
             check_memory_model(self.memory_model)
         except ValueError as exc:
             raise ServiceValidationError(str(exc)) from exc
+        try:
+            AdvisingSession._resolve_optimizers(self.optimizer_names)
+        except ApiValidationError as exc:
+            raise ServiceValidationError(str(exc)) from exc
 
     def primitives(self) -> dict:
         """The worker-process payload (also ``/v1/healthz``'s config echo)."""
@@ -109,71 +122,10 @@ class ServiceConfig:
             ),
         }
 
-    def build_session(self) -> AdvisingSession:
-        """An inline session speaking exactly this configuration."""
-        return AdvisingSession(
-            architecture=self.arch_flag,
-            optimizers=self.optimizer_names,
-            sample_period=self.sample_period,
-            cache=self.cache_dir,
-            jobs=1,
-            simulation_scope=self.simulation_scope,
-            memory_model=self.memory_model,
-        )
-
 
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
-#: Per-process session cache: a daemon worker serves thousands of jobs, and
-#: rebuilding the session (architecture model, optimizer set, cache handle)
-#: per job would throw the daemon's whole warm-state advantage away.
-_WORKER_SESSIONS: Dict[str, AdvisingSession] = {}
-
-
-def _worker_session(config: dict) -> AdvisingSession:
-    key = repr(sorted(config.items(), key=lambda item: item[0]))
-    session = _WORKER_SESSIONS.get(key)
-    if session is None:
-        session = AdvisingSession(
-            architecture=config["arch_flag"],
-            optimizers=(
-                tuple(config["optimizer_names"])
-                if config["optimizer_names"] else None
-            ),
-            sample_period=config["sample_period"],
-            cache=config["cache_dir"],
-            jobs=1,
-            simulation_scope=config["simulation_scope"],
-            memory_model=config["memory_model"],
-        )
-        _WORKER_SESSIONS[key] = session
-    return session
-
-
-def _advise_with_session(session: AdvisingSession, payload: dict, index: int) -> dict:
-    """Run one wire-form request on a session; report cache traffic deltas."""
-    cache = session.cache
-    hits_before, misses_before = (
-        (cache.hits, cache.misses) if cache is not None else (0, 0)
-    )
-    result = session.advise(AdvisingRequest.from_dict(payload), index=index)
-    hits, misses = (
-        (cache.hits - hits_before, cache.misses - misses_before)
-        if cache is not None else (0, 0)
-    )
-    return {
-        "result": result.to_dict(),
-        "cache_hits": hits,
-        "cache_misses": misses,
-    }
-
-
-def _service_advise(config: dict, payload: dict, index: int) -> dict:
-    """Pool entry point: cached worker session + one advising job."""
-    return _advise_with_session(_worker_session(config), payload, index)
-
-
 def _warm_worker(config: dict) -> bool:
     """Pre-fork pool processes and pre-build their sessions at startup."""
     _worker_session(config)
@@ -216,6 +168,10 @@ class AdvisingDaemon:
         self._state_lock = threading.RLock()
         self._threads: List[threading.Thread] = []
         self._executor: Optional[ProcessPoolExecutor] = None
+        # Inline mode's and lint's session: built from the shared builder
+        # but owned by this daemon, never taken from the per-process worker
+        # cache (daemons with equal configs would share it, and its cache
+        # counters would mix their stats).
         self._session: Optional[AdvisingSession] = None
         self._session_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -272,7 +228,7 @@ class AdvisingDaemon:
             for future in warmups:
                 future.result()
         else:
-            self._session = self.config.build_session()
+            self._session = _session_from_primitives(self.config.primitives())
         for number in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop, name=f"gpa-service-worker-{number}",
@@ -525,7 +481,7 @@ class AdvisingDaemon:
                 )
         with self._session_lock:
             if self._session is None:
-                self._session = self.config.build_session()
+                self._session = _session_from_primitives(self.config.primitives())
             try:
                 return self._session.lint(request).to_dict()
             except ApiError:
@@ -650,6 +606,8 @@ class AdvisingDaemon:
         """One job through the pool (or inline when ``use_pool=False``)."""
         executor = self._executor
         if executor is not None:
+            # ``_service_advise`` is looked up at call time: traced
+            # benchmark runs replace this module's binding.
             future = executor.submit(
                 _service_advise, self.config.primitives(), payload, index
             )

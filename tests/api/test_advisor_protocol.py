@@ -83,6 +83,13 @@ class TestPolymorphicUse:
         remote = make_service().lint(request)
         assert remote.to_json() == inline.to_json()
 
+    def test_empty_batches_match_across_transports(self):
+        # The client points at nothing: an empty batch must not need a
+        # round trip (the daemon itself rejects an empty POST /v1/batch).
+        for advisor in (AdvisingSession(), ServiceClient("http://127.0.0.1:1")):
+            assert advisor.advise_many([]) == []
+            assert list(advisor.stream([])) == []
+
     def test_stream_matches_across_transports(self, make_service):
         requests = [
             request_for_case(CASE_ID, arch_flag="sm_70", sample_period=period)

@@ -284,6 +284,41 @@ class TestBatchModes:
         assert all(len(result.report.advice) == 3 for result in results)
 
 
+class TestPoolWorker:
+    def test_batch_and_daemon_configs_share_one_worker_session(self, monkeypatch):
+        from repro.service import ServiceConfig
+
+        monkeypatch.setattr(session_module, "_WORKER_SESSIONS", {})
+        knobs = {"sample_period": 4, "simulation_scope": "whole_gpu",
+                 "memory_model": "hierarchy"}
+        names = ["GPULoopUnrollingOptimizer", "GPUWarpBalanceOptimizer"]
+        batch = AdvisingSession(jobs=2, optimizers=names, **knobs)._pool_config()
+        served = ServiceConfig(optimizer_names=tuple(names), **knobs).primitives()
+        session = session_module._worker_session(batch)
+        assert session_module._worker_session(served) is session
+        assert session.sample_period == 4
+        assert [optimizer.name for optimizer in session.optimizers] == names
+
+    def test_pool_advise_builds_one_session_per_process(self, monkeypatch):
+        built = []
+        build = session_module._session_from_primitives
+
+        def counting_build(config):
+            built.append(config)
+            return build(config)
+
+        monkeypatch.setattr(session_module, "_WORKER_SESSIONS", {})
+        monkeypatch.setattr(session_module, "_session_from_primitives", counting_build)
+        config = AdvisingSession(sample_period=8, jobs=2)._pool_config()
+        payload = request_for_case("no/such:case").to_dict()
+        outcomes = [session_module._pool_advise(config, payload, index)
+                    for index in (0, 1)]
+        assert built == [config]
+        results = [AdvisingResult.from_dict(outcome["result"]) for outcome in outcomes]
+        assert [result.index for result in results] == [0, 1]
+        assert not any(result.ok for result in results)
+
+
 class TestJsonl:
     def test_dump_and_load_jsonl(self, session):
         results = session.advise_many([request_for_case(name) for name in SUBSET])

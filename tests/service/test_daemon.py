@@ -165,6 +165,52 @@ class TestValidation:
             ServiceConfig(simulation_scope="half_wave")
         with pytest.raises(ServiceValidationError):
             ServiceConfig(memory_model="quantum")
+        with pytest.raises(ServiceValidationError):
+            ServiceConfig(optimizer_names=("NoSuchOptimizer",))
+        with pytest.raises(ServiceValidationError):
+            ServiceConfig(optimizer_names=())
+
+
+class TestSharedWorker:
+    def test_inline_daemons_own_their_sessions(self, make_daemon):
+        """Equal configs, separate sessions: the per-process worker cache
+        would make two daemons serialize one session under two locks and
+        mix their cache stats."""
+        first, second = make_daemon(), make_daemon()
+        assert first.config == second.config
+        assert first._session is not None
+        assert first._session is not second._session
+
+    def test_pool_dispatch_looks_up_the_worker_at_call_time(self, make_daemon,
+                                                            monkeypatch):
+        from concurrent.futures import Future
+
+        from repro.service import daemon as daemon_module
+
+        class ImmediateExecutor:
+            """Runs each submission at once, in this process."""
+
+            def submit(self, function, *args):
+                future = Future()
+                future.set_result(function(*args))
+                return future
+
+        calls = []
+
+        def recording_worker(config, payload, index):
+            calls.append((config, payload, index))
+            return {"result": None, "cache_hits": 1, "cache_misses": 0}
+
+        monkeypatch.setattr(daemon_module, "_service_advise", recording_worker)
+        daemon = make_daemon(start=False)
+        daemon._executor = ImmediateExecutor()
+        payload = hotspot_request().to_dict()
+        try:
+            outcome = daemon._execute(payload, 3)
+        finally:
+            daemon._executor = None
+        assert calls == [(daemon.config.primitives(), payload, 3)]
+        assert outcome["cache_hits"] == 1
 
 
 class TestBackpressure:

@@ -1,6 +1,7 @@
 """The HTTP protocol and the client, over a real localhost socket."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -224,6 +225,37 @@ class TestFailureModes:
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(ServiceConnectionError):
             client.healthz()
+
+    def test_daemon_hanging_up_without_a_reply(self):
+        from repro.service import ServiceClient
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(10.0)
+
+            def hang_up():
+                connection, _ = listener.accept()
+                with connection:
+                    connection.recv(65536)  # read the request, answer nothing
+
+            thread = threading.Thread(target=hang_up, daemon=True)
+            thread.start()
+            port = listener.getsockname()[1]
+            client = ServiceClient(f"http://127.0.0.1:{port}", timeout=10.0)
+            with pytest.raises(ServiceConnectionError):
+                client.healthz()
+            thread.join(10.0)
+            assert not thread.is_alive()
+
+    def test_daemon_never_replying(self):
+        from repro.service import ServiceClient
+
+        # The kernel completes the handshake for the listening socket; no
+        # one ever accepts, so the request is read by nobody.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            client = ServiceClient(f"http://127.0.0.1:{port}", timeout=0.5)
+            with pytest.raises(ServiceTimeoutError):
+                client.healthz()
 
     def test_wait_timeout(self, make_service):
         daemon, _, client = make_service(start=False, workers=1)
