@@ -238,6 +238,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
+    from repro.arch.machine import architecture_flags
     from repro.sampling.memory import MEMORY_MODELS
     from repro.sampling.profiler import SIMULATION_SCOPES
 
@@ -264,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=MEMORY_MODELS, default=None, metavar="MODEL",
                       help="memory model axis (repeatable; default flat)")
     plan.add_argument("--arch", dest="arch_flag", default="sm_70",
+                      choices=architecture_flags(),
                       help="architecture model (default sm_70)")
     plan.add_argument("--sample-period", type=int, default=8)
     plan.add_argument("--out", default="fleet-plan.json", metavar="PATH",

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.arch.machine import ArchitectureError, get_architecture
 from repro.sampling.memory import check_memory_model
 from repro.sampling.profiler import check_simulation_scope
 
@@ -80,8 +81,10 @@ class SweepConfiguration:
             raise FleetError(
                 f"sample_period must be positive, got {self.sample_period}"
             )
-        if not self.arch_flag:
-            raise FleetError("arch_flag must be non-empty")
+        try:
+            get_architecture(self.arch_flag)
+        except ArchitectureError as exc:
+            raise FleetError(exc.args[0]) from exc
 
     @property
     def key(self) -> str:

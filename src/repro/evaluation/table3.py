@@ -271,6 +271,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         EXIT_OK,
     )
 
+    from repro.arch.machine import architecture_flags
     from repro.sampling.memory import MEMORY_MODELS
     from repro.sampling.profiler import SIMULATION_SCOPES
 
@@ -281,6 +282,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (default 1)")
     parser.add_argument("--arch", default="sm_70", dest="arch_flag",
+                        choices=architecture_flags(),
                         help="architecture model (default sm_70)")
     parser.add_argument("--sample-period", type=int, default=8)
     parser.add_argument("--scope", default="single_wave", choices=SIMULATION_SCOPES,

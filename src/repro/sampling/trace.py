@@ -21,7 +21,7 @@ Shared ops appear in many traces at once, so nothing may mutate a
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.arch.machine import GpuArchitecture
 from repro.isa.instruction import Instruction
@@ -81,8 +81,8 @@ class OpMeta:
     reason a dependent warp reports while waiting on it.  Deriving them
     through the instruction's ``cached_property`` chain costs an attribute
     dispatch per access per dynamic op; an :class:`OpMeta` resolves them
-    once per *static* instruction (memoized by object identity, since
-    instructions are immutable) into plain slots the hot loops read
+    once per *static* instruction (memoized on the instruction, see
+    :func:`instruction_meta`) into plain slots the hot loops read
     directly.
 
     ``wait_mask`` preserves the iteration order of the control code's
@@ -130,75 +130,38 @@ class OpMeta:
         return StallReason.EXECUTION_DEPENDENCY
 
 
-#: id(instruction) -> (instruction, OpMeta).  The instruction is pinned in
-#: the entry so a hit can verify identity (a recycled ``id`` after garbage
-#: collection must never alias another instruction's metadata).
-_META_CACHE: Dict[int, Tuple[Instruction, OpMeta]] = {}
-_META_CACHE_LIMIT = 1 << 20
-
-#: (id(architecture), opcode) -> (architecture, latency); identity-pinned
-#: like :data:`_META_CACHE`.
-_LATENCY_CACHE: Dict[Tuple[int, str], Tuple[object, int]] = {}
-_LATENCY_CACHE_LIMIT = 1 << 16
-
-
 def instruction_meta(instruction: Instruction) -> OpMeta:
-    """The packed metadata of ``instruction`` (memoized by identity)."""
-    key = id(instruction)
-    entry = _META_CACHE.get(key)
-    if entry is not None and entry[0] is instruction:
-        return entry[1]
-    meta = OpMeta(instruction)
-    if len(_META_CACHE) >= _META_CACHE_LIMIT:
-        _META_CACHE.clear()
-    _META_CACHE[key] = (instruction, meta)
+    """The packed metadata of ``instruction``, memoized on the instruction.
+
+    The memo lives in the instance ``__dict__`` beside the instruction's
+    ``cached_property`` facts (the same write ``cached_property`` makes on
+    this frozen class), so it is freed with the program that owns it.
+    """
+    facts = instruction.__dict__
+    meta = facts.get("_op_meta")
+    if meta is None:
+        meta = facts["_op_meta"] = OpMeta(instruction)
     return meta
 
 
 def cached_latency(architecture: GpuArchitecture, opcode: str) -> int:
-    """``architecture.latency(opcode)`` memoized per architecture object."""
-    key = (id(architecture), opcode)
-    entry = _LATENCY_CACHE.get(key)
-    if entry is not None and entry[0] is architecture:
-        return entry[1]
-    value = architecture.latency(opcode)
-    if len(_LATENCY_CACHE) >= _LATENCY_CACHE_LIMIT:
-        _LATENCY_CACHE.clear()
-    _LATENCY_CACHE[key] = (architecture, value)
-    return value
+    """``architecture.latency(opcode)``, memoized on the architecture object."""
+    latencies = architecture.__dict__.get("_opcode_latencies")
+    if latencies is None:
+        latencies = architecture.__dict__["_opcode_latencies"] = {}
+    latency = latencies.get(opcode)
+    if latency is None:
+        latency = latencies[opcode] = architecture.latency(opcode)
+    return latency
 
 
-#: Latency scale classes of :func:`_dynamic_latency` (packed per block).
+#: Latency scale classes of a variable-latency op (packed per block).
 _SCALE_NONE, _SCALE_MEMORY, _SCALE_CONSTANT, _SCALE_SHARED = range(4)
 
 #: Memory spaces that scale with :attr:`WorkloadSpec.memory_latency_scale`.
 _MEMORY_SCALED_SPACES = (
     MemorySpace.GLOBAL, MemorySpace.GENERIC, MemorySpace.LOCAL, MemorySpace.TEXTURE,
 )
-
-
-def _dynamic_latency(
-    instruction: Instruction,
-    architecture: GpuArchitecture,
-    workload: WorkloadSpec,
-    rng,
-    transactions: int,
-) -> int:
-    """Completion latency of a variable-latency instruction for this execution."""
-    base = cached_latency(architecture, instruction.opcode)
-    space = instruction.memory_space
-    jitter = rng.uniform(0.85, 1.25)
-    scale = 1.0
-    if space in _MEMORY_SCALED_SPACES:
-        scale = workload.memory_latency_scale
-        if transactions > 1:
-            # Uncoalesced accesses serialize transactions at the memory pipe.
-            scale *= 1.0 + 0.15 * (transactions - 1)
-    elif space is MemorySpace.CONSTANT:
-        scale = workload.constant_latency_scale
-    elif space is MemorySpace.SHARED:
-        scale = workload.shared_latency_scale
-    return max(1, int(base * scale * jitter))
 
 
 def _scale_kind(space: Optional[MemorySpace]) -> int:
@@ -211,14 +174,6 @@ def _scale_kind(space: Optional[MemorySpace]) -> int:
     return _SCALE_NONE
 
 
-#: id(block) -> (block, function, records): the (run, step) pairs the walk
-#: consumes.  Identity-pinned like :data:`_META_CACHE`; blocks live as long
-#: as the program structure they belong to, so the memo amortizes the
-#: per-instruction attribute dispatch across every warp of a launch.
-_BLOCK_CACHE: Dict[int, Tuple[object, str, list]] = {}
-_BLOCK_CACHE_LIMIT = 1 << 18
-
-
 def _block_records(block, function: str) -> list:
     """Packed walk records of one basic block of ``function``.
 
@@ -229,16 +184,18 @@ def _block_records(block, function: str) -> list:
     ``(instruction, needs_dynamic, is_memory, throttled, line, is_call,
     is_exit, scale_kind, opcode)``.  A final ``(run, None)`` closes a
     block that ends in a run.
+
+    The records are memoized on the block, so every warp of a launch
+    shares them and they are freed with the program structure.
     """
-    key = id(block)
-    entry = _BLOCK_CACHE.get(key)
-    if entry is not None and entry[0] is block and entry[1] == function:
-        return entry[2]
+    memo = block.__dict__.get("_walk_records")
+    if memo is not None and memo[0] == function:
+        return memo[1]
     records = []
     run: List[TraceOp] = []
     for instruction in block.instructions:
-        is_memory = instruction.is_memory
-        needs_dynamic = is_memory or instruction.info.is_variable_latency
+        meta = instruction_meta(instruction)
+        needs_dynamic = meta.is_memory or meta.is_variable_latency
         is_call = instruction.is_call
         is_exit = instruction.is_exit
         if not (needs_dynamic or is_call or is_exit):
@@ -247,20 +204,18 @@ def _block_records(block, function: str) -> list:
         records.append((tuple(run), (
             instruction,
             needs_dynamic,
-            is_memory,
-            is_memory and instruction.memory_space in THROTTLED_SPACES,
+            meta.is_memory,
+            meta.is_throttled_memory,
             instruction.line,
             is_call,
             is_exit,
             _scale_kind(instruction.memory_space),
-            instruction.opcode,
+            meta.opcode,
         )))
         run = []
     if run:
         records.append((tuple(run), None))
-    if len(_BLOCK_CACHE) >= _BLOCK_CACHE_LIMIT:
-        _BLOCK_CACHE.clear()
-    _BLOCK_CACHE[key] = (block, function, records)
+    block._walk_records = (function, records)
     return records
 
 
@@ -288,9 +243,8 @@ def generate_warp_trace(
         1.0, memory_scale, workload.constant_latency_scale,
         workload.shared_latency_scale,
     )
-    #: Per-call memos: line -> transactions / stride, and stride -> the
-    #: address-generation constants of :meth:`WorkloadSpec.address_for`
-    #: (request bytes, working set, partition, this warp's base).
+    #: Per-call memos: line -> transactions / stride, and stride -> this
+    #: warp's address layout (request bytes, working set, partition, base).
     line_transactions: Dict[Optional[int], int] = {}
     line_stride: Dict[Optional[int], int] = {}
     stride_layout: Dict[int, Tuple[int, int, int, int]] = {}
@@ -335,9 +289,11 @@ def generate_warp_trace(
                             transactions = workload.transactions(line)
                             line_transactions[line] = transactions
                         if throttled:
-                            # Address generation is a pure function of the
-                            # access count — it consumes no randomness, so
-                            # the flat model's traces stay bit-identical.
+                            # Each warp streams through its own partition of
+                            # the working set, wrapping at the end.  The
+                            # address is a pure function of the access
+                            # count — it consumes no randomness, so the flat
+                            # model's traces stay bit-identical.
                             stride = line_stride.get(line)
                             if stride is None:
                                 stride = workload.access_stride(
@@ -363,8 +319,9 @@ def generate_warp_trace(
                                 base + (memory_accesses * request_bytes) % partition
                             ) % working_set
                             memory_accesses += 1
-                    # Inline of :func:`_dynamic_latency` over the packed
-                    # record (identical arithmetic, identical rng draws).
+                    # Completion latency: the opcode's base latency times
+                    # its space's scale and a jitter draw; uncoalesced
+                    # accesses serialize transactions at the memory pipe.
                     jitter = uniform(0.85, 1.25)
                     scale = kind_scales[scale_kind]
                     if scale_kind == _SCALE_MEMORY and transactions > 1:

@@ -120,22 +120,6 @@ class WorkloadSpec:
             )
         return max(1, self.default_access_stride_bytes)
 
-    def address_for(self, warp_id: int, access_index: int, stride: int,
-                    num_warps: int, warp_size: int = 32) -> int:
-        """Deterministic base address of one warp's ``access_index``-th access.
-
-        Each warp streams through its own contiguous partition of the
-        working set (wrapping when it runs off the end), so a working set
-        smaller than a cache level yields reuse and a larger one streams —
-        without consuming any randomness, which keeps the flat model's
-        traces bit-identical.
-        """
-        request_bytes = max(1, warp_size * stride)
-        working_set = max(request_bytes, self.working_set_bytes)
-        partition = max(request_bytes, working_set // max(1, num_warps))
-        base = (warp_id * partition) % working_set
-        return (base + (access_index * request_bytes) % partition) % working_set
-
     def rng_for_warp(self, warp_id: int) -> random.Random:
         """A deterministic random stream for one warp."""
         return random.Random((self.seed * 1000003 + warp_id) & 0xFFFFFFFF)

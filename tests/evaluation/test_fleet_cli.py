@@ -106,6 +106,13 @@ class TestExitCodes:
                         str(tmp_path / "p.json")])
         assert excinfo.value.code == 2  # argparse usage
 
+    def test_unknown_arch_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        with pytest.raises(SystemExit) as excinfo:
+            fleet_main(["plan", "--arch", "sm_99", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert not out.exists()
+
     def test_unknown_case_is_infra(self, tmp_path, capsys):
         status = fleet_main(["plan", "--case", "rodinia/no-such:case",
                              "--out", str(tmp_path / "p.json")])
@@ -189,6 +196,14 @@ class TestTable3ExitCodes:
         monkeypatch.setattr(table3_module, "evaluate_table3", explodes)
         assert table3_module.main(["--limit", "1"]) == EXIT_INFRA
         assert "retry the run" in capsys.readouterr().err
+
+    def test_unknown_arch_is_a_usage_error(self, capsys):
+        from repro.evaluation import table3 as table3_module
+
+        with pytest.raises(SystemExit) as excinfo:
+            table3_module.main(["--arch", "sm_99"])
+        assert excinfo.value.code == 2
+        assert "sm_99" in capsys.readouterr().err
 
     def test_clean_sweep_exits_0(self, tmp_path, capsys):
         from repro.evaluation import table3 as table3_module

@@ -120,6 +120,14 @@ class TestWireForm:
         with pytest.raises(FleetError, match="plan id mismatch"):
             EvaluationPlan.from_dict(payload)
 
+    def test_unknown_arch_is_rejected_on_load(self):
+        payload = make_plan().to_dict()
+        payload["configurations"] = [
+            {**entry, "arch_flag": "sm_99"} for entry in payload["configurations"]
+        ]
+        with pytest.raises(FleetError, match="sm_99"):
+            EvaluationPlan.from_dict(payload)
+
     def test_wrong_kind_and_schema_are_rejected(self):
         payload = make_plan().to_dict()
         with pytest.raises(FleetError, match="fleet_plan"):
@@ -143,5 +151,7 @@ class TestBuildPlan:
     def test_bad_configuration_values(self):
         with pytest.raises(FleetError, match="sample_period"):
             SweepConfiguration(sample_period=0)
+        with pytest.raises(FleetError, match="unknown architecture flag 'sm_99'"):
+            SweepConfiguration(arch_flag="sm_99")
         with pytest.raises(Exception):
             SweepConfiguration(simulation_scope="half_wave")

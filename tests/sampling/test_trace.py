@@ -1,14 +1,24 @@
 """Tests for dynamic trace generation."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
+from repro.api.request import AdvisingRequest
+from repro.api.session import AdvisingSession
 from repro.arch.machine import VoltaV100
-from repro.sampling.trace import _block_records, generate_warp_trace
+from repro.sampling.trace import (
+    _block_records,
+    cached_latency,
+    generate_warp_trace,
+    instruction_meta,
+)
 from repro.sampling.workload import WorkloadSpec
 from repro.structure.program import build_program_structure
 from repro.workloads.apps import quicksilver
+from repro.workloads.registry import case_by_name
 from repro.workloads.rodinia import myocyte
 
 
@@ -126,3 +136,38 @@ def test_fetch_stalls_charged_when_footprint_exceeds_icache():
 def test_no_fetch_stalls_for_small_kernels(toy_structure):
     trace = trace_for(toy_structure, WorkloadSpec(loop_trip_counts={12: 4}))
     assert all(op.fetch_stall == 0 for op in trace)
+
+
+class TestMemosLiveOnTheirObjects:
+    """Trace memos are per object and die with the program they describe."""
+
+    @pytest.mark.parametrize("scope", ["single_wave", "whole_gpu"])
+    def test_a_finished_advise_leaves_nothing_pinned(self, scope):
+        setup = case_by_name("rodinia/nw:warp_balance").build_baseline()
+        instruction = weakref.ref(setup.cubin.function(setup.kernel).instructions[0])
+        request = AdvisingRequest.builder().binary(
+            setup.cubin, setup.kernel, setup.config, setup.workload
+        ).build()
+        result = AdvisingSession(simulation_scope=scope).advise(request)
+        assert result.ok, result.error
+        del setup, request, result
+        gc.collect()
+        assert instruction() is None
+
+    def test_instruction_meta_is_memoized_per_instruction(self, toy_structure):
+        instruction = toy_structure.function("toy_kernel").function.instructions[0]
+        assert instruction_meta(instruction) is instruction_meta(instruction)
+        twin = dataclasses.replace(instruction)
+        assert twin == instruction
+        assert instruction_meta(twin) is not instruction_meta(instruction)
+
+    def test_block_records_are_memoized_per_block(self, toy_structure):
+        block = toy_structure.function("toy_kernel").cfg.blocks[0]
+        assert _block_records(block, "toy_kernel") is _block_records(block, "toy_kernel")
+
+    def test_latency_overrides_never_share_a_latency(self):
+        slow = dataclasses.replace(VoltaV100, latency_overrides={"LDG": 999})
+        assert slow.latency("LDG") == 999 != VoltaV100.latency("LDG")
+        for _ in range(2):
+            assert cached_latency(VoltaV100, "LDG") == VoltaV100.latency("LDG")
+            assert cached_latency(slow, "LDG") == 999

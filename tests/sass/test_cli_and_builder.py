@@ -154,7 +154,7 @@ class TestSessionLintCarriesIngest:
         report = AdvisingSession().lint(request)
         assert report.ingest is not None
         golden = json.loads(
-            (Path("tests/sass/golden") / "dotprod_unknown__sm_80.json").read_text()
+            (Path(__file__).parent / "golden" / "dotprod_unknown__sm_80.json").read_text()
         )
         # Per-function ledgers agree with the lint_file golden; the
         # listing-level source_name differs (request label vs file name).
