@@ -111,12 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--top", type=int, default=5, help="number of optimizers to show")
     parser.add_argument("--sample-period", type=int, default=8,
                         help="PC sampling period in cycles")
-    parser.add_argument("--output", choices=OUTPUT_FORMATS, default=None,
+    parser.add_argument("--output", choices=OUTPUT_FORMATS, default="text",
                         help="output format: the ASCII Figure 8 report (text, "
                              "default), one JSON document (json), or one JSON "
                              "line per result as it completes (jsonl)")
-    parser.add_argument("--json", action="store_true",
-                        help="deprecated alias for --output json")
     return parser
 
 
@@ -822,11 +820,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _lint_main(list(argv[1:]))
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.json and args.output not in (None, "json"):
-        parser.error("--json conflicts with --output; use --output alone")
-    if args.output is None:
-        args.output = "json" if args.json else "text"
 
     if args.all and args.case:
         parser.error("--case cannot be combined with --all (pick one scope)")

@@ -242,8 +242,8 @@ class AdvisingRequest:
         :data:`FINGERPRINT_VERSION`, not the API schema version, so additive
         schema bumps do not invalidate held keys.  Raises
         :class:`~repro.api.schema.ApiSerializationError` for requests that
-        cannot be serialized (callable workload parameters) — such requests
-        can only run inline, where coalescing never applies.
+        cannot be serialized (a workload value JSON cannot express) — such
+        requests can only run inline, where coalescing never applies.
         """
         body = self._wire_body()
         for name in FINGERPRINT_EXCLUDED:
@@ -265,7 +265,7 @@ class AdvisingRequest:
         Carries the request's :meth:`fingerprint` so services receiving the
         payload can content-address it without re-deriving anything.  Raises
         :class:`~repro.api.schema.ApiSerializationError` when the request
-        embeds a workload with callable parameters — such requests can only
+        embeds a workload value JSON cannot express — such requests can only
         run inline.
         """
         body = self._wire_body()
@@ -297,15 +297,17 @@ class AdvisingRequest:
             cache_policy=payload.get("cache_policy", "default"),
             label=payload.get("label"),
         )
+        # Always digest, so a payload whose content cannot re-serialize fails
+        # here, where callers map errors to validation failures.
+        fingerprint = request.fingerprint()
         stated = payload.get("fingerprint")
-        if stated is not None and stated != request.fingerprint():
+        if stated is not None and stated != fingerprint:
             # Strict: a mis-stated fingerprint means the payload was edited
             # after digesting (or forged for a coalescing collision); reject
             # it rather than silently re-keying.
             raise ApiSchemaError(
                 f"advising_request fingerprint mismatch: payload states "
-                f"{stated!r} but its content digests to "
-                f"{request.fingerprint()!r}"
+                f"{stated!r} but its content digests to {fingerprint!r}"
             )
         return request
 

@@ -74,7 +74,7 @@ class ApiSchemaError(ApiError, ValueError):
 
 
 class ApiSerializationError(ApiError, ValueError):
-    """A value cannot be represented in the wire format (e.g. callables)."""
+    """A value cannot be represented in the wire format (e.g. a ``Fraction``)."""
 
 
 def envelope(kind: str, payload: dict) -> dict:

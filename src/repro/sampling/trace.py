@@ -360,7 +360,7 @@ def generate_warp_trace(
                 is_back_edge = terminator.target <= terminator.offset
                 if is_back_edge and target_block is not None:
                     header_instruction = cfg.instruction_at(terminator.target)
-                    trips = workload.trip_count(header_instruction.line, warp_id, num_warps)
+                    trips = workload.trip_count(header_instruction.line, warp_id)
                     taken = back_edge_taken.get(terminator.offset, 0)
                     if taken + 1 < trips:
                         back_edge_taken[terminator.offset] = taken + 1

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Set, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
-#: A trip count may be a plain integer or a callable of (warp_id, num_warps).
-TripCount = Union[int, Callable[[int, int], int]]
+#: A trip count is a plain integer, or a tuple of integers that gives warp
+#: ``w`` the count ``counts[w % len(counts)]``.
+TripCount = Union[int, Tuple[int, ...]]
 
 
 @dataclass
@@ -71,13 +72,14 @@ class WorkloadSpec:
     # ------------------------------------------------------------------
     # Queries used by the trace generator
     # ------------------------------------------------------------------
-    def trip_count(self, header_line: Optional[int], warp_id: int, num_warps: int) -> int:
-        """Trip count of the loop whose header maps to ``header_line``."""
+    def trip_count(self, header_line: Optional[int], warp_id: int) -> int:
+        """Trip count, for warp ``warp_id``, of the loop whose header maps to
+        ``header_line``."""
         value: TripCount = self.default_trip_count
         if header_line is not None and header_line in self.loop_trip_counts:
             value = self.loop_trip_counts[header_line]
-        if callable(value):
-            value = value(warp_id, num_warps)
+        if isinstance(value, tuple):
+            value = value[warp_id % len(value)]
         return max(0, int(value))
 
     def branch_probability(self, line: Optional[int]) -> float:
@@ -130,22 +132,20 @@ class WorkloadSpec:
     def to_dict(self) -> dict:
         """A JSON-friendly form (inverse: :meth:`from_dict`).
 
-        Callable trip counts describe behaviour, not data, and cannot cross
-        a serialization boundary; a spec holding one raises
-        :class:`~repro.api.schema.ApiSerializationError` — send such
-        workloads through the inline path (or a registry case id) instead.
+        A per-warp trip-count tuple is written as a list of ints.  Raises
+        :class:`ValueError` for an empty tuple, which gives no warp a count.
         """
-        from repro.api.schema import ApiSerializationError
-
         trip_counts = {}
         for line, value in self.loop_trip_counts.items():
-            if callable(value):
-                raise ApiSerializationError(
-                    f"workload {self.name!r} has a callable trip count for loop "
-                    f"line {line}; callable workload parameters cannot be "
-                    "serialized — use a registry case or the inline path"
-                )
-            trip_counts[str(line)] = int(value)
+            if isinstance(value, tuple):
+                if not value:
+                    raise ValueError(
+                        f"workload {self.name!r} has an empty trip-count tuple "
+                        f"for loop line {line}"
+                    )
+                trip_counts[str(line)] = [int(count) for count in value]
+            else:
+                trip_counts[str(line)] = int(value)
         return {
             "name": self.name,
             "loop_trip_counts": trip_counts,
@@ -172,7 +172,7 @@ class WorkloadSpec:
         return cls(
             name=payload.get("name", "default"),
             loop_trip_counts={
-                int(line): count
+                int(line): tuple(count) if isinstance(count, list) else count
                 for line, count in (payload.get("loop_trip_counts") or {}).items()
             },
             default_trip_count=payload.get("default_trip_count", 4),

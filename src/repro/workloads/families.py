@@ -11,7 +11,7 @@ trip counts, imbalance, def-use distances, launch shapes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 from repro.cubin.builder import CubinBuilder, KernelBuilder, imm, p, r
 from repro.sampling.sample import LaunchConfig
@@ -181,11 +181,9 @@ def build_load_use_loop_kernel(
     builder.add_function(k.build())
 
     effective_trip: TripCount
-    if callable(trip_count):
+    if isinstance(trip_count, tuple):
         if unroll_factor > 1:
-            def effective_trip(warp_id: int, num_warps: int, _inner=trip_count,
-                               _factor=unroll_factor) -> int:
-                return max(1, _inner(warp_id, num_warps) // _factor)
+            effective_trip = tuple(max(1, count // unroll_factor) for count in trip_count)
         else:
             effective_trip = trip_count
     else:
@@ -255,12 +253,10 @@ def build_barrier_imbalance_kernel(
     average = max(1, int(round(heavy_trip_count * heavy_warp_fraction
                                 + light_trip_count * (1.0 - heavy_warp_fraction))))
 
-    def trip(warp_id: int, num_warps: int) -> int:
-        if balanced:
-            return average
-        period = max(1, int(round(1.0 / max(heavy_warp_fraction, 1e-6))))
-        return heavy_trip_count if warp_id % period == 0 else light_trip_count
-
+    period = max(1, int(round(1.0 / max(heavy_warp_fraction, 1e-6))))
+    trip: TripCount = (
+        average if balanced else (heavy_trip_count,) + (light_trip_count,) * (period - 1)
+    )
     trip_counts = {LOOP_LINE + round_index * 10: trip for round_index in range(rounds)}
     workload = WorkloadSpec(name=module, loop_trip_counts=trip_counts, seed=seed)
     config = LaunchConfig(grid_blocks=grid_blocks, threads_per_block=threads_per_block)

@@ -74,11 +74,7 @@ def _build(balanced: bool = False, float_constant: bool = False) -> KernelSetup:
     store_result(k, 2, 12, 140)
     builder.add_function(k.build())
 
-    def trip(warp_id: int, num_warps: int) -> int:
-        if balanced:
-            return 10
-        return 16 if warp_id % 4 == 0 else 8
-
+    trip = 10 if balanced else (16, 8, 8, 8)
     workload = WorkloadSpec(
         name="rodinia/backprop",
         loop_trip_counts={_REDUCE_LINE: trip, _REDUCE_LINE + 10: trip},

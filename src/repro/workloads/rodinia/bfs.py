@@ -17,9 +17,8 @@ KERNEL = "Kernel"
 SOURCE = "bfs_kernel.cu"
 
 
-def _trip(warp_id: int, num_warps: int) -> int:
-    # Most warps visit very few neighbours; a small fraction visit many.
-    return 48 if warp_id % 16 == 0 else 3
+#: Most warps visit very few neighbours; one warp in sixteen visits many.
+_TRIPS = (48,) + (3,) * 15
 
 
 def _build(unroll_factor: int = 1) -> KernelSetup:
@@ -29,7 +28,7 @@ def _build(unroll_factor: int = 1) -> KernelSetup:
         SOURCE,
         grid_blocks=2048,
         threads_per_block=256,
-        trip_count=_trip,
+        trip_count=_TRIPS,
         gap_ops=0,
         unroll_factor=unroll_factor,
         loads_per_iteration=2,

@@ -97,7 +97,7 @@ class TestCli:
         assert "GPA advice report for kernel Fan2" in output
 
     def test_case_report_json(self, capsys):
-        assert cli_main(["--case", "rodinia/gaussian:thread_increase", "--json"]) == 0
+        assert cli_main(["--case", "rodinia/gaussian:thread_increase", "--output", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kernel"] == "Fan2"
 
@@ -106,9 +106,9 @@ class TestCli:
 
     def test_arch_flag_threads_through_to_the_report(self, capsys):
         case = "rodinia/gaussian:thread_increase"
-        assert cli_main(["--case", case, "--json", "--arch", "sm_70"]) == 0
+        assert cli_main(["--case", case, "--output", "json", "--arch", "sm_70"]) == 0
         volta = json.loads(capsys.readouterr().out)
-        assert cli_main(["--case", case, "--json", "--arch", "sm_75"]) == 0
+        assert cli_main(["--case", case, "--output", "json", "--arch", "sm_75"]) == 0
         turing = json.loads(capsys.readouterr().out)
         # Turing's halved warp slots change the launch statistics.
         assert volta["statistics"] != turing["statistics"]
@@ -127,7 +127,7 @@ class TestCli:
         cubin_path = tmp_path / "toy_module.json"
         assert (
             cli_main(
-                ["--profile", str(profile_path), "--cubin", str(cubin_path), "--json"]
+                ["--profile", str(profile_path), "--cubin", str(cubin_path), "--output", "json"]
             )
             == 0
         )
@@ -182,7 +182,7 @@ class TestCli:
         assert counters == [1, 2]
 
     def test_all_json_with_cache(self, tmp_path, capsys):
-        args = ["--all", "--limit", "2", "--cache-dir", str(tmp_path), "--json"]
+        args = ["--all", "--limit", "2", "--cache-dir", str(tmp_path), "--output", "json"]
         assert cli_main(args) == 0
         cold = json.loads(capsys.readouterr().out)
         assert cli_main(args) == 0

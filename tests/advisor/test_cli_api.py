@@ -37,13 +37,9 @@ class TestOutputFormats:
         assert all(line["kind"] == "advising_result" for line in lines)
         assert sorted(line["index"] for line in lines) == [0, 1, 2]
 
-    def test_json_flag_is_an_alias_for_output_json(self, capsys):
-        assert cli_main(["--case", CASE, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["kernel"] == "Fan2"
-
-    def test_json_flag_conflicts_with_other_output(self, capsys):
+    def test_removed_json_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["--case", CASE, "--json", "--output", "text"])
+            cli_main(["--case", CASE, "--json"])
         assert excinfo.value.code == 2
 
     def test_sweep_json_round_trips_through_result_objects(self, capsys):

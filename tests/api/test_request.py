@@ -8,7 +8,6 @@ from repro.api.request import AdvisingRequest, RequestBuilder, request_for_case
 from repro.api.schema import (
     API_SCHEMA_VERSION,
     ApiSchemaError,
-    ApiSerializationError,
     ApiValidationError,
 )
 from repro.sampling.sample import LaunchConfig
@@ -140,17 +139,6 @@ class TestSerialization:
         assert reloaded.config == toy_config
         assert reloaded.workload.loop_trip_counts == {12: 9}
         assert reloaded.cubin.function("toy_kernel").instructions
-
-    def test_callable_workload_cannot_serialize(self, toy_cubin, toy_config):
-        workload = WorkloadSpec(loop_trip_counts={12: lambda warp, n: warp % 7})
-        request = (
-            AdvisingRequest.builder()
-            .binary(toy_cubin, "toy_kernel", toy_config, workload)
-            .build()
-        )
-        assert not request.is_serializable()
-        with pytest.raises(ApiSerializationError):
-            request.to_dict()
 
     def test_simulation_scope_round_trips(self):
         request = (

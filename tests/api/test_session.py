@@ -20,6 +20,16 @@ def _dying_worker(config, payload, index):
     os._exit(1)
 
 
+def _fraction_request(cubin, config):
+    """A binary request whose workload holds a value JSON cannot express."""
+    from fractions import Fraction
+
+    from repro.sampling.workload import WorkloadSpec
+
+    workload = WorkloadSpec(loop_trip_counts={12: 4}, memory_latency_scale=Fraction(3, 2))
+    return AdvisingRequest.builder().binary(cubin, "toy_kernel", config, workload).build()
+
+
 class TestAdvise:
     def test_case_request(self, session):
         result = session.advise(request_for_case(SUBSET[0]))
@@ -193,6 +203,17 @@ class TestCachePolicies:
         session.report_for(request_for_case(SUBSET[0], cache_policy="refresh"))
         assert session.cache.stores == stores_before + 1
 
+    def test_unjsonable_workload_value_still_keys_the_cache(
+        self, tmp_path, toy_cubin, toy_config
+    ):
+        """The key digests such a value by its repr, so the advise succeeds
+        and its second run replays."""
+        session = AdvisingSession(sample_period=8, cache=str(tmp_path))
+        request = _fraction_request(toy_cubin, toy_config)
+        assert session.advise(request).ok
+        assert session.advise(request).ok
+        assert (session.cache.stores, session.cache.hits) == (1, 1)
+
 
 class TestBatchModes:
     def test_advise_many_preserves_order(self, session):
@@ -253,18 +274,27 @@ class TestBatchModes:
             assert start.total == finish.total == len(SUBSET)
 
     def test_unserializable_request_falls_back_inline(self, toy_cubin, toy_config):
-        from repro.sampling.workload import WorkloadSpec
-
-        workload = WorkloadSpec(loop_trip_counts={12: lambda warp, n: 4})
-        requests = [
-            AdvisingRequest.builder()
-            .binary(toy_cubin, "toy_kernel", toy_config, workload)
-            .build(),
-            request_for_case(SUBSET[0]),
-        ]
+        requests = [_fraction_request(toy_cubin, toy_config), request_for_case(SUBSET[0])]
         pooled = AdvisingSession(sample_period=8, jobs=2)
+        assert pooled._serialized(requests) is None
         results = pooled.advise_many(requests)
         assert all(result.ok for result in results)
+
+    def test_ad_hoc_imbalanced_case_runs_in_the_pool(self, session):
+        """Per-warp trip counts are data, so an ad-hoc nw clone crosses the
+        pool as a binary request and its report equals the inline one."""
+        import dataclasses
+
+        from repro.workloads.registry import case_by_name
+
+        clone = dataclasses.replace(case_by_name("rodinia/nw:warp_balance"), name="custom/nw")
+        request = request_for_case(clone)
+        assert request.source == "binary"
+        pooled = AdvisingSession(sample_period=8, jobs=2)
+        assert pooled._serialized([request]) is not None
+        results = pooled.advise_many([request, request_for_case(SUBSET[1])])
+        assert all(result.ok for result in results)
+        assert results[0].report.to_dict() == session.report_for(request).to_dict()
 
     def test_ampere_sweep_completes(self):
         ampere = AdvisingSession(architecture="sm_80", sample_period=8)

@@ -114,7 +114,7 @@ class TestMergedAggregates:
 
     def test_deterministic_across_runs(self, toy_structure):
         workload = WorkloadSpec(
-            loop_trip_counts={12: lambda warp, total: 20 if warp % 3 == 0 else 4}
+            loop_trip_counts={12: (20, 4, 4)}
         )
         first = run_whole_gpu(toy_structure, workload, CAPACITY + 5)
         second = run_whole_gpu(toy_structure, workload, CAPACITY + 5)
@@ -145,9 +145,8 @@ class TestMergedAggregates:
         # The first half of the grid runs 10x longer than the second half:
         # within a wave some SMs finish early, so the wave maximum exceeds
         # the fastest SM's cycles.
-        workload = WorkloadSpec(
-            loop_trip_counts={12: lambda warp, total: 30 if warp < total // 2 else 3}
-        )
+        half = CAPACITY * WARPS_PER_BLOCK
+        workload = WorkloadSpec(loop_trip_counts={12: (30,) * half + (3,) * half})
         result = run_whole_gpu(toy_structure, workload, 2 * CAPACITY)
         spread = [wave.cycles - wave.fastest_sm_cycles for wave in result.waves]
         assert any(delta > 0 for delta in spread)

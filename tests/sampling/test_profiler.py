@@ -95,10 +95,9 @@ class TestProfiler:
 
     def test_grid_position_dependent_workloads_profile_cleanly(self, toy_cubin):
         # Per-warp trip counts that depend on the grid position exercise the
-        # representative-block selection of the profiler.
-        workload = WorkloadSpec(
-            loop_trip_counts={12: lambda warp, total: 24 if warp < total // 2 else 2}
-        )
+        # representative-block selection of the profiler: the first half of
+        # the 1280 warps runs long, the second half short.
+        workload = WorkloadSpec(loop_trip_counts={12: (24,) * 640 + (2,) * 640})
         profiler = Profiler(VoltaV100, sample_period=8)
         result = profiler.profile(toy_cubin, "toy_kernel", LaunchConfig(320, 128), workload)
         assert result.profile.total_samples > 0

@@ -60,7 +60,7 @@ class TestSimulation:
 
     def test_synchronization_stalls_with_imbalanced_warps(self, core, toy_cubin):
         workload = WorkloadSpec(
-            loop_trip_counts={12: lambda warp, total: 20 if warp % 4 == 0 else 3}
+            loop_trip_counts={12: (20, 3, 3, 3)}
         )
         traces, blocks = build_traces(toy_cubin, "toy_kernel", workload, num_warps=8)
         result = core(VoltaV100, sample_period=2).simulate("toy_kernel", traces, blocks)
@@ -74,7 +74,7 @@ class TestSimulation:
         # Warps of the same block execute different numbers of barriers; the
         # simulator must still terminate (live-warp release rule).
         workload = WorkloadSpec(
-            loop_trip_counts={12: lambda warp, total: 6 if warp % 2 == 0 else 2}
+            loop_trip_counts={12: (6, 2)}
         )
         traces, blocks = build_traces(toy_cubin, "toy_kernel", workload, num_warps=4)
         result = core(VoltaV100, sample_period=4, max_cycles=200_000).simulate(
@@ -155,7 +155,7 @@ class TestObservationNeutrality:
 
     @pytest.mark.parametrize("workload", [
         WorkloadSpec(loop_trip_counts={12: 12}),
-        WorkloadSpec(loop_trip_counts={12: lambda w, t: 20 if w % 4 == 0 else 3}),
+        WorkloadSpec(loop_trip_counts={12: (20, 3, 3, 3)}),
         WorkloadSpec(loop_trip_counts={12: 10}, uncoalesced_lines={13},
                      uncoalesced_transactions=8),
     ], ids=["uniform", "imbalanced-barrier", "memory-throttle"])

@@ -127,6 +127,30 @@ class TestFailureModes:
             assert "error" in body
             assert "Traceback" not in json.dumps(body), payload
 
+    @pytest.mark.parametrize("trips", ["abc", []], ids=["text", "empty-list"])
+    def test_unfingerprinted_bad_trip_count_is_400(self, make_service, trips):
+        """A payload without a fingerprint is still digested on admission, so
+        a trip count that cannot re-serialize is a validation error, not a
+        500 from the job store."""
+        from repro.api.request import AdvisingRequest
+        from repro.workloads.registry import case_by_name
+
+        _, server, _ = make_service()
+        setup = case_by_name(CASE_ID).build_baseline()
+        payload = (
+            AdvisingRequest.builder()
+            .binary(setup.cubin, setup.kernel, setup.config, setup.workload)
+            .build()
+            .to_dict()
+        )
+        del payload["fingerprint"]
+        payload["workload"]["loop_trip_counts"] = {"200": trips}
+        for path, body in (("/v1/advise", {"request": payload}),
+                           ("/v1/batch", {"requests": [payload]})):
+            status, reply = raw_request(f"{server.url}{path}", "POST", json.dumps(body))
+            assert status == 400, (path, reply)
+            assert reply["error_kind"] == "validation", path
+
     def test_invalid_json_body_is_400(self, make_service):
         _, server, _ = make_service()
         status, body = raw_request(f"{server.url}/v1/advise", "POST", "{not json")

@@ -1,6 +1,7 @@
 """Tests for the benchmark-case registry and the synthetic kernels."""
 
 import dataclasses
+import json
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.api.request import request_for_case
 from repro.optimizers.registry import default_optimizers
+from repro.sampling.workload import WorkloadSpec
 from repro.workloads.registry import (
     all_cases,
     application_cases,
@@ -104,12 +106,22 @@ def test_baseline_and_optimized_setups_build(case):
         or baseline.workload.loop_trip_counts.keys() != optimized.workload.loop_trip_counts.keys()
         or baseline.workload.uncoalesced_lines != optimized.workload.uncoalesced_lines
         or any(
-            baseline.workload.trip_count(line, 0, 64) != optimized.workload.trip_count(line, 0, 64)
-            or baseline.workload.trip_count(line, 1, 64) != optimized.workload.trip_count(line, 1, 64)
+            baseline.workload.trip_count(line, 0) != optimized.workload.trip_count(line, 0)
+            or baseline.workload.trip_count(line, 1) != optimized.workload.trip_count(line, 1)
             for line in baseline.workload.loop_trip_counts
         )
     )
     assert differs, f"optimized variant of {case.case_id} is identical to the baseline"
+
+
+@pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.case_id)
+def test_workloads_round_trip_through_json(case):
+    """Every workload is plain data: it crosses the wire and comes back equal,
+    so ad-hoc copies of any case can run in a process pool or a daemon."""
+    for setup in (case.build_baseline(), case.build_optimized()):
+        dumped = setup.workload.to_dict()
+        assert WorkloadSpec.from_dict(json.loads(json.dumps(dumped))) == setup.workload
+        assert WorkloadSpec.from_dict(dumped).to_dict() == dumped
 
 
 @pytest.mark.parametrize("case", rodinia_cases()[:4], ids=lambda case: case.case_id)
