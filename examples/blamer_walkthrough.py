@@ -27,9 +27,10 @@ def main():
     session = AdvisingSession(sample_period=8)
     setup = btree.baseline()
     profiled = session.profile(
-        AdvisingRequest.builder()
-        .binary(setup.cubin, setup.kernel, setup.config, setup.workload)
-        .build()
+        AdvisingRequest(
+            source="binary", cubin=setup.cubin, kernel=setup.kernel,
+            config=setup.config, workload=setup.workload,
+        )
     )
     profile, structure = profiled.profile, profiled.structure
 

@@ -21,10 +21,9 @@ from repro.workloads.apps import exatensor
 
 
 def profile_and_report(session, setup, title):
-    request = (
-        AdvisingRequest.builder()
-        .binary(setup.cubin, setup.kernel, setup.config, setup.workload)
-        .build()
+    request = AdvisingRequest(
+        source="binary", cubin=setup.cubin, kernel=setup.kernel,
+        config=setup.config, workload=setup.workload,
     )
     profiled = session.profile(request)
     report = session.advise_profiled(profiled)

@@ -17,9 +17,10 @@ from repro.workloads.rodinia import gaussian
 def profile(session, setup):
     """Simulate one kernel setup (no analysis)."""
     return session.profile(
-        AdvisingRequest.builder()
-        .binary(setup.cubin, setup.kernel, setup.config, setup.workload)
-        .build()
+        AdvisingRequest(
+            source="binary", cubin=setup.cubin, kernel=setup.kernel,
+            config=setup.config, workload=setup.workload,
+        )
     )
 
 

@@ -54,15 +54,12 @@ def main():
     print()
 
     session = AdvisingSession(sample_period=8)
-    request = (
-        AdvisingRequest.builder()
-        .binary(
-            build_kernel(),
-            "saxpy_like",
-            LaunchConfig(grid_blocks=640, threads_per_block=128),
-            WorkloadSpec(loop_trip_counts={8: 16}),
-        )
-        .build()
+    request = AdvisingRequest(
+        source="binary",
+        cubin=build_kernel(),
+        kernel="saxpy_like",
+        config=LaunchConfig(grid_blocks=640, threads_per_block=128),
+        workload=WorkloadSpec(loop_trip_counts={8: 16}),
     )
     print(render_report(session.report_for(request), top=3))
 

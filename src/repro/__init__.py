@@ -33,17 +33,17 @@ The package is organised as the paper's Figure 2:
 
 Quickstart::
 
-    from repro import AdvisingRequest, AdvisingSession, render_report
+    from repro import AdvisingSession, render_report, request_for_case
 
     session = AdvisingSession(sample_period=8)
-    request = AdvisingRequest.builder().case("rodinia/hotspot:strength_reduction").build()
+    request = request_for_case("rodinia/hotspot:strength_reduction")
     print(render_report(session.report_for(request)))
 
 Batch sweeps (with caching and process parallelism) stream through the same
 session::
 
     session = AdvisingSession(jobs=4, cache=".gpa-cache")
-    requests = [AdvisingRequest.builder().case(name).build()
+    requests = [request_for_case(name)
                 for name in ("rodinia/bfs:loop_unrolling", "rodinia/nw:block_increase")]
     for result in session.stream(requests):   # typed results, completion order
         print(result.label, result.ok, f"{result.duration:.2f}s")
@@ -51,7 +51,7 @@ session::
 
 from repro.advisor.report import AdviceReport, render_report
 from repro.api.advisor import Advisor
-from repro.api.request import AdvisingRequest, RequestBuilder, request_for_case
+from repro.api.request import AdvisingRequest, request_for_case, request_for_listing
 from repro.api.result import AdvisingResult
 from repro.api.schema import API_SCHEMA_VERSION
 from repro.api.session import AdvisingSession
@@ -77,7 +77,7 @@ from repro.staticcheck.engine import StaticChecker
 from repro.staticcheck.report import StaticDiagnostic, StaticReport, render_static_report
 from repro.structure.program import ProgramStructure, build_program_structure
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "API_SCHEMA_VERSION",
@@ -113,7 +113,6 @@ __all__ = [
     "ProfiledKernel",
     "Profiler",
     "ProgramStructure",
-    "RequestBuilder",
     "ServiceClient",
     "ServiceConfig",
     "MEMORY_MODELS",
@@ -121,6 +120,7 @@ __all__ = [
     "SIMULATION_SCOPES",
     "profile_cache_key",
     "request_for_case",
+    "request_for_listing",
     "StallReason",
     "StaticChecker",
     "TokenBucket",

@@ -313,13 +313,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
                         help="SQLite job store: jobs and results survive "
                              "daemon restarts and are replayed byte-identically "
                              "(default: in-memory, lost on exit)")
-    parser.add_argument("--eviction-interval", type=float, default=None,
-                        metavar="SECONDS",
-                        help="also evict expired results on this fixed period "
-                             "(default: only when the store is accessed)")
-    parser.add_argument("--no-coalesce", action="store_true",
-                        help="disable request coalescing (identical concurrent "
-                             "submissions each run their own simulation)")
     parser.add_argument("--auth-token", action="append", default=[],
                         metavar="CLIENT=TOKEN", dest="auth_tokens",
                         help="require bearer-token auth; repeatable, one "
@@ -349,8 +342,6 @@ def _serve_main(argv: List[str], stop: Optional[threading.Event] = None) -> int:
         parser.error("--job-ttl must be positive")
     if args.sample_period <= 0:
         parser.error("--sample-period must be positive")
-    if args.eviction_interval is not None and args.eviction_interval <= 0:
-        parser.error("--eviction-interval must be positive")
     if args.rate_limit is not None and args.rate_limit <= 0:
         parser.error("--rate-limit must be positive")
     if args.rate_burst is not None and args.rate_burst < 1:
@@ -391,8 +382,6 @@ def _serve_main(argv: List[str], stop: Optional[threading.Event] = None) -> int:
             job_ttl=args.job_ttl,
             use_pool=not args.inline,
             store_path=args.store,
-            eviction_interval=args.eviction_interval,
-            coalesce=not args.no_coalesce,
         )
         # Bind the socket *before* forking the worker pool: a taken port
         # fails with a one-line message and nothing to tear down.

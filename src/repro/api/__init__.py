@@ -5,8 +5,10 @@ One declarative vocabulary for every way of running the advisor:
 * :class:`~repro.api.request.AdvisingRequest` — a validated description of
   one advising job (a registry case, an inline binary, or an offline
   profile), plus the knobs that change its outcome (architecture, sample
-  period, optimizer selection, cache policy).  Build one directly, or
-  fluently through :meth:`AdvisingRequest.builder`.
+  period, simulation scope, memory model, optimizer selection).  Build one
+  directly, from a benchmark case with
+  :func:`~repro.api.request.request_for_case`, or from raw disassembly
+  with :func:`~repro.api.request.request_for_listing`.
 * :class:`~repro.api.session.AdvisingSession` — owns the architecture, the
   optimizer set and the profile cache once, and executes requests inline
   (``advise``), as an ordered batch (``advise_many``) or as a stream of
@@ -42,14 +44,14 @@ __all__ = [
     "ApiSchemaError",
     "ApiSerializationError",
     "ApiValidationError",
-    "RequestBuilder",
     "request_for_case",
+    "request_for_listing",
 ]
 
 _LAZY = {
     "AdvisingRequest": ("repro.api.request", "AdvisingRequest"),
-    "RequestBuilder": ("repro.api.request", "RequestBuilder"),
     "request_for_case": ("repro.api.request", "request_for_case"),
+    "request_for_listing": ("repro.api.request", "request_for_listing"),
     "AdvisingResult": ("repro.api.result", "AdvisingResult"),
     "AdvisingSession": ("repro.api.session", "AdvisingSession"),
     "Advisor": ("repro.api.advisor", "Advisor"),

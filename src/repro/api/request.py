@@ -3,16 +3,16 @@
 An :class:`AdvisingRequest` describes one advising job completely and
 declaratively — *what* to analyze (a registry benchmark case, an inline
 binary + launch, or a previously dumped profile) and *how* (architecture,
-sample period, optimizer selection, cache policy) — without saying anything
-about execution.  The same request object drives every execution mode of
-:class:`~repro.api.session.AdvisingSession`: inline, ordered batch, and the
-process-pool stream, where requests cross the process boundary through
-:meth:`AdvisingRequest.to_dict`.
+sample period, simulation scope, memory model, optimizer selection) —
+without saying anything about execution.  The same request object drives
+every execution mode of :class:`~repro.api.session.AdvisingSession`: inline,
+ordered batch, and the process-pool stream, where requests cross the process
+boundary through :meth:`AdvisingRequest.to_dict`.
 
-Construct requests directly, through the fluent :class:`RequestBuilder`
-(``AdvisingRequest.builder().case("rodinia/hotspot:strength_reduction")
-.arch("sm_80").build()``), or from a benchmark case object with
-:func:`request_for_case`.
+Construct requests directly (``AdvisingRequest(source="case",
+case_id="rodinia/hotspot:strength_reduction", arch_flag="sm_80")``), from a
+benchmark case with :func:`request_for_case`, or from raw disassembly with
+:func:`request_for_listing`.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ from repro.sampling.workload import WorkloadSpec
 SOURCES = ("case", "binary", "profile")
 #: Benchmark-case variants (Table 3 pairs a baseline with a hand-tuned twin).
 VARIANTS = ("baseline", "optimized")
-#: Per-request cache behaviour: use the session cache as configured, skip it
-#: entirely, or drop the entry first so the launch is re-simulated (and the
-#: fresh profile stored).
-CACHE_POLICIES = ("default", "bypass", "refresh")
 
 #: Version of the request-fingerprint digest.  Bumped when the digest's
 #: inputs change shape; deliberately decoupled from
@@ -56,7 +52,9 @@ CACHE_POLICIES = ("default", "bypass", "refresh")
 #: 1. Initial digest (API schema 7).
 #: 2. The digested wire body no longer carries ``simulator_backend``
 #:    (API schema 8).
-FINGERPRINT_VERSION = 2
+#: 3. The digested wire body no longer carries a cache policy
+#:    (API schema 9).
+FINGERPRINT_VERSION = 3
 
 #: Request fields the fingerprint deliberately ignores: ``label`` is
 #: display-only — relabelling a request must not defeat coalescing.
@@ -98,7 +96,6 @@ class AdvisingRequest:
     simulation_scope: Optional[str] = None
     memory_model: Optional[str] = None
     optimizers: Optional[Tuple[str, ...]] = None
-    cache_policy: str = "default"
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -114,11 +111,6 @@ class AdvisingRequest:
         if self.variant not in VARIANTS:
             raise ApiValidationError(
                 f"unknown case variant {self.variant!r}; expected one of {VARIANTS}"
-            )
-        if self.cache_policy not in CACHE_POLICIES:
-            raise ApiValidationError(
-                f"unknown cache policy {self.cache_policy!r}; "
-                f"expected one of {CACHE_POLICIES}"
             )
         if self.source == "case":
             if not self.case_id:
@@ -200,10 +192,6 @@ class AdvisingRequest:
             return str(self.kernel)
         return f"{self.profile.kernel if self.profile else '?'}@profile"
 
-    @staticmethod
-    def builder() -> "RequestBuilder":
-        return RequestBuilder()
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -224,7 +212,6 @@ class AdvisingRequest:
             "simulation_scope": self.simulation_scope,
             "memory_model": self.memory_model,
             "optimizers": list(self.optimizers) if self.optimizers is not None else None,
-            "cache_policy": self.cache_policy,
             "label": self.label,
         }
 
@@ -235,7 +222,7 @@ class AdvisingRequest:
         job with the same knobs — the ``label`` is display-only and excluded.
         This is the key the advising service coalesces concurrent identical
         submissions under, and the idempotency key a client should attach to
-        retried submissions (see :meth:`RequestBuilder.idempotency_key`).
+        retried submissions.
 
         The digest covers the canonical wire form, so it is stable across
         processes and daemon restarts; it is salted with
@@ -294,7 +281,6 @@ class AdvisingRequest:
             simulation_scope=payload.get("simulation_scope"),
             memory_model=payload.get("memory_model"),
             optimizers=tuple(optimizers) if optimizers is not None else None,
-            cache_policy=payload.get("cache_policy", "default"),
             label=payload.get("label"),
         )
         # Always digest, so a payload whose content cannot re-serialize fails
@@ -311,174 +297,12 @@ class AdvisingRequest:
             )
         return request
 
-    def is_serializable(self) -> bool:
-        """Whether this request can cross a process/service boundary."""
-        try:
-            self.to_dict()
-        except ApiSerializationError:
-            return False
-        return True
-
-
-class RequestBuilder:
-    """Fluent construction of :class:`AdvisingRequest` objects.
-
-    Every method returns the builder, so requests read as one chain::
-
-        request = (AdvisingRequest.builder()
-                   .case("rodinia/hotspot:strength_reduction")
-                   .arch("sm_80")
-                   .sample_period(8)
-                   .bypass_cache()
-                   .build())
-
-    Validation happens in :meth:`build` (which simply constructs the
-    request, whose ``__post_init__`` validates).
-    """
-
-    def __init__(self) -> None:
-        self._fields: dict = {}
-
-    # -- sources -------------------------------------------------------
-    def case(self, case_id: str, variant: str = "baseline") -> "RequestBuilder":
-        self._set_source("case")
-        self._fields["case_id"] = case_id
-        self._fields["variant"] = variant
-        return self
-
-    def optimized(self) -> "RequestBuilder":
-        """Select the hand-optimized variant of the chosen case."""
-        self._fields["variant"] = "optimized"
-        return self
-
-    def binary(
-        self,
-        cubin: Cubin,
-        kernel: str,
-        config: LaunchConfig,
-        workload: Optional[WorkloadSpec] = None,
-    ) -> "RequestBuilder":
-        self._set_source("binary")
-        self._fields.update(cubin=cubin, kernel=kernel, config=config, workload=workload)
-        return self
-
-    def profile(self, profile: KernelProfile, cubin: Cubin) -> "RequestBuilder":
-        self._set_source("profile")
-        self._fields.update(profile=profile, cubin=cubin)
-        return self
-
-    def sass_listing(
-        self,
-        text: str,
-        kernel: Optional[str] = None,
-        config: Optional[LaunchConfig] = None,
-        workload: Optional[WorkloadSpec] = None,
-        source_name: str = "<sass>",
-        default_arch: str = "sm_70",
-    ) -> "RequestBuilder":
-        """Describe the job from raw ``nvdisasm``/``cuobjdump`` disassembly.
-
-        The listing is ingested through :mod:`repro.sass` into a ``binary``
-        source; ``kernel`` defaults to the listing's only function (ambiguous
-        listings must name one), ``config`` to a single 128-thread block —
-        enough for linting, while advising runs usually pass a real launch.
-        """
-        # Imported lazily: `import repro.api` must not pull the SASS frontend.
-        from repro.sass.frontend import ingest_listing
-
-        cubin, _ingest = ingest_listing(
-            text, source_name=source_name, default_arch=default_arch
-        )
-        if kernel is None:
-            if len(cubin.functions) != 1:
-                raise ApiValidationError(
-                    f"listing {source_name!r} defines "
-                    f"{sorted(cubin.functions)}; pass kernel= to pick one"
-                )
-            (kernel,) = cubin.functions
-        return self.binary(
-            cubin,
-            kernel,
-            config or LaunchConfig(grid_blocks=1, threads_per_block=128),
-            workload,
-        ).label(source_name)
-
-    # -- knobs ---------------------------------------------------------
-    def arch(self, arch_flag: str) -> "RequestBuilder":
-        self._fields["arch_flag"] = arch_flag
-        return self
-
-    def sample_period(self, period: int) -> "RequestBuilder":
-        self._fields["sample_period"] = period
-        return self
-
-    def simulation_scope(self, scope: str) -> "RequestBuilder":
-        self._fields["simulation_scope"] = scope
-        return self
-
-    def whole_gpu(self) -> "RequestBuilder":
-        """Simulate the full grid across every SM instead of extrapolating."""
-        return self.simulation_scope("whole_gpu")
-
-    def memory_model(self, model: str) -> "RequestBuilder":
-        self._fields["memory_model"] = model
-        return self
-
-    def memory_hierarchy(self) -> "RequestBuilder":
-        """Service memory through the detailed L1/L2/DRAM hierarchy model."""
-        return self.memory_model("hierarchy")
-
-    def optimizers(self, *names: str) -> "RequestBuilder":
-        self._fields["optimizers"] = tuple(names)
-        return self
-
-    def cache_policy(self, policy: str) -> "RequestBuilder":
-        self._fields["cache_policy"] = policy
-        return self
-
-    def bypass_cache(self) -> "RequestBuilder":
-        return self.cache_policy("bypass")
-
-    def refresh_cache(self) -> "RequestBuilder":
-        return self.cache_policy("refresh")
-
-    def label(self, label: str) -> "RequestBuilder":
-        self._fields["label"] = label
-        return self
-
-    # ------------------------------------------------------------------
-    def _set_source(self, source: str) -> None:
-        existing = self._fields.get("source")
-        if existing is not None and existing != source:
-            raise ApiValidationError(
-                f"request already has source {existing!r}; cannot also set {source!r}"
-            )
-        self._fields["source"] = source
-
-    def build(self) -> AdvisingRequest:
-        if "source" not in self._fields:
-            raise ApiValidationError(
-                "request needs a source: call .case(), .binary() or .profile()"
-            )
-        return AdvisingRequest(**self._fields)
-
-    def idempotency_key(self) -> str:
-        """The :meth:`AdvisingRequest.fingerprint` of the built request.
-
-        Two builders that describe the same work — regardless of
-        ``label`` — produce the same key, so callers can deduplicate
-        submissions before ever talking to a service.  Validates the
-        builder state exactly like :meth:`build`.
-        """
-        return self.build().fingerprint()
-
 
 def request_for_case(
     case_or_id,
     variant: str = "baseline",
     arch_flag: Optional[str] = None,
     sample_period: Optional[int] = None,
-    cache_policy: str = "default",
     optimizers: Optional[Tuple[str, ...]] = None,
     simulation_scope: Optional[str] = None,
     memory_model: Optional[str] = None,
@@ -494,29 +318,64 @@ def request_for_case(
     # `import repro.api` must not pay for.
     from repro.workloads.registry import is_registry_case
 
+    knobs = dict(
+        arch_flag=arch_flag, sample_period=sample_period,
+        simulation_scope=simulation_scope, memory_model=memory_model,
+        optimizers=optimizers,
+    )
     if isinstance(case_or_id, str):
         return AdvisingRequest(
             source="case", case_id=case_or_id, variant=variant,
-            arch_flag=arch_flag, sample_period=sample_period,
-            simulation_scope=simulation_scope, memory_model=memory_model,
-            cache_policy=cache_policy, optimizers=optimizers,
-            label=case_or_id,
+            label=case_or_id, **knobs,
         )
     case = case_or_id
     if is_registry_case(case):
         return AdvisingRequest(
             source="case", case_id=case.case_id, variant=variant,
-            arch_flag=arch_flag, sample_period=sample_period,
-            simulation_scope=simulation_scope, memory_model=memory_model,
-            cache_policy=cache_policy, optimizers=optimizers,
-            label=case.case_id,
+            label=case.case_id, **knobs,
         )
     setup = case.build_optimized() if variant == "optimized" else case.build_baseline()
     return AdvisingRequest(
         source="binary", cubin=setup.cubin, kernel=setup.kernel,
         config=setup.config, workload=setup.workload,
-        arch_flag=arch_flag, sample_period=sample_period,
-        simulation_scope=simulation_scope, memory_model=memory_model,
-        cache_policy=cache_policy, optimizers=optimizers,
-        label=case.case_id,
+        label=case.case_id, **knobs,
+    )
+
+
+def request_for_listing(
+    text: str,
+    kernel: Optional[str] = None,
+    config: Optional[LaunchConfig] = None,
+    workload: Optional[WorkloadSpec] = None,
+    source_name: str = "<sass>",
+    default_arch: str = "sm_70",
+) -> AdvisingRequest:
+    """The ``binary``-source request for raw ``nvdisasm``/``cuobjdump`` text.
+
+    The listing is ingested through :mod:`repro.sass`; ``kernel`` defaults
+    to the listing's only function (ambiguous listings must name one),
+    ``config`` to a single 128-thread block — enough for linting, while
+    advising runs usually pass a real launch.  The request is labelled
+    ``source_name``; use :func:`dataclasses.replace` to set further knobs.
+    """
+    # Imported lazily: `import repro.api` must not pull the SASS frontend.
+    from repro.sass.frontend import ingest_listing
+
+    cubin, _ingest = ingest_listing(
+        text, source_name=source_name, default_arch=default_arch
+    )
+    if kernel is None:
+        if len(cubin.functions) != 1:
+            raise ApiValidationError(
+                f"listing {source_name!r} defines "
+                f"{sorted(cubin.functions)}; pass kernel= to pick one"
+            )
+        (kernel,) = cubin.functions
+    return AdvisingRequest(
+        source="binary",
+        cubin=cubin,
+        kernel=kernel,
+        config=config or LaunchConfig(grid_blocks=1, threads_per_block=128),
+        workload=workload,
+        label=source_name,
     )

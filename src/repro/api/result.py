@@ -14,7 +14,7 @@ processes — and how a service daemon would move them between machines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from repro.advisor.report import AdviceReport
@@ -49,8 +49,9 @@ class AdvisingResult:
     index: int = 0
     #: Display label (the request's ``describe()`` unless overridden).
     label: str = ""
-    #: Architecture flag, sample period and simulation scope the job actually
-    #: ran with (the request's knobs with session defaults filled in).
+    #: Architecture flag, sample period, simulation scope and memory model
+    #: the job actually ran with (the request's knobs with session defaults
+    #: filled in; a profile-source request reports what its profile records).
     arch_flag: str = ""
     sample_period: int = 0
     simulation_scope: str = "single_wave"
@@ -58,7 +59,6 @@ class AdvisingResult:
     report: Optional[AdviceReport] = None
     error: Optional[str] = None
     duration: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -74,8 +74,6 @@ class AdvisingResult:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        from repro.api.schema import canonical_json
-
         return envelope(
             "advising_result",
             {
@@ -89,7 +87,6 @@ class AdvisingResult:
                 "report": self.report.to_dict() if self.report is not None else None,
                 "error": self.error,
                 "duration": self.duration,
-                "extra": canonical_json(self.extra, context="result extra"),
             },
         )
 
@@ -110,7 +107,6 @@ class AdvisingResult:
             report=AdviceReport.from_dict(report) if report is not None else None,
             error=payload.get("error"),
             duration=payload.get("duration", 0.0),
-            extra=payload.get("extra") or {},
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:

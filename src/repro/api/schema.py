@@ -58,7 +58,11 @@ from typing import Any
 #: 8. Requests no longer carry ``simulator_backend``: production always runs
 #:    the packed-array core, so there is no core to select.  Version-7
 #:    payloads are rejected by the envelope check like any other version.
-API_SCHEMA_VERSION = 8
+#: 9. Requests no longer carry a per-request cache policy and results no
+#:    longer carry a free-form extras dict: a cached profile replays
+#:    byte-identically to a fresh simulation, so the policy never changed
+#:    an answer, and nothing ever filled the dict.
+API_SCHEMA_VERSION = 9
 
 
 class ApiError(Exception):
@@ -66,7 +70,7 @@ class ApiError(Exception):
 
 
 class ApiValidationError(ApiError, ValueError):
-    """A request (or builder state) failed validation."""
+    """A request failed validation."""
 
 
 class ApiSchemaError(ApiError, ValueError):

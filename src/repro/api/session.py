@@ -59,16 +59,19 @@ def reported_knobs(request: AdvisingRequest, defaults) -> dict:
     ``memory_model`` attributes: a session, or a daemon's service config).
     """
     if request.source == "profile":
-        # Nothing is simulated: report the scope and memory model the
-        # loaded profile was actually collected with, not the defaults.
+        # Nothing is simulated: report the sample period, scope and memory
+        # model the loaded profile was actually collected with, not the
+        # defaults.
+        period = request.profile.statistics.sample_period
         scope = request.profile.statistics.simulation_scope
         memory_model = request.profile.statistics.memory_model
     else:
+        period = request.sample_period or defaults.sample_period
         scope = request.simulation_scope or defaults.simulation_scope
         memory_model = request.memory_model or defaults.memory_model
     return {
         "arch_flag": request.arch_flag or defaults.arch_flag,
-        "sample_period": request.sample_period or defaults.sample_period,
+        "sample_period": period,
         "simulation_scope": scope,
         "memory_model": memory_model,
     }
@@ -121,8 +124,8 @@ class AdvisingSession:
             simulation_scope=simulation_scope, memory_model=memory_model,
         )
         self.analyzer = DynamicAnalyzer(self.architecture, self.optimizers)
-        self._profile_stages: Dict[Tuple[int, bool, str, str], ProfileStage] = {
-            (sample_period, True, simulation_scope, memory_model): self.profile_stage,
+        self._profile_stages: Dict[Tuple[int, str, str], ProfileStage] = {
+            (sample_period, simulation_scope, memory_model): self.profile_stage,
         }
         self._analyzers: Dict[Tuple[str, Optional[Tuple[str, ...]]], DynamicAnalyzer] = {
             (self.arch_flag, None): self.analyzer,
@@ -169,14 +172,13 @@ class AdvisingSession:
         period = request.sample_period or self.sample_period
         scope = request.simulation_scope or self.simulation_scope
         memory_model = request.memory_model or self.memory_model
-        cached = request.cache_policy != "bypass"
-        key = (period, cached, scope, memory_model)
+        key = (period, scope, memory_model)
         stage = self._profile_stages.get(key)
         if stage is None:
             stage = ProfileStage(
                 architecture=self.architecture,
                 sample_period=period,
-                cache=self.cache if cached else None,
+                cache=self.cache,
                 simulation_scope=scope,
                 memory_model=memory_model,
             )
@@ -213,13 +215,9 @@ class AdvisingSession:
         cubin, kernel, config, workload = self._resolve_setup(request)
         if request.arch_flag is not None:
             cubin = retarget(cubin, request.arch_flag)
-        stage = self._profile_stage_for(request)
-        profile_request = ProfileRequest(
-            cubin=cubin, kernel=kernel, config=config, workload=workload
+        return self._profile_stage_for(request).run(
+            ProfileRequest(cubin=cubin, kernel=kernel, config=config, workload=workload)
         )
-        if request.cache_policy == "refresh" and stage.cache is not None:
-            stage.cache.invalidate(stage.cache_key(profile_request))
-        return stage.run(profile_request)
 
     def lint(
         self, request: AdvisingRequest, strict_architecture: bool = False
@@ -256,7 +254,7 @@ class AdvisingSession:
             config=config,
             workload=workload,
             case_id=case_id,
-            # Binaries ingested from real disassembly (``sass_listing()``
+            # Binaries ingested from real disassembly (``request_for_listing``
             # requests) carry their listings; reconstruct the coverage
             # ledger so session lints match ``lint_listing`` output.
             ingest=cubin_ingest_ledger(cubin),

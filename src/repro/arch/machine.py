@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.isa.opcodes import OPCODES, OpcodeInfo, lookup_opcode_tolerant
+from repro.isa.opcodes import OPCODES, lookup_opcode_tolerant
 
 
 class ArchitectureError(KeyError):
@@ -114,15 +114,6 @@ class GpuArchitecture:
     # ------------------------------------------------------------------
     # Latency queries (used by the pruning rules and the simulator)
     # ------------------------------------------------------------------
-    def opcode_info(self, opcode: str) -> OpcodeInfo:
-        """Metadata for ``opcode`` from the shared catalog.
-
-        Opcodes outside the catalog (instructions ingested from real
-        disassembly) resolve to conservative unknown-op metadata so latency
-        queries never raise mid-analysis.
-        """
-        return lookup_opcode_tolerant(opcode)
-
     def latency(self, opcode: str) -> int:
         """Typical completion latency of ``opcode`` on this architecture."""
         base = opcode.split(".", 1)[0]
@@ -151,10 +142,6 @@ class GpuArchitecture:
     def max_warps_per_scheduler(self) -> int:
         """Hardware limit of resident warps managed by one scheduler."""
         return self.max_warps_per_sm // self.schedulers_per_sm
-
-    @property
-    def max_threads_per_sm(self) -> int:
-        return self.max_warps_per_sm * self.warp_size
 
     def cycles_to_microseconds(self, cycles: float) -> float:
         """Convert a cycle count to microseconds at the core clock."""

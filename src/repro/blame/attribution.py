@@ -104,19 +104,6 @@ class BlameResult:
     def blamed_stalls(self, key: InstructionKey) -> float:
         return sum(self.blamed.get(key, {}).values())
 
-    def totals_by_detail(self) -> Dict[DetailedStallReason, float]:
-        totals: Dict[DetailedStallReason, float] = defaultdict(float)
-        for per_source in self.blamed.values():
-            for detail, count in per_source.items():
-                totals[detail] += count
-        return dict(totals)
-
-    def edges_for_detail(self, detail: DetailedStallReason) -> List[BlamedEdge]:
-        return [edge for edge in self.edges if edge.detail is detail]
-
-    def edges_for_reason(self, reason: StallReason) -> List[BlamedEdge]:
-        return [edge for edge in self.edges if edge.reason is reason]
-
     def top_sources(self, count: int = 10) -> List[Tuple[InstructionKey, float]]:
         ranked = sorted(
             ((key, self.blamed_stalls(key)) for key in self.blamed),

@@ -103,9 +103,6 @@ class DependencyGraph:
     def in_edges(self, key: InstructionKey) -> List[DependencyEdge]:
         return list(self._in_edges.get(key, []))
 
-    def out_edges(self, key: InstructionKey) -> List[DependencyEdge]:
-        return list(self._out_edges.get(key, []))
-
     def node(self, key: InstructionKey) -> DependencyNode:
         return self.nodes[key]
 

@@ -48,10 +48,6 @@ class BasicBlock:
         """Number of instructions in the block."""
         return len(self.instructions)
 
-    def contains_offset(self, offset: int) -> bool:
-        """Whether ``offset`` falls on an instruction of this block."""
-        return any(instruction.offset == offset for instruction in self.instructions)
-
     def lines(self) -> Tuple[int, ...]:
         """Distinct source lines mapped to instructions of the block."""
         seen = []

@@ -86,12 +86,6 @@ class ControlFlowGraph:
     # ------------------------------------------------------------------
     # Graph queries
     # ------------------------------------------------------------------
-    def successor_blocks(self, block: BasicBlock) -> List[BasicBlock]:
-        return [self.blocks[i] for i in self.successors.get(block.index, [])]
-
-    def predecessor_blocks(self, block: BasicBlock) -> List[BasicBlock]:
-        return [self.blocks[i] for i in self.predecessors.get(block.index, [])]
-
     def reverse_post_order(self) -> List[int]:
         """Block indices in reverse postorder from the entry block."""
         visited: Set[int] = set()

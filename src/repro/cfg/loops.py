@@ -38,10 +38,6 @@ class Loop:
     #: Byte offset of the first instruction of the header.
     header_offset: Optional[int] = None
 
-    @property
-    def depth_key(self) -> int:
-        return len(self.blocks)
-
     def contains_block(self, block_index: int) -> bool:
         return block_index in self.blocks
 

@@ -305,10 +305,6 @@ class Instruction:
         """Return a copy with a different control code."""
         return replace(self, control=control)
 
-    def with_offset(self, offset: int) -> "Instruction":
-        """Return a copy relocated to ``offset``."""
-        return replace(self, offset=offset)
-
     def render(self, with_control: bool = False) -> str:
         """Render the instruction as assembly text."""
         parts = []

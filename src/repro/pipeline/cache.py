@@ -22,7 +22,7 @@ that digests *everything the simulation depends on*:
 Changing any of these misses; repeating a run hits and skips the simulator.
 Writes go through a temporary file and :func:`os.replace` so concurrent
 worker processes never observe a torn entry, and every *mutation* (store,
-invalidate, clear) additionally holds a :class:`CacheLock` — an advisory
+clear) additionally holds a :class:`CacheLock` — an advisory
 ``flock`` on ``<dir>/.cache.lock`` — so one cache directory is safe to
 share between multiple daemons on a host, not just between the worker
 processes of one daemon.
@@ -218,19 +218,6 @@ class ProfileCache:
                 raise
             self.stores += 1
         return path
-
-    def invalidate(self, key: str) -> bool:
-        """Drop the entry for ``key`` (the API's ``refresh`` cache policy).
-
-        Returns whether an entry existed; racing with another process's
-        removal counts as "did not exist".
-        """
-        with self.lock:
-            try:
-                self.path_for(key).unlink()
-            except FileNotFoundError:
-                return False
-        return True
 
     def clear(self) -> int:
         """Delete every cached entry; returns the number removed.

@@ -103,12 +103,6 @@ class GpuSimulationResult:
         return len(self.waves)
 
     @property
-    def tail_blocks(self) -> int:
-        """Blocks dispatched in the final wave (== full capacity when the
-        grid divides evenly)."""
-        return self.waves[-1].blocks if self.waves else 0
-
-    @property
     def extrapolated_kernel_cycles(self) -> float:
         """What the single-wave scope would have estimated from wave 0."""
         if not self.waves:

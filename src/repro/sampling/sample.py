@@ -41,10 +41,6 @@ class PCSample:
     #: with ``is_active=False`` are latency samples (Figure 1).
     is_active: bool
 
-    @property
-    def is_latency(self) -> bool:
-        return not self.is_active
-
 
 @dataclass
 class InstructionSamples:
@@ -69,9 +65,6 @@ class InstructionSamples:
     @property
     def total_samples(self) -> int:
         return self.total_stalls + self.issue_samples
-
-    def stall_count(self, reason: StallReason) -> int:
-        return self.stalls.get(reason, 0)
 
     def add_stall(self, reason: StallReason, count: int = 1) -> None:
         self.stalls[reason] = self.stalls.get(reason, 0) + count

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.sampling.sample import LaunchConfig
 from repro.sampling.workload import WorkloadSpec
@@ -177,11 +177,3 @@ def lint_corpus_case(
         case_id=case.case_id,
         **checker_kwargs,
     )
-
-
-def lint_corpus(
-    directory: Optional[str] = None, **checker_kwargs
-) -> Iterable[Tuple[SassCorpusCase, StaticReport]]:
-    """Lint every corpus case in manifest order."""
-    for case in SASS_CORPUS:
-        yield case, lint_corpus_case(case, directory, **checker_kwargs)

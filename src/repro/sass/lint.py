@@ -3,8 +3,9 @@
 ``lint_listing`` wires the SASS frontend into the static checker: ingest the
 text, run :class:`~repro.staticcheck.engine.StaticChecker` over the lowered
 binary, and attach the ingest ledger to the report (the ``ingest`` field
-added in schema version 6).  This is what ``gpa-advise lint --sass`` and
-:meth:`repro.api.request.RequestBuilder.sass_listing` call.
+added in schema version 6).  This is what ``gpa-advise lint --sass``
+calls; :func:`repro.api.request.request_for_listing` ingests listings the
+same way for advising runs.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def cubin_ingest_ledger(cubin: Cubin) -> Optional[dict]:
     (:attr:`~repro.cubin.binary.Function.source_listing`); re-ingesting those
     stored lines reconstructs the per-function ledger so surfaces that only
     see the ``Cubin`` — :meth:`repro.api.session.AdvisingSession.lint` on a
-    request built with ``sass_listing()`` — still report coverage.  Returns
+    request built with ``request_for_listing()`` — still report coverage.  Returns
     ``None`` for binaries with no ingested functions (the in-repo builder
     path).  Best-effort: listing lines the original ingest could not decode
     at all are not stored, so the reconstructed ``total`` counts decoded

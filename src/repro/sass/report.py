@@ -89,12 +89,6 @@ class IngestReport:
     def coverage(self) -> float:
         return _coverage(self.decoded, self.total)
 
-    def function_ingest(self, name: str) -> FunctionIngest:
-        for entry in self.functions:
-            if entry.name == name:
-                return entry
-        raise KeyError(f"no ingest entry for function {name!r}")
-
     def to_dict(self) -> dict:
         """The JSON-shaped form carried by ``StaticReport.ingest``."""
         return {

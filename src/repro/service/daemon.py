@@ -146,24 +146,15 @@ class AdvisingDaemon:
         job_ttl: Optional[float] = 900.0,
         use_pool: bool = True,
         store_path: Optional[str] = None,
-        eviction_interval: Optional[float] = None,
-        coalesce: bool = True,
     ):
         if workers < 1:
             raise ServiceValidationError(f"workers must be >= 1, got {workers}")
-        if eviction_interval is not None and eviction_interval <= 0:
-            raise ServiceValidationError(
-                f"eviction_interval must be positive (or None), "
-                f"got {eviction_interval}"
-            )
         self.config = config if config is not None else ServiceConfig()
         self.workers = workers
         self.use_pool = use_pool
         self.queue = JobQueue(queue_capacity)
         self.store = JobRepository(store_path or ":memory:", ttl=job_ttl)
         self.store_path = store_path
-        self.eviction_interval = eviction_interval
-        self.coalesce = coalesce
         self._state = "new"
         self._state_lock = threading.RLock()
         self._threads: List[threading.Thread] = []
@@ -190,8 +181,6 @@ class AdvisingDaemon:
         self._fp_of: Dict[str, str] = {}
         self._coalesce_groups = 0
         self._recovered = 0
-        self._eviction_stop = threading.Event()
-        self._eviction_thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -236,23 +225,7 @@ class AdvisingDaemon:
             )
             thread.start()
             self._threads.append(thread)
-        if self.eviction_interval is not None and self.store.ttl is not None:
-            # Explicit, scheduled eviction: an idle daemon still sheds
-            # expired results instead of only cleaning when someone happens
-            # to talk to it.
-            self._eviction_thread = threading.Thread(
-                target=self._eviction_loop, name="gpa-service-evictor",
-                daemon=True,
-            )
-            self._eviction_thread.start()
         return self
-
-    def _eviction_loop(self) -> None:
-        while not self._eviction_stop.wait(self.eviction_interval):
-            try:
-                self.store.evict()
-            except Exception:  # pragma: no cover - store is closing/broken
-                return
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> dict:
         """Stop admissions, settle every admitted job, stop the workers.
@@ -297,10 +270,6 @@ class AdvisingDaemon:
         self.queue.close(len(threads))
         for thread in threads:
             thread.join(timeout)
-        self._eviction_stop.set()
-        if self._eviction_thread is not None:
-            self._eviction_thread.join(timeout)
-            self._eviction_thread = None
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -374,21 +343,14 @@ class AdvisingDaemon:
 
         A submission coalesces when an identical request (same
         :meth:`~repro.api.request.AdvisingRequest.fingerprint`, which
-        ignores ``label``) is already in flight *and* both sides use the
-        ``default`` cache policy — ``bypass``/``refresh`` submissions
-        explicitly demand their own run, so they never join or anchor a
-        group.  Followers are never enqueued: the primary's single
-        simulation fans its result out to them on completion.
+        ignores ``label``) is already in flight.  Followers are never
+        enqueued: the primary's single simulation fans its result out to
+        them on completion.
         """
-        if not self.coalesce:
-            return list(jobs), []
         primaries: List[Job] = []
         attachments: List[Tuple[str, str]] = []
         with self._coalesce_lock:
             for job, request in zip(jobs, requests):
-                if request.cache_policy != "default":
-                    primaries.append(job)
-                    continue
                 fingerprint = request.fingerprint()
                 primary_id = self._inflight_by_fp.get(fingerprint)
                 if primary_id is not None:
@@ -499,6 +461,9 @@ class AdvisingDaemon:
         }
 
     def stats(self) -> dict:
+        # A stats read is a store access, so it evicts first like every
+        # other: an idle daemon must not count expired jobs as stored.
+        self.store.evict()
         counts = self.store.counts
         with self._stats_lock:
             hits, misses = self._cache_hits, self._cache_misses
@@ -527,7 +492,6 @@ class AdvisingDaemon:
             "jobs_recovered": self._recovered,
             "jobs_stored": len(self.store),
             "coalescing": {
-                "enabled": self.coalesce,
                 "groups": groups,
                 "attached": counts.coalesced,
                 "in_flight_keys": inflight_keys,

@@ -106,15 +106,3 @@ class JobCounts:
     def served(self) -> int:
         """Jobs actually executed to a terminal state."""
         return self.done + self.failed
-
-    def as_dict(self) -> dict:
-        """The ``/v1/stats`` representation of these counters."""
-        return {
-            "submitted": self.submitted,
-            "done": self.done,
-            "failed": self.failed,
-            "aborted": self.aborted,
-            "evicted": self.evicted,
-            "coalesced": self.coalesced,
-            "served": self.served,
-        }

@@ -93,8 +93,8 @@ class JobRepository:
     ``path`` is a database file, or ``":memory:"`` for a store that lives
     and dies with this object.  ``ttl`` bounds how long a *terminal* job's
     result stays queryable (``None`` disables eviction); queued and running
-    jobs are never evicted.  Eviction is piggybacked on access plus an
-    explicit :meth:`evict` the daemon can schedule.
+    jobs are never evicted.  Eviction is piggybacked on every store access;
+    :meth:`evict` also runs it on demand.
     """
 
     def __init__(self, path: Union[str, Path], ttl: Optional[float] = 900.0,

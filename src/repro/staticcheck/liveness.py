@@ -112,9 +112,6 @@ class LivenessAnalysis:
     #: Unconditional register writes that are dead at their program point.
     dead_writes: List[DeadWrite] = field(default_factory=list)
 
-    def pressure_in(self, block_index: int) -> int:
-        return self.block_pressure.get(block_index, 0)
-
 
 def analyze_liveness(cfg: ControlFlowGraph) -> LivenessAnalysis:
     """Solve liveness over ``cfg`` and derive pressure and dead writes."""

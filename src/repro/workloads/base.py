@@ -60,13 +60,6 @@ class BenchmarkCase:
         slug = self.optimization.lower().replace(" ", "_")
         return f"{self.name}:{slug}"
 
-    @property
-    def paper_error(self) -> float:
-        """The paper's |estimated - achieved| / achieved."""
-        if self.paper_achieved_speedup <= 0:
-            return 0.0
-        return abs(self.paper_estimated_speedup - self.paper_achieved_speedup) / self.paper_achieved_speedup
-
     def build_baseline(self) -> KernelSetup:
         return self.baseline()
 

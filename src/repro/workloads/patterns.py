@@ -136,26 +136,6 @@ def integer_division(
     k.idiv(out_reg, numerator_reg, denominator_reg)
 
 
-def shared_reduction_round(
-    k: KernelBuilder,
-    shared_addr_reg: int,
-    acc_reg: int,
-    line: int,
-    sync_line: int,
-    work_ops: int = 2,
-    work_base_reg: int = 24,
-) -> None:
-    """One round of a shared-memory reduction: load, accumulate, work, barrier."""
-    k.at_line(line)
-    k.lds(acc_reg + 1, shared_addr_reg)
-    k.fadd(acc_reg, acc_reg, acc_reg + 1)
-    for index in range(work_ops):
-        register = work_base_reg + (index % 4)
-        k.ffma(register, register, register, register)
-    k.at_line(sync_line)
-    k.bar_sync()
-
-
 def store_result(k: KernelBuilder, addr_reg: int, value_reg: int, line: int) -> None:
     """Store the accumulated result back to global memory and exit."""
     k.at_line(line)

@@ -21,7 +21,8 @@ class TestStaticAnalyzer:
 
     def test_unknown_arch_flag_falls_back_to_default(self, toy_cubin):
         toy_cubin_copy = type(toy_cubin)(arch_flag="sm_123", functions=dict(toy_cubin.functions))
-        analysis = StaticAnalyzer().analyze(toy_cubin_copy)
+        with pytest.warns(UserWarning, match="unknown architecture flag"):
+            analysis = StaticAnalyzer().analyze(toy_cubin_copy)
         assert analysis.architecture.arch_flag == "sm_70"
 
 
@@ -56,10 +57,9 @@ class TestSessionAnalysis:
     def test_advise_equals_profile_plus_analyze(
         self, session, toy_cubin, toy_config, toy_workload
     ):
-        request = (
-            AdvisingRequest.builder()
-            .binary(toy_cubin, "toy_kernel", toy_config, toy_workload)
-            .build()
+        request = AdvisingRequest(
+            source="binary", cubin=toy_cubin, kernel="toy_kernel",
+            config=toy_config, workload=toy_workload,
         )
         report = session.report_for(request)
         assert report.kernel == "toy_kernel"

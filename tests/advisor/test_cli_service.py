@@ -169,3 +169,12 @@ class TestServeValidation:
             with pytest.raises(SystemExit) as excinfo:
                 cli.main(["serve", *flags])
             assert excinfo.value.code == 2, flags
+
+    def test_removed_serve_flags_exit_two(self, capsys):
+        # Coalescing is always on and eviction runs on every store access:
+        # neither changes an answer, so neither has a flag.
+        for flags in (["--no-coalesce"], ["--eviction-interval", "5"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(["serve", *flags])
+            assert excinfo.value.code == 2, flags
+            assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Request fingerprints: the content address coalescing and clients key on."""
 
+import dataclasses
+
 import pytest
 
 from repro.api.request import (
@@ -31,24 +33,19 @@ class TestFingerprint:
         assert hotspot(sample_period=16).fingerprint() != base
         assert hotspot(simulation_scope="whole_gpu").fingerprint() != base
         assert hotspot(memory_model="hierarchy").fingerprint() != base
-        assert hotspot(cache_policy="bypass").fingerprint() != base
+        assert hotspot(optimizers=("GPUFastMathOptimizer",)).fingerprint() != base
         other_arch = request_for_case(CASE_ID, arch_flag="sm_75")
         assert other_arch.fingerprint() != base
 
     def test_label_is_excluded(self):
         assert FINGERPRINT_EXCLUDED == ("label",)
-        labelled = (AdvisingRequest.builder().case(CASE_ID).arch("sm_70")
-                    .label("my run").build())
+        labelled = dataclasses.replace(hotspot(), label="my run")
         assert labelled.fingerprint() == hotspot().fingerprint()
 
     def test_versioned_salt(self):
         # The digest is salted with FINGERPRINT_VERSION, decoupled from the
         # API schema: a wire-format bump alone must not shift fingerprints.
-        assert FINGERPRINT_VERSION == 2
-
-    def test_builder_idempotency_key_matches(self):
-        builder = AdvisingRequest.builder().case(CASE_ID).sample_period(8)
-        assert builder.idempotency_key() == builder.build().fingerprint()
+        assert FINGERPRINT_VERSION == 3
 
 
 class TestWireForm:

@@ -38,12 +38,6 @@ class TestRequestKnob:
         with pytest.raises(ApiValidationError, match="unknown memory model"):
             AdvisingRequest(source="case", case_id=CASE, memory_model="banked")
 
-    def test_builder_sets_the_model(self):
-        request = (AdvisingRequest.builder().case(CASE).memory_hierarchy().build())
-        assert request.memory_model == "hierarchy"
-        request = (AdvisingRequest.builder().case(CASE).memory_model("flat").build())
-        assert request.memory_model == "flat"
-
     def test_request_wire_roundtrip_is_a_fixed_point(self):
         request = request_for_case(CASE, memory_model="hierarchy")
         payload = request.to_dict()

@@ -1,10 +1,11 @@
-"""Tests for AdvisingRequest: builder fluency, validation, serialization."""
+"""Tests for AdvisingRequest: construction, validation, serialization."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.api.request import AdvisingRequest, RequestBuilder, request_for_case
+from repro.api.request import AdvisingRequest, request_for_case
 from repro.api.schema import (
     API_SCHEMA_VERSION,
     ApiSchemaError,
@@ -14,48 +15,51 @@ from repro.sampling.sample import LaunchConfig
 from repro.sampling.workload import WorkloadSpec
 
 
-class TestBuilder:
-    def test_fluent_case_request(self):
-        request = (
-            AdvisingRequest.builder()
-            .case("rodinia/hotspot:strength_reduction")
-            .arch("sm_80")
-            .sample_period(16)
-            .optimizers("GPULoopUnrollingOptimizer")
-            .bypass_cache()
-            .label("hotspot@ampere")
-            .build()
+class TestConstruction:
+    def test_case_request(self):
+        request = AdvisingRequest(
+            source="case",
+            case_id="rodinia/hotspot:strength_reduction",
+            arch_flag="sm_80",
+            sample_period=16,
+            optimizers=("GPULoopUnrollingOptimizer",),
+            label="hotspot@ampere",
         )
         assert request.source == "case"
         assert request.case_id == "rodinia/hotspot:strength_reduction"
         assert request.arch_flag == "sm_80"
         assert request.sample_period == 16
         assert request.optimizers == ("GPULoopUnrollingOptimizer",)
-        assert request.cache_policy == "bypass"
         assert request.describe() == "hotspot@ampere"
 
     def test_optimized_variant(self):
-        request = AdvisingRequest.builder().case("a/b:c").optimized().build()
+        request = AdvisingRequest(source="case", case_id="a/b:c", variant="optimized")
         assert request.variant == "optimized"
         assert request.describe() == "a/b:c@optimized"
 
     def test_binary_request(self, toy_cubin, toy_config, toy_workload):
-        request = (
-            AdvisingRequest.builder()
-            .binary(toy_cubin, "toy_kernel", toy_config, toy_workload)
-            .build()
+        request = AdvisingRequest(
+            source="binary", cubin=toy_cubin, kernel="toy_kernel",
+            config=toy_config, workload=toy_workload,
         )
         assert request.source == "binary"
         assert request.describe() == "toy_kernel"
 
     def test_two_sources_conflict(self, toy_cubin, toy_config):
-        builder = RequestBuilder().case("a/b:c")
         with pytest.raises(ApiValidationError):
-            builder.binary(toy_cubin, "toy_kernel", toy_config)
+            AdvisingRequest(
+                source="case", case_id="a/b:c", cubin=toy_cubin,
+                kernel="toy_kernel", config=toy_config,
+            )
 
-    def test_build_without_source_is_rejected(self):
-        with pytest.raises(ApiValidationError):
-            RequestBuilder().arch("sm_70").build()
+    def test_fields_are_only_those_that_change_an_answer(self):
+        # Plus the display-only label.  Everything else a request could
+        # carry (how to cache, how to build it) is not part of the job.
+        assert [field.name for field in dataclasses.fields(AdvisingRequest)] == [
+            "source", "case_id", "variant", "cubin", "kernel", "config",
+            "workload", "profile", "arch_flag", "sample_period",
+            "simulation_scope", "memory_model", "optimizers", "label",
+        ]
 
 
 class TestValidation:
@@ -78,10 +82,6 @@ class TestValidation:
     def test_unknown_variant(self):
         with pytest.raises(ApiValidationError):
             AdvisingRequest(source="case", case_id="a/b:c", variant="fastest")
-
-    def test_unknown_cache_policy(self):
-        with pytest.raises(ApiValidationError):
-            AdvisingRequest(source="case", case_id="a/b:c", cache_policy="lru")
 
     def test_nonpositive_sample_period(self):
         with pytest.raises(ApiValidationError):
@@ -109,13 +109,9 @@ class TestValidation:
 
 class TestSerialization:
     def test_case_request_round_trip_is_fixed_point(self):
-        request = (
-            AdvisingRequest.builder()
-            .case("rodinia/bfs:loop_unrolling", variant="optimized")
-            .arch("sm_75")
-            .sample_period(4)
-            .refresh_cache()
-            .build()
+        request = AdvisingRequest(
+            source="case", case_id="rodinia/bfs:loop_unrolling",
+            variant="optimized", arch_flag="sm_75", sample_period=4,
         )
         dumped = request.to_dict()
         assert dumped["schema_version"] == API_SCHEMA_VERSION
@@ -127,10 +123,9 @@ class TestSerialization:
         workload = WorkloadSpec(
             name="toy", loop_trip_counts={12: 9}, uncoalesced_lines={13}
         )
-        request = (
-            AdvisingRequest.builder()
-            .binary(toy_cubin, "toy_kernel", toy_config, workload)
-            .build()
+        request = AdvisingRequest(
+            source="binary", cubin=toy_cubin, kernel="toy_kernel",
+            config=toy_config, workload=workload,
         )
         dumped = request.to_dict()
         reloaded = AdvisingRequest.from_dict(json.loads(json.dumps(dumped)))
@@ -141,11 +136,9 @@ class TestSerialization:
         assert reloaded.cubin.function("toy_kernel").instructions
 
     def test_simulation_scope_round_trips(self):
-        request = (
-            AdvisingRequest.builder()
-            .case("rodinia/heartwall:loop_unrolling")
-            .whole_gpu()
-            .build()
+        request = AdvisingRequest(
+            source="case", case_id="rodinia/heartwall:loop_unrolling",
+            simulation_scope="whole_gpu",
         )
         assert request.simulation_scope == "whole_gpu"
         dumped = request.to_dict()
@@ -155,19 +148,19 @@ class TestSerialization:
         assert reloaded.to_dict() == dumped
 
     def test_absent_simulation_scope_defaults_to_session(self):
-        payload = AdvisingRequest.builder().case("a/b:c").build().to_dict()
+        payload = AdvisingRequest(source="case", case_id="a/b:c").to_dict()
         assert payload["simulation_scope"] is None
         assert AdvisingRequest.from_dict(payload).simulation_scope is None
 
     def test_wrong_schema_version_is_rejected(self):
-        request = AdvisingRequest.builder().case("a/b:c").build()
+        request = AdvisingRequest(source="case", case_id="a/b:c")
         payload = request.to_dict()
         payload["schema_version"] = API_SCHEMA_VERSION + 1
         with pytest.raises(ApiSchemaError):
             AdvisingRequest.from_dict(payload)
 
     def test_wrong_kind_is_rejected(self):
-        payload = AdvisingRequest.builder().case("a/b:c").build().to_dict()
+        payload = AdvisingRequest(source="case", case_id="a/b:c").to_dict()
         payload["kind"] = "advising_result"
         with pytest.raises(ApiSchemaError):
             AdvisingRequest.from_dict(payload)

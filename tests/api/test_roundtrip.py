@@ -63,3 +63,11 @@ def test_result_round_trip_reproduces_equal_result(case_id, registry_results):
     # Same profile, sample for sample.
     assert twin.profile.to_dict() == original.profile.to_dict()
     assert twin.profile.stalls_by_reason() == original.profile.stalls_by_reason()
+
+
+def test_result_wire_form_is_the_answer_and_its_address():
+    dumped = AdvisingResult(request=request_for_case(case_names()[0])).to_dict()
+    assert set(dumped) - {"kind", "schema_version"} == {
+        "request", "index", "label", "arch_flag", "sample_period",
+        "simulation_scope", "memory_model", "report", "error", "duration",
+    }

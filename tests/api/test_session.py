@@ -10,7 +10,6 @@ from repro.api.request import AdvisingRequest, request_for_case
 from repro.api.result import AdvisingError, AdvisingResult, dump_jsonl, load_jsonl
 from repro.api.schema import ApiValidationError
 from repro.api.session import AdvisingSession
-from repro.pipeline.cache import ProfileCache
 
 SUBSET = ["rodinia/backprop:warp_balance", "rodinia/gaussian:thread_increase"]
 
@@ -27,7 +26,10 @@ def _fraction_request(cubin, config):
     from repro.sampling.workload import WorkloadSpec
 
     workload = WorkloadSpec(loop_trip_counts={12: 4}, memory_latency_scale=Fraction(3, 2))
-    return AdvisingRequest.builder().binary(cubin, "toy_kernel", config, workload).build()
+    return AdvisingRequest(
+        source="binary", cubin=cubin, kernel="toy_kernel", config=config,
+        workload=workload,
+    )
 
 
 class TestAdvise:
@@ -44,30 +46,26 @@ class TestAdvise:
         from repro.workloads.registry import case_by_name
 
         setup = case_by_name(SUBSET[0]).build_baseline()
-        request = (
-            AdvisingRequest.builder()
-            .binary(setup.cubin, setup.kernel, setup.config, setup.workload)
-            .build()
+        request = AdvisingRequest(
+            source="binary", cubin=setup.cubin, kernel=setup.kernel,
+            config=setup.config, workload=setup.workload,
         )
         by_binary = session.report_for(request)
         by_case = session.report_for(request_for_case(SUBSET[0]))
         assert by_binary.to_dict() == by_case.to_dict()
 
     def test_binary_request(self, session, toy_cubin, toy_config, toy_workload):
-        request = (
-            AdvisingRequest.builder()
-            .binary(toy_cubin, "toy_kernel", toy_config, toy_workload)
-            .build()
+        request = AdvisingRequest(
+            source="binary", cubin=toy_cubin, kernel="toy_kernel",
+            config=toy_config, workload=toy_workload,
         )
         result = session.advise(request)
         assert result.ok
         assert result.report.kernel == "toy_kernel"
 
     def test_profile_request_runs_analysis_only(self, session, toy_profiled, toy_cubin):
-        request = (
-            AdvisingRequest.builder()
-            .profile(toy_profiled.profile, toy_cubin)
-            .build()
+        request = AdvisingRequest(
+            source="profile", profile=toy_profiled.profile, cubin=toy_cubin
         )
         result = session.advise(request)
         assert result.ok
@@ -85,7 +83,9 @@ class TestAdvise:
             session.report_for(request_for_case("no/such:case"))
 
     def test_profile_source_cannot_be_profiled(self, session, toy_profiled, toy_cubin):
-        request = AdvisingRequest.builder().profile(toy_profiled.profile, toy_cubin).build()
+        request = AdvisingRequest(
+            source="profile", profile=toy_profiled.profile, cubin=toy_cubin
+        )
         with pytest.raises(ApiValidationError):
             session.profile(request)
 
@@ -95,11 +95,8 @@ class TestAdvise:
         assert volta.profile.statistics.to_dict() != turing.profile.statistics.to_dict()
 
     def test_optimizer_selection_narrows_the_report(self, session):
-        request = (
-            AdvisingRequest.builder()
-            .case(SUBSET[0])
-            .optimizers("GPUWarpBalanceOptimizer", "GPUFastMathOptimizer")
-            .build()
+        request = request_for_case(
+            SUBSET[0], optimizers=("GPUWarpBalanceOptimizer", "GPUFastMathOptimizer")
         )
         report = session.report_for(request)
         assert [item.optimizer for item in report.advice] in (
@@ -108,9 +105,7 @@ class TestAdvise:
         )
 
     def test_unknown_optimizer_is_captured(self, session):
-        request = (
-            AdvisingRequest.builder().case(SUBSET[0]).optimizers("NoSuchOptimizer").build()
-        )
+        request = request_for_case(SUBSET[0], optimizers=("NoSuchOptimizer",))
         result = session.advise(request)
         assert not result.ok
         assert "NoSuchOptimizer" in result.error
@@ -171,8 +166,8 @@ class TestSimulationScope:
         profiled = Profiler(sample_period=32, simulation_scope="whole_gpu").profile(
             toy_cubin, "toy_kernel", LaunchConfig(2, 64), toy_workload
         )
-        request = (
-            AdvisingRequest.builder().profile(profiled.profile, toy_cubin).build()
+        request = AdvisingRequest(
+            source="profile", profile=profiled.profile, cubin=toy_cubin
         )
         result = session.advise(request)  # session default is single_wave
         assert result.ok
@@ -180,9 +175,47 @@ class TestSimulationScope:
         # was actually collected with, not the session default.
         assert result.simulation_scope == "whole_gpu"
 
+    def test_profile_source_reports_the_profiles_sample_period(self):
+        profiled = AdvisingSession(sample_period=32).profile(
+            request_for_case("rodinia/hotspot:strength_reduction")
+        )
+        request = AdvisingRequest(
+            source="profile", profile=profiled.profile, cubin=profiled.cubin
+        )
+        result = AdvisingSession(sample_period=8).advise(request)
+        assert result.ok, result.error
+        assert result.report.profile.statistics.sample_period == 32
+        assert result.sample_period == 32
 
-class TestCachePolicies:
-    def test_default_policy_populates_and_replays(self, tmp_path):
+
+class TestProfileCache:
+    @pytest.mark.parametrize("scope", ["single_wave", "whole_gpu"])
+    @pytest.mark.parametrize("memory_model", ["flat", "hierarchy"])
+    def test_replay_is_byte_identical_to_a_fresh_simulation(
+        self, tmp_path, toy_cubin, toy_workload, scope, memory_model
+    ):
+        """Why no request setting chooses whether to use the cache: a
+        replayed profile gives the same report bytes as simulating."""
+        from repro.sampling.sample import LaunchConfig
+
+        request = AdvisingRequest(
+            source="binary", cubin=toy_cubin, kernel="toy_kernel",
+            config=LaunchConfig(2, 64), workload=toy_workload,
+            simulation_scope=scope, memory_model=memory_model,
+        )
+        fresh = AdvisingSession().report_for(request)
+        cold = AdvisingSession(cache=str(tmp_path)).report_for(request)
+        warm_session = AdvisingSession(cache=str(tmp_path))
+        warm = warm_session.report_for(request)
+        assert (warm_session.cache.hits, warm_session.cache.misses) == (1, 0)
+
+        def dump(report):
+            return json.dumps(report.to_dict(), sort_keys=True)
+
+        assert dump(cold) == dump(fresh)
+        assert dump(warm) == dump(fresh)
+
+    def test_cache_populates_and_replays(self, tmp_path):
         session = AdvisingSession(sample_period=8, cache=str(tmp_path))
         cold = session.report_for(request_for_case(SUBSET[0]))
         assert session.cache.stores > 0
@@ -190,18 +223,6 @@ class TestCachePolicies:
         warm = warm_session.report_for(request_for_case(SUBSET[0]))
         assert warm_session.cache.hits > 0
         assert cold.to_dict() == warm.to_dict()
-
-    def test_bypass_policy_never_touches_the_cache(self, tmp_path):
-        session = AdvisingSession(sample_period=8, cache=str(tmp_path))
-        session.report_for(request_for_case(SUBSET[0], cache_policy="bypass"))
-        assert len(ProfileCache(tmp_path)) == 0
-
-    def test_refresh_policy_resimulates_and_rewrites(self, tmp_path):
-        session = AdvisingSession(sample_period=8, cache=str(tmp_path))
-        session.report_for(request_for_case(SUBSET[0]))
-        stores_before = session.cache.stores
-        session.report_for(request_for_case(SUBSET[0], cache_policy="refresh"))
-        assert session.cache.stores == stores_before + 1
 
     def test_unjsonable_workload_value_still_keys_the_cache(
         self, tmp_path, toy_cubin, toy_config

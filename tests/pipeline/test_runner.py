@@ -25,8 +25,10 @@ def run_batch(inline, toy_profiled, toy_cubin):
     def request(name):
         if name == FAILING:
             return request_for_case(name)
-        builder = AdvisingRequest.builder().profile(toy_profiled.profile, toy_cubin)
-        return builder.label(name).build()
+        return AdvisingRequest(
+            source="profile", profile=toy_profiled.profile, cubin=toy_cubin,
+            label=name,
+        )
 
     def run(names):
         events = []

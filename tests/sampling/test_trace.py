@@ -145,9 +145,10 @@ class TestMemosLiveOnTheirObjects:
     def test_a_finished_advise_leaves_nothing_pinned(self, scope):
         setup = case_by_name("rodinia/nw:warp_balance").build_baseline()
         instruction = weakref.ref(setup.cubin.function(setup.kernel).instructions[0])
-        request = AdvisingRequest.builder().binary(
-            setup.cubin, setup.kernel, setup.config, setup.workload
-        ).build()
+        request = AdvisingRequest(
+            source="binary", cubin=setup.cubin, kernel=setup.kernel,
+            config=setup.config, workload=setup.workload,
+        )
         result = AdvisingSession(simulation_scope=scope).advise(request)
         assert result.ok, result.error
         del setup, request, result

@@ -1,8 +1,8 @@
-"""The CLI and RequestBuilder surfaces over the SASS frontend.
+"""The CLI and request surfaces over the SASS frontend.
 
 ``gpa-advise lint --sass`` / ``--sass-corpus`` and
-``AdvisingRequest.builder().sass_listing(...)`` are how users reach the
-frontend without importing :mod:`repro.sass` directly.
+``request_for_listing(...)`` are how users reach the frontend without
+importing :mod:`repro.sass` directly.
 """
 
 import json
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.advisor.cli import main as cli_main
-from repro.api.request import AdvisingRequest
+from repro.api.request import AdvisingRequest, request_for_listing
 from repro.api.schema import ApiValidationError
 from repro.sampling.sample import LaunchConfig
 from repro.sass.corpus import SASS_CORPUS, default_corpus_dir
@@ -87,13 +87,9 @@ class TestLintSassCorpusCli:
             cli_main(["lint", "--sass-corpus", "--output-dir", "x"])
 
 
-class TestSassListingBuilder:
-    def test_builder_ingests_a_listing_into_a_binary_request(self):
-        request = (
-            AdvisingRequest.builder()
-            .sass_listing(SAXPY.read_text(), source_name="saxpy.sass")
-            .build()
-        )
+class TestRequestForListing:
+    def test_ingests_a_listing_into_a_binary_request(self):
+        request = request_for_listing(SAXPY.read_text(), source_name="saxpy.sass")
         assert request.source == "binary"
         assert request.kernel == "_Z5saxpyifPKfPf"
         assert request.label == "saxpy.sass"
@@ -102,54 +98,38 @@ class TestSassListingBuilder:
 
     def test_explicit_kernel_and_config_win(self):
         config = LaunchConfig(grid_blocks=64, threads_per_block=256)
-        request = (
-            AdvisingRequest.builder()
-            .sass_listing(
-                SAXPY.read_text(), kernel="_Z5saxpyifPKfPf", config=config
-            )
-            .build()
+        request = request_for_listing(
+            SAXPY.read_text(), kernel="_Z5saxpyifPKfPf", config=config
         )
         assert request.config == config
 
     def test_unknown_default_arch_listing_uses_fallback(self):
         text = "MOV R0, RZ\nEXIT\n"
-        request = (
-            AdvisingRequest.builder()
-            .sass_listing(text, default_arch="sm_80")
-            .build()
-        )
+        request = request_for_listing(text, default_arch="sm_80")
         assert request.cubin.arch_flag == "sm_80"
 
     def test_request_round_trips_through_the_wire_form(self):
-        request = (
-            AdvisingRequest.builder()
-            .sass_listing(SAXPY.read_text(), source_name="saxpy.sass")
-            .build()
-        )
+        request = request_for_listing(SAXPY.read_text(), source_name="saxpy.sass")
         restored = AdvisingRequest.from_dict(request.to_dict())
         assert restored.kernel == request.kernel
         original = request.cubin.functions[request.kernel].instructions
         reloaded = restored.cubin.functions[request.kernel].instructions
         assert [i.opcode for i in reloaded] == [i.opcode for i in original]
 
-    def test_conflicting_source_raises(self):
-        builder = AdvisingRequest.builder().case("some/case:opt")
-        with pytest.raises(ApiValidationError):
-            builder.sass_listing("MOV R0, RZ\nEXIT\n")
+    def test_ambiguous_listing_needs_a_kernel(self):
+        text = SAXPY.read_text()
+        text += "\n" + text.replace("_Z5saxpyifPKfPf", "other")
+        with pytest.raises(ApiValidationError, match="pass kernel="):
+            request_for_listing(text)
+        assert request_for_listing(text, kernel="other").kernel == "other"
 
 class TestSessionLintCarriesIngest:
     def test_session_lint_reconstructs_the_ledger(self):
         from repro.api.session import AdvisingSession
 
         listing = Path(default_corpus_dir()) / "dotprod_unknown_sm80.sass"
-        request = (
-            AdvisingRequest.builder()
-            .sass_listing(
-                listing.read_text(),
-                source_name="dotprod.sass",
-                default_arch="sm_80",
-            )
-            .build()
+        request = request_for_listing(
+            listing.read_text(), source_name="dotprod.sass", default_arch="sm_80"
         )
         report = AdvisingSession().lint(request)
         assert report.ingest is not None
@@ -175,11 +155,7 @@ class TestSessionLintCarriesIngest:
         from repro.api.session import AdvisingSession
 
         listing = Path(default_corpus_dir()) / "dotprod_unknown_sm80.sass"
-        request = (
-            AdvisingRequest.builder()
-            .sass_listing(listing.read_text(), default_arch="sm_80")
-            .build()
-        )
+        request = request_for_listing(listing.read_text(), default_arch="sm_80")
         restored = AdvisingRequest.from_dict(request.to_dict())
         report = AdvisingSession().lint(restored)
         assert report.ingest is not None

@@ -6,10 +6,11 @@ test piles identical submissions into the queue, then the gate opens and
 the counters tell us exactly how many simulations actually ran.
 """
 
+import dataclasses
 import json
 import threading
 
-from repro.api.request import AdvisingRequest, request_for_case
+from repro.api.request import request_for_case
 
 from test_daemon import CASE_ID, GatedExecute, hotspot_request, wait_until
 
@@ -40,7 +41,7 @@ class TestCoalescing:
         assert stats["jobs_executed"] == 2
         assert stats["jobs_coalesced"] == 7
         assert stats["coalescing"] == {
-            "enabled": True, "groups": 1, "attached": 7, "in_flight_keys": 0,
+            "groups": 1, "attached": 7, "in_flight_keys": 0,
         }
 
         primary, followers = ids[0], ids[1:]
@@ -59,8 +60,7 @@ class TestCoalescing:
         assert wait_until(lambda: daemon.store.get(blocker).state == "running")
 
         def labelled(label):
-            return (AdvisingRequest.builder().case(CASE_ID).arch("sm_70")
-                    .sample_period(4).label(label).build())
+            return dataclasses.replace(hotspot_request(sample_period=4), label=label)
 
         primary_id = daemon.submit(labelled("first").to_dict())
         follower_id = daemon.submit(labelled("second").to_dict())
@@ -117,41 +117,6 @@ class TestCoalescing:
                    for job_id in ids]
         assert len(set(results)) == 1
 
-    def test_non_default_cache_policy_never_coalesces(self, make_daemon):
-        daemon = make_daemon(workers=1)
-        gated = GatedExecute()
-        daemon._execute = gated
-
-        blocker = daemon.submit(hotspot_request(sample_period=2).to_dict())
-        assert wait_until(lambda: daemon.store.get(blocker).state == "running")
-
-        ids = submit_identical(daemon, 3, sample_period=4, cache_policy="bypass")
-        gated.gate.set()
-        assert wait_until(
-            lambda: all(daemon.store.get(job_id).terminal for job_id in ids)
-        )
-        # blocker + three independent bypass runs
-        assert len(gated.calls) == 4
-        assert daemon.stats()["jobs_coalesced"] == 0
-
-    def test_coalesce_false_disables_dedup(self, make_daemon):
-        daemon = make_daemon(workers=1, coalesce=False)
-        gated = GatedExecute()
-        daemon._execute = gated
-
-        blocker = daemon.submit(hotspot_request(sample_period=2).to_dict())
-        assert wait_until(lambda: daemon.store.get(blocker).state == "running")
-
-        ids = submit_identical(daemon, 3, sample_period=4)
-        gated.gate.set()
-        assert wait_until(
-            lambda: all(daemon.store.get(job_id).terminal for job_id in ids)
-        )
-        assert len(gated.calls) == 4
-        stats = daemon.stats()
-        assert stats["jobs_coalesced"] == 0
-        assert stats["coalescing"]["enabled"] is False
-
     def test_settled_jobs_do_not_anchor_new_groups(self, make_daemon):
         """Coalescing is about *in-flight* work, not the result cache."""
         daemon = make_daemon(workers=1)
@@ -207,8 +172,3 @@ class TestCoalescingOverHTTP:
         # Every coalesced job serves a result addressed to itself.
         results = {view.job_id: view.result for view in views}
         assert all(results[job_id] is not None for job_id in ids)
-
-
-def test_fingerprint_matches_idempotency_key():
-    builder = AdvisingRequest.builder().case(CASE_ID).sample_period(8)
-    assert builder.idempotency_key() == builder.build().fingerprint()

@@ -114,6 +114,19 @@ class TestRoundTrip:
         assert stats["queue_depth"] == 0
         assert stats["cache"] is None  # no cache configured
 
+    def test_stats_evict_expired_jobs_before_counting(self, make_daemon):
+        daemon = make_daemon(job_ttl=60.0)
+        daemon._execute = GatedExecute()
+        daemon._execute.gate.set()
+        now = [time.time()]
+        daemon.store._clock = lambda: now[0]
+        job_id = daemon.submit(hotspot_request().to_dict())
+        assert wait_until(lambda: daemon.store.get(job_id).terminal)
+        assert daemon.stats()["jobs_stored"] == 1
+        now[0] += 61.0
+        stats = daemon.stats()
+        assert (stats["jobs_stored"], stats["jobs_evicted"]) == (0, 1)
+
     def test_healthz_echoes_config(self, make_daemon):
         config = ServiceConfig(arch_flag="sm_80", sample_period=16)
         daemon = make_daemon(config)
@@ -272,7 +285,9 @@ class TestWorkerCrash:
         profiled = Profiler(
             sample_period=32, simulation_scope="whole_gpu", memory_model="hierarchy"
         ).profile(toy_cubin, "toy_kernel", LaunchConfig(2, 64), toy_workload)
-        request = AdvisingRequest.builder().profile(profiled.profile, toy_cubin).build()
+        request = AdvisingRequest(
+            source="profile", profile=profiled.profile, cubin=toy_cubin
+        )
         succeeded = AdvisingSession().advise(request)
         assert succeeded.ok
         assert (succeeded.simulation_scope, succeeded.memory_model) == (

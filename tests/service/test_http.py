@@ -137,12 +137,10 @@ class TestFailureModes:
 
         _, server, _ = make_service()
         setup = case_by_name(CASE_ID).build_baseline()
-        payload = (
-            AdvisingRequest.builder()
-            .binary(setup.cubin, setup.kernel, setup.config, setup.workload)
-            .build()
-            .to_dict()
-        )
+        payload = AdvisingRequest(
+            source="binary", cubin=setup.cubin, kernel=setup.kernel,
+            config=setup.config, workload=setup.workload,
+        ).to_dict()
         del payload["fingerprint"]
         payload["workload"]["loop_trip_counts"] = {"200": trips}
         for path, body in (("/v1/advise", {"request": payload}),
