@@ -9,8 +9,9 @@ accidental slow-down of the simulator cannot land silently::
     PYTHONPATH=src python benchmarks/check_simulator_regression.py fresh.json
 
 Both files hold a list of pinned **measurement blocks** (one per simulator
-configuration — the flat single-wave path and the whole-GPU + hierarchy
-path, both on the production ``vector`` core), and the gate is applied
+configuration — the flat single-wave path, the whole-GPU + hierarchy path
+and the single-wave + hierarchy path over MSHR-bound cases, all on the
+production ``vector`` core), and the gate is applied
 *block for block*: every reference block must have a fresh twin that
 measured the identical workload (same case list, simulation scope, memory
 model, sample period **and** simulator backend label), and every twin must

@@ -1,8 +1,9 @@
 """Simulator throughput smoke benchmark.
 
-Profiles a small subset of the :mod:`bench_pipeline_batch` cases (baseline
-and hand-optimized variants, sequential, no cache) and reports simulator
-throughput as *simulated cycles per wall second*: the cycles the simulator
+Profiles a small subset of the :mod:`bench_pipeline_batch` cases and two
+MSHR-bound registry cases (baseline and hand-optimized variants,
+sequential, no cache) and reports simulator throughput as *simulated
+cycles per wall second*: the cycles the simulator
 actually walked (``wave_cycles`` for the single-wave scope, the sum of
 every SM's cycles across every wave for the whole-GPU scope) divided by the
 time spent inside :meth:`AdvisingSession.profile`.
@@ -14,7 +15,12 @@ configuration the regression gate watches:
   every CI run and most users exercise;
 * ``whole_gpu`` + ``hierarchy`` over 1 case — the expensive path (full-grid
   dispatch through the L1/L2/DRAM model), so a slow-down that only affects
-  the detailed engines cannot land silently.
+  the detailed engines cannot land silently;
+* ``single_wave`` + ``hierarchy`` over the two cases whose launches are
+  bound by L1 MSHRs (``Minimod:code_reorder`` and
+  ``ExaTENSOR:memory_transaction_reduction``) — it measures how throttled
+  warps wake up: a core that rechecks a throttled warp every cycle, or at
+  every MSHR retirement, runs it at about half the rate.
 
 Every block runs on the production (packed-array) core and records
 ``"simulator_backend": "vector"``, so its identity stays comparable with
@@ -60,12 +66,15 @@ from repro.sampling.profiler import SIMULATION_SCOPES
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 #: The bench_pipeline_batch subset the smoke run profiles.
 SMOKE_CASES = CASES[:3]
-#: The pinned configurations (scope, memory model, case count).  The
+#: The pinned configurations (scope, memory model, case ids).  The
 #: whole-GPU + hierarchy block walks ~70x more simulated cycles per case, so
-#: it pins one case.
+#: it pins one case.  The single-wave + hierarchy block pins the two
+#: MSHR-bound cases.
 SMOKE_SUITE = (
-    ("single_wave", "flat", 3),
-    ("whole_gpu", "hierarchy", 1),
+    ("single_wave", "flat", SMOKE_CASES),
+    ("whole_gpu", "hierarchy", SMOKE_CASES[:1]),
+    ("single_wave", "hierarchy",
+     ("Minimod:code_reorder", "ExaTENSOR:memory_transaction_reduction")),
 )
 
 
@@ -142,13 +151,13 @@ def run_suite(sample_period: int = 8, repeat: int = 1) -> list:
     """Measure every pinned configuration."""
     return [
         run_smoke(
-            SMOKE_CASES[:case_count],
+            case_ids,
             sample_period=sample_period,
             simulation_scope=scope,
             memory_model=memory_model,
             repeat=repeat,
         )
-        for scope, memory_model, case_count in SMOKE_SUITE
+        for scope, memory_model, case_ids in SMOKE_SUITE
     ]
 
 
@@ -208,12 +217,12 @@ def main(argv=None) -> int:
             plan = [(
                 args.simulation_scope or "single_wave",
                 args.memory_model or "flat",
-                args.cases if args.cases is not None else len(SMOKE_CASES),
+                SMOKE_CASES[:args.cases] if args.cases is not None else SMOKE_CASES,
             )]
         else:
             plan = SMOKE_SUITE
-        for scope, memory_model, case_count in plan:
-            profile_block(SMOKE_CASES[:case_count], period, scope, memory_model)
+        for scope, memory_model, case_ids in plan:
+            profile_block(case_ids, period, scope, memory_model)
         return 0
 
     if single_config:

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from repro.api.schema import (
+    API_SCHEMA_VERSION,
     ApiSchemaError,
     ApiSerializationError,
     ApiValidationError,
@@ -262,6 +263,14 @@ class AdvisingRequest:
     @classmethod
     def from_dict(cls, payload: dict) -> "AdvisingRequest":
         payload = check_envelope(payload, "advising_request")
+        unknown = sorted(key for key in payload if key not in _WIRE_KEYS)
+        if unknown:
+            # Strict: a field this build does not know (one an older build
+            # had, say) would otherwise be dropped without a word.
+            raise ApiSchemaError(
+                f"advising_request has unknown fields {unknown}; "
+                f"schema {API_SCHEMA_VERSION} does not define them"
+            )
         cubin = payload.get("cubin")
         config = payload.get("config")
         workload = payload.get("workload")
@@ -296,6 +305,13 @@ class AdvisingRequest:
                 f"{stated!r} but its content digests to {fingerprint!r}"
             )
         return request
+
+
+#: The top-level keys of a request's wire form: the envelope, the stated
+#: fingerprint, and one per field (the keys of ``_wire_body``).
+_WIRE_KEYS = frozenset({"schema_version", "kind", "fingerprint"}).union(
+    field.name for field in fields(AdvisingRequest)
+)
 
 
 def request_for_case(

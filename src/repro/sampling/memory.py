@@ -246,6 +246,11 @@ class MemoryHierarchy:
         self.statistics = MemoryStatistics()
         #: Completion cycles of in-flight L1 sector misses (the MSHRs).
         self._mshrs: List[int] = []
+        #: The cycle the last refusal of :meth:`backpressure` returned: when
+        #: the MSHRs in flight then drop below ``l1_mshr_entries``.  ``None``
+        #: until a refusal computes it; :meth:`access_sectors` drops it
+        #: whenever it allocates an MSHR.
+        self.throttle_reopen: Optional[int] = None
         #: Cycle until which the DRAM channel is busy transferring.
         self._dram_busy_until = 0
         #: Rolling cursor for accesses without address information.
@@ -255,18 +260,29 @@ class MemoryHierarchy:
     def backpressure(self, now: int, commit: bool = True) -> Optional[int]:
         """The cycle to recheck at if the pipeline cannot accept a request.
 
-        Returns ``None`` when a request can issue.  ``commit=True`` retires
-        completed MSHRs as a side effect; ``commit=False`` is the PC
-        sampler's observation mode — a pure count, so sampling never
+        Returns ``None`` when a request can issue.  With ``commit=True`` a
+        refusal returns the exact cycle the pipeline reopens: the one at
+        which the misses already in flight drop below ``l1_mshr_entries``,
+        i.e. the (in_flight - limit + 1)-th earliest completion.  No request
+        can issue earlier, because only an issued request allocates MSHRs.
+        The cycle is memoized as :attr:`throttle_reopen` until
+        :meth:`access_sectors` next allocates; retiring the earliest
+        completions never moves it, and a memo that missed a drop is early,
+        never late, so it costs a futile recheck but never changes a result.
+        ``commit=True`` also retires completed MSHRs; ``commit=False`` is
+        the PC sampler's observation mode, a pure count, so sampling never
         perturbs MSHR state.
         """
         limit = self.parameters.l1_mshr_entries
         if commit:
             while self._mshrs and self._mshrs[0] <= now:
                 heapq.heappop(self._mshrs)
-            if len(self._mshrs) >= limit:
-                return self._mshrs[0]
-            return None
+            excess = len(self._mshrs) - limit
+            if excess < 0:
+                return None
+            if self.throttle_reopen is None:
+                self.throttle_reopen = sorted(self._mshrs)[excess]
+            return self.throttle_reopen
         in_flight = sum(1 for completion in self._mshrs if completion > now)
         if in_flight >= limit:
             return now + 1
@@ -344,6 +360,7 @@ class MemoryHierarchy:
                     self._dram_busy_until = start + transfer
                     done = start + transfer + parameters.dram_latency
                 heapq.heappush(self._mshrs, done)
+                self.throttle_reopen = None
             if done > completion:
                 completion = done
         return completion

@@ -41,6 +41,10 @@ memory statistics).  The speed comes from keeping the loop on plain ints:
   slot, tests one flag word and walks the register scoreboard inline on the
   common path, and issues a plain fixed-latency op inline too.
 
+Under the hierarchy model the scan also skips the check of a warp that is
+still throttled on L1 MSHRs: it sleeps until the hierarchy's memoized
+:attr:`~repro.sampling.memory.MemoryHierarchy.throttle_reopen` cycle.
+
 Packing and stepping are pure Python: per-SM warp populations (8–64) sit
 far below any array library's vectorization break-even for this access
 pattern.
@@ -588,7 +592,17 @@ class VectorSMSimulator:
                     else:
                         rec = recs_of_warp[w][idx[w]]
                         if rec[0] & _CHECK_MASK:
-                            ready, reason, recheck = check(w, cycle)
+                            if (last_reason[w] == _R_THROTTLE and hierarchy is not None
+                                    and hierarchy.throttle_reopen is not None
+                                    and cycle < hierarchy.throttle_reopen):
+                                # Still throttled: the checks before the
+                                # throttle passed at this op, and they change
+                                # only when ``w`` itself issues.
+                                ready = False
+                                reason = _R_THROTTLE
+                                recheck = hierarchy.throttle_reopen
+                            else:
+                                ready, reason, recheck = check(w, cycle)
                         else:
                             latest = 0
                             regs = reg_ready[w]

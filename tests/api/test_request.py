@@ -159,6 +159,15 @@ class TestSerialization:
         with pytest.raises(ApiSchemaError):
             AdvisingRequest.from_dict(payload)
 
+    def test_unknown_fields_are_rejected_by_name(self):
+        """A setting an older build knew is refused, not silently dropped,
+        even beside a valid stated fingerprint."""
+        payload = request_for_case("rodinia/hotspot:strength_reduction").to_dict()
+        payload["cache_policy"] = "bypass"
+        payload["simulator_backend"] = "object"
+        with pytest.raises(ApiSchemaError, match=r"\['cache_policy', 'simulator_backend'\]"):
+            AdvisingRequest.from_dict(payload)
+
     def test_wrong_kind_is_rejected(self):
         payload = AdvisingRequest(source="case", case_id="a/b:c").to_dict()
         payload["kind"] = "advising_result"

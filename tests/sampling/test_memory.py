@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api.request import request_for_case
+from repro.api.session import AdvisingSession
 from repro.arch.machine import MemoryHierarchyParameters, VoltaV100
 from repro.sampling.memory import (
     MEMORY_MODELS,
@@ -127,6 +129,24 @@ class TestHierarchyTiming:
         # Once every miss completes the pipeline accepts requests again.
         assert hierarchy.backpressure(recheck + 10_000, commit=True) is None
 
+    def test_refusal_returns_the_exact_reopen_cycle(self):
+        """The returned cycle is when in-flight misses drop below the MSHR
+        count, not the earliest completion (31 misses still in flight)."""
+        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4), warp_size=32)
+        hierarchy.access(_FakeOp(address=0, stride_bytes=128), 0)  # 32 misses
+        reopen = hierarchy.backpressure(1, commit=True)
+        assert hierarchy.backpressure(reopen - 1, commit=True) == reopen
+        assert hierarchy.backpressure(reopen, commit=True) is None
+
+    def test_an_allocation_drops_the_reopen_memo(self):
+        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4), warp_size=32)
+        hierarchy.access(_FakeOp(address=0, stride_bytes=128), 0)
+        reopen = hierarchy.backpressure(1, commit=True)
+        hierarchy.access(_FakeOp(address=1 << 20, stride_bytes=128), reopen)
+        assert hierarchy.throttle_reopen is None
+        later = hierarchy.backpressure(reopen, commit=True)
+        assert later > reopen and hierarchy.throttle_reopen == later
+
     def test_observation_probe_does_not_mutate_mshrs(self):
         hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4), warp_size=32)
         hierarchy.access(_FakeOp(address=0, stride_bytes=128), 0)
@@ -251,6 +271,25 @@ class TestSimulatorIntegration:
     def test_rejects_unknown_memory_model(self, core):
         with pytest.raises(ValueError):
             core(VoltaV100, memory_model="banked")
+
+
+class TestThrottleWakeups:
+    def test_throttled_warps_sleep_until_an_mshr_frees(self, monkeypatch):
+        """A throttled warp is refused about once per accepted request, not
+        at every MSHR retirement (~100 refusals per request)."""
+        counts = {"refused": 0, "accepted": 0}
+        backpressure = MemoryHierarchy.backpressure
+
+        def counting(self, now, commit=True):
+            recheck = backpressure(self, now, commit)
+            counts["refused" if recheck is not None else "accepted"] += 1
+            return recheck
+
+        monkeypatch.setattr(MemoryHierarchy, "backpressure", counting)
+        session = AdvisingSession(memory_model="hierarchy")
+        session.profile(request_for_case("Minimod:code_reorder"))
+        assert counts["accepted"] > 0
+        assert counts["refused"] <= 2 * counts["accepted"], counts
 
 
 class TestTraceAddresses:

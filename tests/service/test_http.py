@@ -149,6 +149,19 @@ class TestFailureModes:
             assert status == 400, (path, reply)
             assert reply["error_kind"] == "validation", path
 
+    def test_unknown_request_field_is_400(self, make_service):
+        """A request field this build does not know is a validation error on
+        both submit routes, even beside a valid stated fingerprint."""
+        _, server, _ = make_service()
+        payload = hotspot_request().to_dict()
+        payload["cache_policy"] = "bypass"
+        for path, body in (("/v1/advise", {"request": payload}),
+                           ("/v1/batch", {"requests": [payload]})):
+            status, reply = raw_request(f"{server.url}{path}", "POST", json.dumps(body))
+            assert status == 400, (path, reply)
+            assert reply["error_kind"] == "validation", path
+            assert "cache_policy" in reply["error"], path
+
     def test_invalid_json_body_is_400(self, make_service):
         _, server, _ = make_service()
         status, body = raw_request(f"{server.url}/v1/advise", "POST", "{not json")
