@@ -61,6 +61,11 @@ def build_toy_cubin() -> CubinBuilder:
     return builder
 
 
+def build_toy_workload() -> WorkloadSpec:
+    """The toy kernel's loop (line 12) runs 12 times in every warp."""
+    return WorkloadSpec(name="toy", loop_trip_counts={12: 12})
+
+
 @pytest.fixture(scope="session")
 def toy_cubin():
     return build_toy_cubin().build()
@@ -68,7 +73,7 @@ def toy_cubin():
 
 @pytest.fixture(scope="session")
 def toy_workload():
-    return WorkloadSpec(name="toy", loop_trip_counts={12: 12})
+    return build_toy_workload()
 
 
 @pytest.fixture(scope="session")

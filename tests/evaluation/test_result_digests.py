@@ -7,13 +7,17 @@ stall counts, for one).  The entries cover:
 
 * every registry case, baseline and optimized, single wave, on the flat
   model and on the memory hierarchy;
-* the whole-GPU hierarchy baselines of perfbench's three whole-GPU cases,
-  and of ``PeleC:block_increase``, whose launch is bound by L1 MSHRs.
+* every registry baseline on the whole GPU, on both memory models.  A
+  normal run checks the few listed in ``WHOLE_GPU_BASELINES``; with
+  ``REPRO_NIGHTLY_DIGESTS`` set (CI's nightly job) it checks all of them,
+  which takes several minutes per model.
 
-Both simulator cores call the same :class:`~repro.sampling.memory
-.MemoryHierarchy`, so a change there (a MEMORY_THROTTLE recheck horizon one
-cycle late, say) moves both cores alike and the backend-equivalence tests
-cannot see it.  These digests can.
+Every entry was recorded while the object-model reference core,
+``SMSimulator``, produced the same bytes as the production core.  Both
+cores call the same
+:class:`~repro.sampling.memory.MemoryHierarchy`, so a change there (a
+MEMORY_THROTTLE recheck horizon one cycle late, say) moves both cores
+alike; these digests see it.
 
 Python 3.12 made the builtin ``sum()`` of floats compensated, which moves
 the last digit of some estimates, so the file holds one set of digests for
@@ -23,10 +27,14 @@ rewrites its own set) and review the diff::
 
     PYTHONPATH=src python3.11 tests/evaluation/test_result_digests.py
     PYTHONPATH=src python3.12 tests/evaluation/test_result_digests.py
+
+Each run records every entry, the whole-GPU baselines of all 26 cases
+included.
 """
 
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -34,27 +42,50 @@ import pytest
 
 from repro.api.request import request_for_case
 from repro.api.session import AdvisingSession
-from repro.workloads.registry import all_cases
+from repro.workloads.registry import all_cases, case_names
 
 GOLDEN = Path(__file__).parent / "golden" / "result_digests.json"
 FLOAT_SUM = "python>=3.12" if sys.version_info >= (3, 12) else "python<3.12"
 
 VARIANTS = ("baseline", "optimized")
-WHOLE_GPU_BASELINES = (
-    "rodinia/nw:warp_balance",
-    "rodinia/lud:code_reorder",
-    "rodinia/streamcluster:block_increase",
-    "PeleC:block_increase",
-)
-#: configuration -> (simulation scope, memory model, (case id, variant) pairs)
-CONFIGURATIONS = {
-    "single_wave/flat": ("single_wave", "flat", None),
-    "single_wave/hierarchy": ("single_wave", "hierarchy", None),
-    "whole_gpu/hierarchy": (
-        "whole_gpu", "hierarchy",
-        tuple((case_id, "baseline") for case_id in WHOLE_GPU_BASELINES),
+#: The whole-GPU baselines every run checks, per memory model: the three
+#: smallest grids (PeleC, particlefilter and streamcluster, 16-50 blocks),
+#: perfbench's three whole-GPU cases (nw, lud, streamcluster), and PeleC,
+#: whose launch is bound by L1 MSHRs under the hierarchy.
+WHOLE_GPU_BASELINES = {
+    "flat": (
+        "PeleC:block_increase",
+        "rodinia/particlefilter:block_increase",
+        "rodinia/streamcluster:block_increase",
+    ),
+    "hierarchy": (
+        "rodinia/nw:warp_balance",
+        "rodinia/lud:code_reorder",
+        "rodinia/streamcluster:block_increase",
+        "PeleC:block_increase",
+        "rodinia/particlefilter:block_increase",
     ),
 }
+#: Check the whole-GPU baselines of every registry case (CI's nightly job).
+NIGHTLY = bool(os.environ.get("REPRO_NIGHTLY_DIGESTS"))
+#: configuration -> (simulation scope, memory model)
+CONFIGURATIONS = {
+    "single_wave/flat": ("single_wave", "flat"),
+    "single_wave/hierarchy": ("single_wave", "hierarchy"),
+    "whole_gpu/flat": ("whole_gpu", "flat"),
+    "whole_gpu/hierarchy": ("whole_gpu", "hierarchy"),
+}
+
+
+def pinned_pairs(configuration: str, every_case: bool) -> tuple:
+    """The (case id, variant) pairs a configuration checks."""
+    scope, memory_model = CONFIGURATIONS[configuration]
+    if scope == "single_wave":
+        return tuple(
+            (case.case_id, variant) for case in all_cases() for variant in VARIANTS
+        )
+    cases = case_names() if every_case else WHOLE_GPU_BASELINES[memory_model]
+    return tuple((case_id, "baseline") for case_id in cases)
 
 
 def result_digest(result) -> str:
@@ -63,18 +94,14 @@ def result_digest(result) -> str:
     return hashlib.sha256(json.dumps(payload).encode("utf-8")).hexdigest()
 
 
-def compute_digests(configuration: str) -> dict:
+def compute_digests(configuration: str, every_case: bool) -> dict:
     """``{"case id [variant]": digest}`` of one configuration."""
-    scope, memory_model, pairs = CONFIGURATIONS[configuration]
-    if pairs is None:
-        pairs = tuple(
-            (case.case_id, variant) for case in all_cases() for variant in VARIANTS
-        )
+    scope, memory_model = CONFIGURATIONS[configuration]
     session = AdvisingSession(
         sample_period=8, simulation_scope=scope, memory_model=memory_model
     )
     digests = {}
-    for case_id, variant in pairs:
+    for case_id, variant in pinned_pairs(configuration, every_case):
         result = session.advise(request_for_case(case_id, variant))
         assert result.ok, (case_id, variant, result.error)
         digests[f"{case_id} [{variant}]"] = result_digest(result)
@@ -84,18 +111,28 @@ def compute_digests(configuration: str) -> dict:
 @pytest.mark.parametrize("configuration", list(CONFIGURATIONS))
 def test_results_match_pinned_digests(configuration):
     expected = json.loads(GOLDEN.read_text())[FLOAT_SUM][configuration]
-    actual = compute_digests(configuration)
-    changed = sorted(
-        key for key in expected.keys() | actual.keys() if expected.get(key) != actual.get(key)
-    )
+    actual = compute_digests(configuration, every_case=NIGHTLY)
+    changed = sorted(key for key in actual if expected.get(key) != actual[key])
     assert not changed, f"{len(changed)} results changed: {changed}"
+
+
+def test_every_result_is_pinned():
+    pinned = json.loads(GOLDEN.read_text())
+    assert sorted(pinned) == ["python<3.12", "python>=3.12"]
+    for digests in pinned.values():
+        for configuration in CONFIGURATIONS:
+            pairs = pinned_pairs(configuration, every_case=True)
+            assert sorted(digests[configuration]) == sorted(
+                f"{case_id} [{variant}]" for case_id, variant in pairs
+            ), configuration
 
 
 def write_golden() -> None:
     """Rewrite this interpreter's set of digests, keeping the other set."""
     pinned = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     pinned[FLOAT_SUM] = {
-        configuration: compute_digests(configuration) for configuration in CONFIGURATIONS
+        configuration: compute_digests(configuration, every_case=True)
+        for configuration in CONFIGURATIONS
     }
     GOLDEN.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
     print(f"wrote the {FLOAT_SUM} digests of {GOLDEN}")

@@ -1,6 +1,19 @@
-"""The production (packed-array) simulator core: identity and layout."""
+"""The production (packed-array) simulator core: pinned results and layout.
+
+The SM-level runs below were recorded from the object-model reference core,
+``SMSimulator``, while the production core still matched it bit for bit:
+``golden/sm_digests.json`` holds the sha256 of every field of each run's
+:class:`~repro.sampling.simulator.SimulationResult` (:func:`facts_digest`).
+Regenerate it after an intended change, and review the diff::
+
+    PYTHONPATH=src python tests/sampling/test_vector.py
+"""
 
 import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +23,44 @@ from repro.sampling.simulator import SMSimulator
 from repro.sampling.trace import generate_warp_trace
 from repro.sampling.vector import VectorSMSimulator
 from repro.structure.program import build_program_structure
+
+GOLDEN = Path(__file__).parent / "golden" / "sm_digests.json"
+
+#: Uncapped length of the toy run under each memory model.
+FULL_CYCLES = {"flat": 5801, "hierarchy": 6158}
+
+
+def _pinned_runs() -> dict:
+    """``{run name: (warps, simulator keywords, sm_id)}`` of every pinned run."""
+    runs = {}
+    for model in ("flat", "hierarchy"):
+        for period in (8, 32, 128):
+            runs[f"{model}/period={period}"] = (
+                8, {"sample_period": period, "memory_model": model}, 0
+            )
+    runs["flat/period=4/sm_id=7"] = (8, {"sample_period": 4}, 7)
+    # Fewer warps than schedulers: some schedulers have no warps to scan
+    # or sample.
+    for warps in (1, 3):
+        runs[f"flat/period=4/warps={warps}"] = (warps, {"sample_period": 4}, 0)
+    # ``max_cycles`` clamps the skip-ahead target and the gap samples run up
+    # to it, so runs cut short are pinned too.
+    for model in ("flat", "hierarchy"):
+        full = FULL_CYCLES[model]
+        caps = {"half": full // 2, "full-1": full - 1, "full": full}
+        for period in (4, 32):
+            for cap in (1, 7, 50, 333, 1000, "half", "full-1", "full"):
+                runs[f"{model}/period={period}/cap={cap}"] = (8, {
+                    "sample_period": period,
+                    "memory_model": model,
+                    "max_cycles": caps.get(cap, cap),
+                }, 0)
+    return runs
+
+
+PINNED_RUNS = _pinned_runs()
+SAMPLE_PERIOD_RUNS = [name for name in PINNED_RUNS if name.count("/") == 1]
+CAPPED_RUNS = [name for name in PINNED_RUNS if "/cap=" in name]
 
 
 def build_traces(cubin, kernel, workload, num_warps, warps_per_block=4):
@@ -48,86 +99,67 @@ def result_facts(result):
     )
 
 
-class TestBitIdentity:
-    @pytest.mark.parametrize("memory_model", ["flat", "hierarchy"])
-    @pytest.mark.parametrize("sample_period", [8, 32, 128])
-    def test_matches_object_core(self, toy_traces, memory_model, sample_period):
-        traces, blocks = toy_traces
-        kwargs = dict(
-            sample_period=sample_period, keep_samples=True, memory_model=memory_model
-        )
-        expected = SMSimulator(VoltaV100, **kwargs).simulate("toy_kernel", traces, blocks)
-        actual = VectorSMSimulator(VoltaV100, **kwargs).simulate(
-            "toy_kernel", traces, blocks
-        )
-        assert result_facts(actual) == result_facts(expected)
+def facts_digest(result) -> str:
+    """sha256 of :func:`result_facts`, dumped as JSON without sorting."""
+    text = json.dumps(result_facts(result), default=lambda reason: reason.value)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def test_matches_object_core_with_sm_id(self, toy_traces):
-        traces, blocks = toy_traces
-        expected = SMSimulator(VoltaV100, sample_period=4, keep_samples=True).simulate(
-            "toy_kernel", traces, blocks, sm_id=7
-        )
-        actual = VectorSMSimulator(
-            VoltaV100, sample_period=4, keep_samples=True
-        ).simulate("toy_kernel", traces, blocks, sm_id=7)
-        assert result_facts(actual) == result_facts(expected)
-        assert all(sample.sm_id == 7 for sample in actual.samples)
+
+def run_pinned(core, name, toy_cubin, toy_workload):
+    """One pinned run of ``core``, with raw samples kept."""
+    warps, kwargs, sm_id = PINNED_RUNS[name]
+    traces, blocks = build_traces(toy_cubin, "toy_kernel", toy_workload, warps)
+    result = core(VoltaV100, keep_samples=True, **kwargs).simulate(
+        "toy_kernel", traces, blocks, sm_id=sm_id
+    )
+    return result, traces
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(GOLDEN.read_text())
+
+
+class TestPinnedResults:
+    """Every field of every pinned run matches the reference's record."""
+
+    @pytest.mark.parametrize("name", SAMPLE_PERIOD_RUNS)
+    def test_sample_periods(self, core, pinned, toy_cubin, toy_workload, name):
+        result, _ = run_pinned(core, name, toy_cubin, toy_workload)
+        assert facts_digest(result) == pinned[name]
+
+    def test_sm_id(self, core, pinned, toy_cubin, toy_workload):
+        name = "flat/period=4/sm_id=7"
+        result, _ = run_pinned(core, name, toy_cubin, toy_workload)
+        assert facts_digest(result) == pinned[name]
+        assert all(sample.sm_id == 7 for sample in result.samples)
 
     @pytest.mark.parametrize("num_warps", [1, 3])
-    def test_matches_object_core_with_idle_schedulers(
-        self, toy_cubin, toy_workload, num_warps
-    ):
-        """Fewer warps than schedulers: some schedulers have no warps to
-        scan or sample."""
+    def test_idle_schedulers(self, core, pinned, toy_cubin, toy_workload, num_warps):
         assert num_warps < VoltaV100.schedulers_per_sm
-        traces, blocks = build_traces(toy_cubin, "toy_kernel", toy_workload, num_warps)
-        kwargs = {"sample_period": 4, "keep_samples": True}
-        expected = SMSimulator(VoltaV100, **kwargs).simulate("toy_kernel", traces, blocks)
-        actual = VectorSMSimulator(VoltaV100, **kwargs).simulate(
-            "toy_kernel", traces, blocks
-        )
-        assert result_facts(actual) == result_facts(expected)
-        assert actual.issued_instructions == sum(len(trace) for trace in traces)
+        name = f"flat/period=4/warps={num_warps}"
+        result, traces = run_pinned(core, name, toy_cubin, toy_workload)
+        assert facts_digest(result) == pinned[name]
+        assert result.issued_instructions == sum(len(trace) for trace in traces)
+
+    def test_every_run_is_pinned(self, pinned):
+        assert sorted(pinned) == sorted(PINNED_RUNS)
 
 
 class TestCycleCap:
-    """``max_cycles`` clamps the skip-ahead target and the gap samples run
-    up to it, so both cores must also agree on a run cut short."""
-
-    #: Uncapped length of the toy run under each memory model.
-    FULL_CYCLES = {"flat": 5801, "hierarchy": 6158}
-
     @pytest.mark.parametrize("memory_model", ["flat", "hierarchy"])
     def test_full_run_length(self, toy_traces, memory_model):
         traces, blocks = toy_traces
         result = VectorSMSimulator(VoltaV100, memory_model=memory_model).simulate(
             "toy_kernel", traces, blocks
         )
-        assert result.wave_cycles == self.FULL_CYCLES[memory_model]
+        assert result.wave_cycles == FULL_CYCLES[memory_model]
 
-    @pytest.mark.parametrize("memory_model", ["flat", "hierarchy"])
-    @pytest.mark.parametrize("sample_period", [4, 32])
-    @pytest.mark.parametrize(
-        "cap", [1, 7, 50, 333, 1000, "half", "full-1", "full"]
-    )
-    def test_truncated_run_matches_object_core(
-        self, toy_traces, memory_model, sample_period, cap
-    ):
-        full = self.FULL_CYCLES[memory_model]
-        max_cycles = {"half": full // 2, "full-1": full - 1, "full": full}.get(cap, cap)
-        traces, blocks = toy_traces
-        kwargs = {
-            "sample_period": sample_period,
-            "keep_samples": True,
-            "max_cycles": max_cycles,
-            "memory_model": memory_model,
-        }
-        expected = SMSimulator(VoltaV100, **kwargs).simulate("toy_kernel", traces, blocks)
-        actual = VectorSMSimulator(VoltaV100, **kwargs).simulate(
-            "toy_kernel", traces, blocks
-        )
-        assert result_facts(actual) == result_facts(expected)
-        assert actual.wave_cycles <= max_cycles
+    @pytest.mark.parametrize("name", CAPPED_RUNS)
+    def test_truncated_run(self, core, pinned, toy_cubin, toy_workload, name):
+        result, _ = run_pinned(core, name, toy_cubin, toy_workload)
+        assert facts_digest(result) == pinned[name]
+        assert result.wave_cycles <= PINNED_RUNS[name][1]["max_cycles"]
 
 
 class TestObservationNeutrality:
@@ -164,3 +196,26 @@ class TestSectorPattern:
             pattern = sector_pattern(phase, stride, VoltaV100.warp_size, sector_bytes)
             shifted = [address - phase + sector for sector in pattern]
             assert shifted == hierarchy.sector_addresses(probe), (phase, stride)
+
+
+def write_golden() -> None:
+    """Re-record every pinned run on both cores, which must agree."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from conftest import build_toy_cubin, build_toy_workload
+
+    cubin, workload = build_toy_cubin().build(), build_toy_workload()
+    digests = {}
+    for name in PINNED_RUNS:
+        reference, production = (
+            facts_digest(run_pinned(core, name, cubin, workload)[0])
+            for core in (SMSimulator, VectorSMSimulator)
+        )
+        assert reference == production, f"the cores disagree on {name}"
+        digests[name] = production
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    write_golden()
