@@ -32,11 +32,16 @@ ROW_FIELDS = (
 
 
 def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values (1.0 for an empty sequence)."""
+    """Geometric mean of positive values (1.0 for an empty sequence).
+
+    Sums with :func:`math.fsum`, which rounds once, so the aggregate has
+    the same last digit under every Python version (3.12 made the builtin
+    ``sum()`` of floats compensated).
+    """
     values = [float(v) for v in values if v > 0]
     if not values:
         return 1.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    return math.exp(math.fsum(math.log(v) for v in values) / len(values))
 
 
 def relative_error(estimated: float, achieved: float) -> float:
@@ -96,5 +101,5 @@ def outcome_summary(outcomes: Sequence[Mapping[str, float]]) -> dict:
             outcome["estimated_speedup"] for outcome in outcomes
         ),
         "geomean_error": geometric_mean(max(error, ERROR_FLOOR) for error in errors),
-        "mean_error": sum(errors) / len(errors) if errors else 0.0,
+        "mean_error": math.fsum(errors) / len(errors) if errors else 0.0,
     }

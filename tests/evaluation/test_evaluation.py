@@ -55,6 +55,14 @@ class TestMetrics:
         assert summary["geomean_error"] == pytest.approx((ERROR_FLOOR * 0.5) ** 0.5)
         assert summary["mean_error"] == pytest.approx(0.25)
 
+    def test_mean_error_rounds_once(self):
+        """The builtin ``sum()`` gives 0.09999999999999999 before Python
+        3.12 and 0.1 from 3.12 on; one rounding gives 0.1 on every version."""
+        outcomes = [
+            {"achieved_speedup": 1.1, "estimated_speedup": 1.0, "error": 0.1}
+        ] * 10
+        assert outcome_summary(outcomes)["mean_error"] == 0.1
+
     def test_summary_of_no_rows(self):
         assert outcome_summary([]) == {
             "geomean_achieved": 1.0,
