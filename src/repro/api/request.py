@@ -23,12 +23,12 @@ from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from repro.api.schema import (
-    API_SCHEMA_VERSION,
     ApiSchemaError,
     ApiSerializationError,
     ApiValidationError,
     check_envelope,
     envelope,
+    reject_unknown_keys,
     require_key,
 )
 from repro.arch.machine import ArchitectureError, get_architecture
@@ -263,14 +263,7 @@ class AdvisingRequest:
     @classmethod
     def from_dict(cls, payload: dict) -> "AdvisingRequest":
         payload = check_envelope(payload, "advising_request")
-        unknown = sorted(key for key in payload if key not in _WIRE_KEYS)
-        if unknown:
-            # Strict: a field this build does not know (one an older build
-            # had, say) would otherwise be dropped without a word.
-            raise ApiSchemaError(
-                f"advising_request has unknown fields {unknown}; "
-                f"schema {API_SCHEMA_VERSION} does not define them"
-            )
+        reject_unknown_keys(payload, "advising_request", _WIRE_KEYS)
         cubin = payload.get("cubin")
         config = payload.get("config")
         workload = payload.get("workload")

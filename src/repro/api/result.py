@@ -14,12 +14,18 @@ processes — and how a service daemon would move them between machines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional
 
 from repro.advisor.report import AdviceReport
 from repro.api.request import AdvisingRequest
-from repro.api.schema import ApiError, check_envelope, envelope, require_key
+from repro.api.schema import (
+    ApiError,
+    check_envelope,
+    envelope,
+    reject_unknown_keys,
+    require_key,
+)
 
 
 def error_summary(error: Optional[str]) -> str:
@@ -93,6 +99,7 @@ class AdvisingResult:
     @classmethod
     def from_dict(cls, payload: dict) -> "AdvisingResult":
         payload = check_envelope(payload, "advising_result")
+        reject_unknown_keys(payload, "advising_result", _WIRE_KEYS)
         report = payload.get("report")
         return cls(
             request=AdvisingRequest.from_dict(
@@ -115,6 +122,12 @@ class AdvisingResult:
     @classmethod
     def from_json(cls, text: str) -> "AdvisingResult":
         return cls.from_dict(json.loads(text))
+
+
+#: The top-level keys of a result's wire form: the envelope and one per field.
+_WIRE_KEYS = frozenset({"schema_version", "kind"}).union(
+    field.name for field in fields(AdvisingResult)
+)
 
 
 def dump_jsonl(results: Iterable[AdvisingResult]) -> Iterator[str]:

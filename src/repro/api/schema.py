@@ -129,3 +129,15 @@ def require_key(payload: dict, key: str, kind: str) -> Any:
         return payload[key]
     except KeyError as exc:
         raise ApiSchemaError(f"serialized {kind} is missing the {key!r} field") from exc
+
+
+def reject_unknown_keys(payload: dict, kind: str, known: frozenset) -> None:
+    """Raise :class:`ApiSchemaError` naming every top-level key outside
+    ``known``: a field this build does not know (one an older build had,
+    say) would otherwise be dropped without a word."""
+    unknown = sorted(key for key in payload if key not in known)
+    if unknown:
+        raise ApiSchemaError(
+            f"{kind} has unknown fields {unknown}; "
+            f"schema {API_SCHEMA_VERSION} does not define them"
+        )

@@ -12,6 +12,7 @@ import pytest
 
 from repro.api.request import request_for_case
 from repro.api.result import AdvisingResult
+from repro.api.schema import ApiSchemaError
 from repro.api.session import AdvisingSession
 from repro.workloads.registry import case_names
 
@@ -71,3 +72,14 @@ def test_result_wire_form_is_the_answer_and_its_address():
         "request", "index", "label", "arch_flag", "sample_period",
         "simulation_scope", "memory_model", "report", "error", "duration",
     }
+
+
+def test_unknown_result_fields_are_rejected_by_name():
+    """A field this build does not know is refused, not silently dropped."""
+    payload = AdvisingResult(
+        request=request_for_case("rodinia/hotspot:strength_reduction"), error="x"
+    ).to_dict()
+    payload["extra"] = {}
+    payload["cache_policy"] = "bypass"
+    with pytest.raises(ApiSchemaError, match=r"\['cache_policy', 'extra'\]"):
+        AdvisingResult.from_dict(payload)
