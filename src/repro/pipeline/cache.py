@@ -47,7 +47,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from repro.arch.machine import GpuArchitecture
 from repro.cubin.binary import Cubin
 from repro.sampling.sample import KernelProfile, LaunchConfig
-from repro.sampling.simulator import DEFAULT_MAX_CYCLES
+from repro.sampling.vector import DEFAULT_MAX_CYCLES
 from repro.sampling.workload import WorkloadSpec
 
 #: Bump when the digest scheme or the profile JSON schema changes shape.

@@ -142,7 +142,7 @@ class ProfileStage:
 
         Structure recovery and the occupancy calculation are deterministic
         static analyses; only the simulation itself is skipped (and its raw
-        :class:`~repro.sampling.simulator.SimulationResult` is absent).
+        :class:`~repro.sampling.vector.SimulationResult` is absent).
         """
         workload = request.workload or WorkloadSpec()
         structure = build_program_structure(request.cubin)

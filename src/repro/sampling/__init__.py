@@ -21,14 +21,11 @@ level execution simulator that produces the same interface:
 * :mod:`repro.sampling.memory` — the per-SM memory-hierarchy model
   (warp-access coalescing into 32-byte sectors, L1/L2 caches, MSHR-limited
   misses, bandwidth-limited DRAM) behind ``memory_model="hierarchy"``;
-* :mod:`repro.sampling.simulator` — the reference SM simulator
-  (scoreboards, barrier wait masks, block-wide synchronization, memory
+* :mod:`repro.sampling.vector` — the SM simulator every profiling path
+  runs (scoreboards, barrier wait masks, block-wide synchronization, memory
   throttling, instruction fetch pressure, loose round-robin scheduling,
-  observation-neutral PC sampling), kept as the readable statement of the
-  semantics the tests compare against;
-* :mod:`repro.sampling.vector` — the production SM simulator: the same
-  semantics, bit for bit, stepped over packed per-op records; every
-  profiling path runs it;
+  observation-neutral PC sampling), stepped over packed per-op records;
+  ``docs/SIMULATOR.md`` states its semantics;
 * :mod:`repro.sampling.gpu` — the whole-GPU engine that dispatches the full
   grid across every SM in waves and merges the per-SM results;
 * :mod:`repro.sampling.profiler` — the profiler facade that runs kernel
@@ -52,7 +49,7 @@ from repro.sampling.memory import (
     SectorCache,
 )
 from repro.sampling.trace import TraceOp, generate_warp_trace
-from repro.sampling.simulator import SimulationResult, SMSimulator
+from repro.sampling.vector import SimulationResult
 from repro.sampling.gpu import GpuSimulationResult, GpuSimulator, WaveStatistics
 from repro.sampling.profiler import (
     SIMULATION_SCOPES,
@@ -77,7 +74,6 @@ __all__ = [
     "Profiler",
     "SIMULATION_SCOPES",
     "SimulationResult",
-    "SMSimulator",
     "StallReason",
     "TraceOp",
     "WaveStatistics",

@@ -8,7 +8,7 @@ SMs in waves — each wave fills every SM up to its per-SM block residency
 limit, the final (possibly partial) tail wave spreads its remaining blocks
 round-robin so some SMs idle — runs one :class:`~repro.sampling.vector
 .VectorSMSimulator` per occupied SM per wave, and merges the per-SM
-:class:`~repro.sampling.simulator.SimulationResult` outputs into a single
+:class:`~repro.sampling.vector.SimulationResult` outputs into a single
 whole-kernel aggregate.
 
 Time is wave-synchronous: a wave's duration is the *maximum* cycle count of
@@ -30,10 +30,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.arch.machine import GpuArchitecture
 from repro.sampling.memory import MemoryStatistics
 from repro.sampling.sample import PCSample
-from repro.sampling.simulator import DEFAULT_MAX_CYCLES
 from repro.sampling.stall_reasons import StallReason
 from repro.sampling.trace import TraceOp
-from repro.sampling.vector import VectorSMSimulator
+from repro.sampling.vector import DEFAULT_MAX_CYCLES, VectorSMSimulator
 
 #: A callable producing the dynamic trace of one warp, keyed by the warp's
 #: *global* id (``block_id * warps_per_block + warp_in_block``).
@@ -60,7 +59,7 @@ class WaveStatistics:
 class GpuSimulationResult:
     """Merged output of a whole-GPU simulation.
 
-    Field-compatible with :class:`~repro.sampling.simulator
+    Field-compatible with :class:`~repro.sampling.vector
     .SimulationResult` for everything the profiler aggregates
     (``stall_counts``, ``issue_counts``, sample totals,
     ``issued_instructions``, ``samples``), plus the whole-kernel quantities

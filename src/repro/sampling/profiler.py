@@ -33,9 +33,12 @@ from repro.cubin.binary import Cubin
 from repro.sampling.gpu import GpuSimulationResult, GpuSimulator
 from repro.sampling.memory import MEMORY_MODELS, check_memory_model
 from repro.sampling.sample import KernelProfile, LaunchConfig, LaunchStatistics
-from repro.sampling.simulator import DEFAULT_MAX_CYCLES, SimulationResult
 from repro.sampling.trace import generate_warp_trace
-from repro.sampling.vector import VectorSMSimulator
+from repro.sampling.vector import (
+    DEFAULT_MAX_CYCLES,
+    SimulationResult,
+    VectorSMSimulator,
+)
 from repro.sampling.workload import WorkloadSpec
 from repro.structure.program import ProgramStructure, build_program_structure
 
@@ -75,7 +78,7 @@ class ProfiledKernel:
     config: LaunchConfig
     workload: WorkloadSpec
     occupancy: OccupancyResult
-    #: Raw simulator output (:class:`~repro.sampling.simulator
+    #: Raw simulator output (:class:`~repro.sampling.vector
     #: .SimulationResult` for the single-wave scope, :class:`~repro.sampling
     #: .gpu.GpuSimulationResult` for the whole-GPU scope); ``None`` when the
     #: profile was replayed from the pipeline's on-disk cache instead of

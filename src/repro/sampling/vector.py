@@ -1,11 +1,16 @@
-"""The production SM simulator core.
+"""The SM simulator core.
 
-:class:`VectorSMSimulator` is the core every production path runs (the
-profiler's single-wave scope and every SM of the whole-GPU engine).  It is a
-bit-identical re-implementation of the reference
-:class:`~repro.sampling.simulator.SMSimulator` that keeps *no per-op
-objects* on its hot path.  At the start of a ``simulate()`` call every
-warp's trace is packed once into a structure of flat arrays:
+:class:`VectorSMSimulator` executes per-warp dynamic traces on one streaming
+multiprocessor and produces the PC samples GPA consumes: the profiler's
+single-wave scope runs one, and the whole-GPU engine runs one per SM.
+``docs/SIMULATOR.md`` states the scheduling semantics (scheduler
+assignment, loose round-robin issue, scoreboards and barrier registers,
+``BAR.SYNC``, the two memory models, fetch stalls, observation-neutral
+sampling and skip-ahead) and how to extend them.
+
+The core keeps *no per-op objects* on its hot path.  At the start of a
+``simulate()`` call every warp's trace is packed once into a structure of
+flat arrays:
 
 * **Op streams** — one packed record per dynamic op, carrying the
   precomputed facts both scheduler phases need: a check-phase flag word
@@ -25,11 +30,13 @@ warp's trace is packed once into a structure of flat arrays:
   fixed-latency scoreboard is a dense ``warps x registers`` table of
   ready-cycles instead of per-warp dicts.
 
-The event loop itself is a transliteration of the object core — same
-scheduler scan order, same skip-ahead horizons, same observation-neutral
-sampling probe — so the two cores stay *bit-identical* on every output
-(``wave_cycles``, stall/issue counts and their first-sample order, samples,
-memory statistics).  The speed comes from keeping the loop on plain ints:
+The event loop scans each scheduler's warps in round-robin order and skips
+a scheduler until its earliest possible issue cycle.  The PC sampler probes
+the sampled warp without side effects, so the simulated timing
+(``wave_cycles``, issued instructions, memory statistics) is the same at
+every sample period.  Stall and issue counts keep first-sample order, which
+results serialize unsorted.  The speed comes from keeping the loop on plain
+ints:
 
 * one tuple index replaces every chain of attribute dispatches, and all
   per-op ``max()``/latency/coalescing work is hoisted out of the loop;
@@ -47,26 +54,57 @@ still throttled on L1 MSHRs: it sleeps until the hierarchy's memoized
 
 Packing and stepping are pure Python: per-SM warp populations (8–64) sit
 far below any array library's vectorization break-even for this access
-pattern.
-
-``docs/SIMULATOR.md`` documents the record layout and how to extend both
-cores together.
+pattern.  ``docs/SIMULATOR.md`` also documents the record layout.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.machine import GpuArchitecture
-from repro.sampling.memory import MemoryHierarchy, check_memory_model, sector_pattern
+from repro.sampling.memory import (
+    MemoryHierarchy,
+    MemoryStatistics,
+    check_memory_model,
+    sector_pattern,
+)
 from repro.sampling.sample import PCSample
-from repro.sampling.simulator import DEFAULT_MAX_CYCLES, SimulationResult
 from repro.sampling.stall_reasons import StallReason
 from repro.sampling.trace import TraceOp, cached_latency, instruction_meta
 
+#: Default bound on the simulation loop; shared by the profiler and the
+#: pipeline cache key so a truncated simulation never replays as a full one.
+DEFAULT_MAX_CYCLES = 4_000_000
+
 _FAR_FUTURE = 1 << 60
+
+
+@dataclass
+class SimulationResult:
+    """Raw output of one simulated wave on one SM."""
+
+    kernel: str
+    wave_cycles: int
+    #: (function, offset) -> {reason: latency sample count}
+    stall_counts: Dict[Tuple[str, int], Dict[StallReason, int]]
+    #: (function, offset) -> active (issue) sample count
+    issue_counts: Dict[Tuple[str, int], int]
+    active_samples: int
+    latency_samples: int
+    #: Dynamic instructions actually issued (all warps).
+    issued_instructions: int
+    #: Raw samples, kept only when requested.
+    samples: List[PCSample] = field(default_factory=list)
+    #: Memory-hierarchy counters (``None`` under the flat memory model).
+    memory: Optional[MemoryStatistics] = None
+
+    @property
+    def total_samples(self) -> int:
+        return self.active_samples + self.latency_samples
+
 
 # ----------------------------------------------------------------------
 # Stall codes.  The step loop carries stall reasons as small ints: a code is
@@ -236,8 +274,7 @@ def _scan_orders(warps: Sequence[int]) -> List[Tuple[Tuple[int, int], ...]]:
 
 
 class VectorSMSimulator:
-    """Packed-array SM simulator core, bit-identical to the reference
-    :class:`~repro.sampling.simulator.SMSimulator`."""
+    """Simulates one SM over packed per-op records and collects PC samples."""
 
     def __init__(
         self,
@@ -347,11 +384,14 @@ class VectorSMSimulator:
         def check(w: int, now: int, commit: bool = True) -> Tuple[bool, int, int]:
             """Whether warp ``w`` can issue at ``now``; else (stall code, recheck).
 
-            Mirrors the object core's single check routine, including the
-            observation-neutral ``commit=False`` probe the PC sampler uses.
-            The scheduler scan inlines the common path (no flags, register
-            scoreboard only) and only calls in here for flagged ops and
-            sampling probes.
+            ``commit=False`` is the PC sampler's observation mode: the same
+            classification runs, but nothing is mutated (no fetch-timer
+            arming, no barrier-arrival registration, no outstanding-
+            transaction pops), so sampling never perturbs the timing.  One
+            routine for both modes keeps the sampler's stall reasons equal
+            to what the scheduler sees.  The scheduler scan inlines the
+            common path (no flags, register scoreboard only) and only calls
+            in here for flagged ops and sampling probes.
             """
             nonlocal barrier_dirty
             if finished[w]:
@@ -552,7 +592,11 @@ class VectorSMSimulator:
                 )
 
         # ------------------------------------------------------------------
-        # Main loop — the object core's event-driven scan over flat arrays.
+        # Main loop, event-driven per scheduler.  ``sched_next[s]`` is the
+        # earliest cycle scheduler ``s`` could issue; until then it is skipped
+        # with one comparison.  The horizon is exact for warp-local events
+        # (scoreboards, fetch timers, control stalls); a block barrier
+        # release resets it in ``release_barriers``.
         # The ready test for unflagged ops (the common case) is inlined:
         # one flag word test plus a walk of the op's used registers.  So is
         # the issue of a plain fixed-latency op that is not its warp's last.

@@ -10,14 +10,14 @@ stall counts, for one).  The entries cover:
 * every registry baseline on the whole GPU, on both memory models.  A
   normal run checks the few listed in ``WHOLE_GPU_BASELINES``; with
   ``REPRO_NIGHTLY_DIGESTS`` set (CI's nightly job) it checks all of them,
-  which takes several minutes per model.
+  which takes about 5 minutes on flat and 7 on the hierarchy (2 vCPUs).
 
-Every entry was recorded while the object-model reference core,
-``SMSimulator``, produced the same bytes as the production core.  Both
-cores call the same
+Every entry was recorded while the object-model reference core that
+versions before 8.0 kept beside the production core still produced the
+same bytes, so the digests stand in for that reference.  They also see
+what no comparison of two cores could: both called the same
 :class:`~repro.sampling.memory.MemoryHierarchy`, so a change there (a
-MEMORY_THROTTLE recheck horizon one cycle late, say) moves both cores
-alike; these digests see it.
+MEMORY_THROTTLE recheck horizon one cycle late, say) moved both alike.
 
 Python 3.12 made the builtin ``sum()`` of floats compensated, which moves
 the last digit of some estimates, so the file holds one set of digests for

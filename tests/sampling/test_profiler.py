@@ -5,12 +5,15 @@ import math
 
 import pytest
 
+from repro.api.request import request_for_case
+from repro.api.session import AdvisingSession
 from repro.arch.machine import VoltaV100
 from repro.sampling.gpu import GpuSimulationResult
 from repro.sampling.profiler import Profiler, representative_blocks
 from repro.sampling.sample import KernelProfile, LaunchConfig
 from repro.sampling.stall_reasons import StallReason
 from repro.sampling.workload import WorkloadSpec
+from repro.workloads.registry import case_names
 
 #: A small Volta keeps whole-GPU profiles cheap: 4 SMs, and few enough warp
 #: slots that modest grids still need several dispatch waves.
@@ -200,3 +203,21 @@ class TestSimulationScopes:
         first = self._profile(toy_cubin, toy_workload, config, "whole_gpu")
         second = self._profile(toy_cubin, toy_workload, config, "whole_gpu")
         assert first.profile.to_dict() == second.profile.to_dict()
+
+
+class TestObservationNeutrality:
+    """Sampling observes and never perturbs: every registry baseline runs
+    the same simulated timing and memory traffic whether a sample is taken
+    every cycle or once in 2**20 cycles."""
+
+    @pytest.mark.parametrize("memory_model", ["flat", "hierarchy"])
+    @pytest.mark.parametrize("case_id", case_names())
+    def test_timing_invariant_across_sample_periods(self, case_id, memory_model):
+        facts = []
+        for period in (1, 1 << 20):
+            session = AdvisingSession(sample_period=period, memory_model=memory_model)
+            statistics = session.profile(request_for_case(case_id)).profile.statistics
+            assert (statistics.memory is None) == (memory_model == "flat")
+            memory = statistics.memory.to_dict() if statistics.memory is not None else None
+            facts.append((statistics.kernel_cycles, statistics.wave_cycles, memory))
+        assert facts[0] == facts[1]

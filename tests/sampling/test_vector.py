@@ -1,10 +1,11 @@
-"""The production (packed-array) simulator core: pinned results and layout.
+"""The SM simulator core: pinned results and the packed layout.
 
-The SM-level runs below were recorded from the object-model reference core,
-``SMSimulator``, while the production core still matched it bit for bit:
-``golden/sm_digests.json`` holds the sha256 of every field of each run's
-:class:`~repro.sampling.simulator.SimulationResult` (:func:`facts_digest`).
-Regenerate it after an intended change, and review the diff::
+``golden/sm_digests.json`` holds the sha256 of every field of each pinned
+run's :class:`~repro.sampling.vector.SimulationResult`
+(:func:`facts_digest`).  The digests were recorded from the object-model
+reference core that versions before 8.0 kept beside this one, while the
+two still agreed bit for bit.  Regenerate them after an intended change,
+and review the diff::
 
     PYTHONPATH=src python tests/sampling/test_vector.py
 """
@@ -19,7 +20,6 @@ import pytest
 
 from repro.arch.machine import VoltaV100
 from repro.sampling.memory import MemoryHierarchy, sector_pattern
-from repro.sampling.simulator import SMSimulator
 from repro.sampling.trace import generate_warp_trace
 from repro.sampling.vector import VectorSMSimulator
 from repro.structure.program import build_program_structure
@@ -105,11 +105,11 @@ def facts_digest(result) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_pinned(core, name, toy_cubin, toy_workload):
-    """One pinned run of ``core``, with raw samples kept."""
+def run_pinned(name, toy_cubin, toy_workload):
+    """One pinned run, with raw samples kept."""
     warps, kwargs, sm_id = PINNED_RUNS[name]
     traces, blocks = build_traces(toy_cubin, "toy_kernel", toy_workload, warps)
-    result = core(VoltaV100, keep_samples=True, **kwargs).simulate(
+    result = VectorSMSimulator(VoltaV100, keep_samples=True, **kwargs).simulate(
         "toy_kernel", traces, blocks, sm_id=sm_id
     )
     return result, traces
@@ -121,24 +121,24 @@ def pinned():
 
 
 class TestPinnedResults:
-    """Every field of every pinned run matches the reference's record."""
+    """Every field of every pinned run matches its recorded digest."""
 
     @pytest.mark.parametrize("name", SAMPLE_PERIOD_RUNS)
-    def test_sample_periods(self, core, pinned, toy_cubin, toy_workload, name):
-        result, _ = run_pinned(core, name, toy_cubin, toy_workload)
+    def test_sample_periods(self, pinned, toy_cubin, toy_workload, name):
+        result, _ = run_pinned(name, toy_cubin, toy_workload)
         assert facts_digest(result) == pinned[name]
 
-    def test_sm_id(self, core, pinned, toy_cubin, toy_workload):
+    def test_sm_id(self, pinned, toy_cubin, toy_workload):
         name = "flat/period=4/sm_id=7"
-        result, _ = run_pinned(core, name, toy_cubin, toy_workload)
+        result, _ = run_pinned(name, toy_cubin, toy_workload)
         assert facts_digest(result) == pinned[name]
         assert all(sample.sm_id == 7 for sample in result.samples)
 
     @pytest.mark.parametrize("num_warps", [1, 3])
-    def test_idle_schedulers(self, core, pinned, toy_cubin, toy_workload, num_warps):
+    def test_idle_schedulers(self, pinned, toy_cubin, toy_workload, num_warps):
         assert num_warps < VoltaV100.schedulers_per_sm
         name = f"flat/period=4/warps={num_warps}"
-        result, traces = run_pinned(core, name, toy_cubin, toy_workload)
+        result, traces = run_pinned(name, toy_cubin, toy_workload)
         assert facts_digest(result) == pinned[name]
         assert result.issued_instructions == sum(len(trace) for trace in traces)
 
@@ -156,8 +156,8 @@ class TestCycleCap:
         assert result.wave_cycles == FULL_CYCLES[memory_model]
 
     @pytest.mark.parametrize("name", CAPPED_RUNS)
-    def test_truncated_run(self, core, pinned, toy_cubin, toy_workload, name):
-        result, _ = run_pinned(core, name, toy_cubin, toy_workload)
+    def test_truncated_run(self, pinned, toy_cubin, toy_workload, name):
+        result, _ = run_pinned(name, toy_cubin, toy_workload)
         assert facts_digest(result) == pinned[name]
         assert result.wave_cycles <= PINNED_RUNS[name][1]["max_cycles"]
 
@@ -199,19 +199,14 @@ class TestSectorPattern:
 
 
 def write_golden() -> None:
-    """Re-record every pinned run on both cores, which must agree."""
+    """Re-record every pinned run."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     from conftest import build_toy_cubin, build_toy_workload
 
     cubin, workload = build_toy_cubin().build(), build_toy_workload()
-    digests = {}
-    for name in PINNED_RUNS:
-        reference, production = (
-            facts_digest(run_pinned(core, name, cubin, workload)[0])
-            for core in (SMSimulator, VectorSMSimulator)
-        )
-        assert reference == production, f"the cores disagree on {name}"
-        digests[name] = production
+    digests = {
+        name: facts_digest(run_pinned(name, cubin, workload)[0]) for name in PINNED_RUNS
+    }
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")
