@@ -94,26 +94,42 @@ def result_digest(result) -> str:
     return hashlib.sha256(json.dumps(payload).encode("utf-8")).hexdigest()
 
 
-def compute_digests(configuration: str, every_case: bool) -> dict:
-    """``{"case id [variant]": digest}`` of one configuration."""
+def session_for(configuration: str) -> AdvisingSession:
     scope, memory_model = CONFIGURATIONS[configuration]
-    session = AdvisingSession(
+    return AdvisingSession(
         sample_period=8, simulation_scope=scope, memory_model=memory_model
     )
-    digests = {}
-    for case_id, variant in pinned_pairs(configuration, every_case):
-        result = session.advise(request_for_case(case_id, variant))
-        assert result.ok, (case_id, variant, result.error)
-        digests[f"{case_id} [{variant}]"] = result_digest(result)
-    return digests
 
 
-@pytest.mark.parametrize("configuration", list(CONFIGURATIONS))
-def test_results_match_pinned_digests(configuration):
+def digest_of(session: AdvisingSession, case_id: str, variant: str) -> str:
+    result = session.advise(request_for_case(case_id, variant))
+    assert result.ok, (case_id, variant, result.error)
+    return result_digest(result)
+
+
+def compute_digests(configuration: str, every_case: bool) -> dict:
+    """``{"case id [variant]": digest}`` of one configuration."""
+    session = session_for(configuration)
+    return {
+        f"{case_id} [{variant}]": digest_of(session, case_id, variant)
+        for case_id, variant in pinned_pairs(configuration, every_case)
+    }
+
+
+#: One test per pinned result, so a failure names its case, as the
+#: per-case comparisons against the reference core did.
+PINNED_RESULTS = [
+    pytest.param(configuration, case_id, variant, id=f"{configuration}/{case_id}/{variant}")
+    for configuration in CONFIGURATIONS
+    for case_id, variant in pinned_pairs(configuration, every_case=NIGHTLY)
+]
+
+
+@pytest.mark.parametrize("configuration, case_id, variant", PINNED_RESULTS)
+def test_result_matches_pinned_digest(configuration, case_id, variant):
     expected = json.loads(GOLDEN.read_text())[FLOAT_SUM][configuration]
-    actual = compute_digests(configuration, every_case=NIGHTLY)
-    changed = sorted(key for key in actual if expected.get(key) != actual[key])
-    assert not changed, f"{len(changed)} results changed: {changed}"
+    actual = digest_of(session_for(configuration), case_id, variant)
+    assert actual == expected[f"{case_id} [{variant}]"]
 
 
 def test_every_result_is_pinned():
