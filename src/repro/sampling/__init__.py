@@ -17,15 +17,16 @@ level execution simulator that produces the same interface:
   counts, branch behaviour, memory coalescing, call targets) that drive
   dynamic traces without needing a functional value interpreter;
 * :mod:`repro.sampling.trace` — per-warp dynamic instruction traces walked
-  out of the control flow graph;
+  out of the control flow graph, emitted as the packed records the SM
+  simulator steps on;
 * :mod:`repro.sampling.memory` — the per-SM memory-hierarchy model
   (warp-access coalescing into 32-byte sectors, L1/L2 caches, MSHR-limited
   misses, bandwidth-limited DRAM) behind ``memory_model="hierarchy"``;
 * :mod:`repro.sampling.vector` — the SM simulator every profiling path
   runs (scoreboards, barrier wait masks, block-wide synchronization, memory
   throttling, instruction fetch pressure, loose round-robin scheduling,
-  observation-neutral PC sampling), stepped over packed per-op records;
-  ``docs/SIMULATOR.md`` states its semantics;
+  observation-neutral PC sampling), stepped over the traces' records;
+  ``docs/SIMULATOR.md`` states its semantics and the record layout;
 * :mod:`repro.sampling.gpu` — the whole-GPU engine that dispatches the full
   grid across every SM in waves and merges the per-SM results;
 * :mod:`repro.sampling.profiler` — the profiler facade that runs kernel
@@ -48,7 +49,7 @@ from repro.sampling.memory import (
     MemoryStatistics,
     SectorCache,
 )
-from repro.sampling.trace import TraceOp, generate_warp_trace
+from repro.sampling.trace import generate_warp_trace
 from repro.sampling.vector import SimulationResult
 from repro.sampling.gpu import GpuSimulationResult, GpuSimulator, WaveStatistics
 from repro.sampling.profiler import (
@@ -75,7 +76,6 @@ __all__ = [
     "SIMULATION_SCOPES",
     "SimulationResult",
     "StallReason",
-    "TraceOp",
     "WaveStatistics",
     "WorkloadSpec",
     "generate_warp_trace",

@@ -31,12 +31,12 @@ from repro.arch.machine import GpuArchitecture
 from repro.sampling.memory import MemoryStatistics
 from repro.sampling.sample import PCSample
 from repro.sampling.stall_reasons import StallReason
-from repro.sampling.trace import TraceOp
 from repro.sampling.vector import DEFAULT_MAX_CYCLES, VectorSMSimulator
 
-#: A callable producing the dynamic trace of one warp, keyed by the warp's
-#: *global* id (``block_id * warps_per_block + warp_in_block``).
-TraceProvider = Callable[[int], List[TraceOp]]
+#: A callable producing the dynamic trace of one warp (its packed records,
+#: see :func:`~repro.sampling.trace.generate_warp_trace`), keyed by the
+#: warp's *global* id (``block_id * warps_per_block + warp_in_block``).
+TraceProvider = Callable[[int], List[tuple]]
 
 
 @dataclass
@@ -188,7 +188,7 @@ class GpuSimulator:
                 if not resident_blocks:
                     continue
                 occupied += 1
-                traces: List[List[TraceOp]] = []
+                traces: List[List[tuple]] = []
                 block_of_warp: List[int] = []
                 for local_block, block in enumerate(resident_blocks):
                     for warp_in_block in range(warps_per_block):

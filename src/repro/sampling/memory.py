@@ -22,9 +22,15 @@ pipeline simulators structure their memory stages:
 
 The model is deterministic (no randomness; state depends only on the access
 sequence) and observation-neutral: :meth:`MemoryHierarchy.backpressure` has
-a read-only probe mode, and :meth:`MemoryHierarchy.access` is only invoked
-when an instruction actually issues — so PC sampling can never perturb the
-simulated timing, the same property the rest of the simulator guarantees.
+a read-only probe mode, and :meth:`MemoryHierarchy.access_sectors` is only
+invoked when an instruction actually issues — so PC sampling can never
+perturb the simulated timing, the same property the rest of the simulator
+guarantees.  The simulator resolves an access's sectors from its record's
+address and stride (:func:`sector_pattern`, shifted) when the op issues.
+
+Both models throttle through one contract, :class:`TransactionBudget`: the
+flat model's budget is one, and the hierarchy extends it with its L1 MSHRs
+as the transactions in flight.
 
 :class:`MemoryStatistics` is the aggregate the profiler surfaces through
 :class:`~repro.sampling.sample.LaunchStatistics`: warp-level requests,
@@ -231,30 +237,23 @@ class SectorCache:
         return False
 
 
-class MemoryHierarchy:
-    """One SM's view of the memory system: L1, an L2 slice, and DRAM."""
+class TransactionBudget:
+    """A cap on the memory transactions one SM keeps in flight.
 
-    def __init__(self, parameters: MemoryHierarchyParameters, warp_size: int = 32):
-        self.parameters = parameters
-        self.warp_size = warp_size
-        self.l1 = SectorCache(
-            parameters.l1_bytes, parameters.l1_ways, parameters.sector_bytes
-        )
-        self.l2 = SectorCache(
-            parameters.l2_slice_bytes, parameters.l2_ways, parameters.sector_bytes
-        )
-        self.statistics = MemoryStatistics()
-        #: Completion cycles of in-flight L1 sector misses (the MSHRs).
-        self._mshrs: List[int] = []
+    The flat memory model throttles on one of these with
+    ``max_outstanding_memory_requests`` transactions;
+    :class:`MemoryHierarchy` extends it with its L1 MSHRs as the
+    transactions and ``l1_mshr_entries`` as the limit.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        #: Completion cycles of the transactions in flight (a heap).
+        self._in_flight: List[int] = []
         #: The cycle the last refusal of :meth:`backpressure` returned: when
-        #: the MSHRs in flight then drop below ``l1_mshr_entries``.  ``None``
-        #: until a refusal computes it; :meth:`access_sectors` drops it
-        #: whenever it allocates an MSHR.
+        #: the transactions in flight then drop below :attr:`limit`.
+        #: ``None`` until a refusal computes it; every admission drops it.
         self.throttle_reopen: Optional[int] = None
-        #: Cycle until which the DRAM channel is busy transferring.
-        self._dram_busy_until = 0
-        #: Rolling cursor for accesses without address information.
-        self._fallback_cursor = 0
 
     # ------------------------------------------------------------------
     def backpressure(self, now: int, commit: bool = True) -> Optional[int]:
@@ -262,67 +261,80 @@ class MemoryHierarchy:
 
         Returns ``None`` when a request can issue.  With ``commit=True`` a
         refusal returns the exact cycle the pipeline reopens: the one at
-        which the misses already in flight drop below ``l1_mshr_entries``,
+        which the transactions already in flight drop below :attr:`limit`,
         i.e. the (in_flight - limit + 1)-th earliest completion.  No request
-        can issue earlier, because only an issued request allocates MSHRs.
-        The cycle is memoized as :attr:`throttle_reopen` until
-        :meth:`access_sectors` next allocates; retiring the earliest
-        completions never moves it, and a memo that missed a drop is early,
-        never late, so it costs a futile recheck but never changes a result.
-        ``commit=True`` also retires completed MSHRs; ``commit=False`` is
-        the PC sampler's observation mode, a pure count, so sampling never
-        perturbs MSHR state.
+        can issue earlier, because only an issued request adds transactions.
+        The cycle is memoized as :attr:`throttle_reopen` until the next
+        admission; retiring the earliest completions never moves it, and a
+        memo that missed a drop is early, never late, so it costs a futile
+        recheck but never changes a result.  ``commit=True`` also retires
+        completed transactions; ``commit=False`` is the PC sampler's
+        observation mode, a pure count, so sampling never perturbs the
+        budget.
         """
-        limit = self.parameters.l1_mshr_entries
+        in_flight = self._in_flight
         if commit:
-            while self._mshrs and self._mshrs[0] <= now:
-                heapq.heappop(self._mshrs)
-            excess = len(self._mshrs) - limit
+            while in_flight and in_flight[0] <= now:
+                heapq.heappop(in_flight)
+            excess = len(in_flight) - self.limit
             if excess < 0:
                 return None
             if self.throttle_reopen is None:
-                self.throttle_reopen = sorted(self._mshrs)[excess]
+                self.throttle_reopen = sorted(in_flight)[excess]
             return self.throttle_reopen
-        in_flight = sum(1 for completion in self._mshrs if completion > now)
-        if in_flight >= limit:
+        if sum(1 for completion in in_flight if completion > now) >= self.limit:
             return now + 1
         return None
+
+    # ------------------------------------------------------------------
+    def admit(self, completion: int, transactions: int) -> None:
+        """Put ``transactions`` transactions completing at ``completion``
+        in flight (the flat model's issue of a throttled access)."""
+        for _ in range(transactions):
+            heapq.heappush(self._in_flight, completion)
+        self.throttle_reopen = None
+
+
+class MemoryHierarchy(TransactionBudget):
+    """One SM's view of the memory system: L1, an L2 slice, and DRAM.
+
+    Its transactions in flight are the L1 sector misses (the MSHRs), so
+    :meth:`backpressure` refuses a request while ``l1_mshr_entries`` misses
+    are outstanding.
+    """
+
+    def __init__(self, parameters: MemoryHierarchyParameters):
+        super().__init__(parameters.l1_mshr_entries)
+        self.parameters = parameters
+        self.l1 = SectorCache(
+            parameters.l1_bytes, parameters.l1_ways, parameters.sector_bytes
+        )
+        self.l2 = SectorCache(
+            parameters.l2_slice_bytes, parameters.l2_ways, parameters.sector_bytes
+        )
+        self.statistics = MemoryStatistics()
+        #: Cycle until which the DRAM channel is busy transferring.
+        self._dram_busy_until = 0
+        #: Rolling cursor for accesses without address information.
+        self._fallback_cursor = 0
 
     # ------------------------------------------------------------------
     def fallback_sectors(self, transactions: int) -> List[int]:
         """Sectors of an access without address information.
 
-        Hand-built traces carry no base address; their accesses fall back to
-        ``transactions`` consecutive sectors at a rolling cursor, so the
+        A record with stride 0 (one built by hand, not by the trace walk)
+        carries no address; its access falls back to ``transactions``
+        consecutive sectors at a rolling cursor, so the
         transaction *count* still matches the flat model.  The cursor is
         hierarchy state: callers must consume fallback sectors in issue
-        order (both cores do — sectors are resolved when the op issues).
+        order (the simulator does — sectors are resolved when the op
+        issues).
         """
         sector = self.parameters.sector_bytes
         count = max(1, transactions or 1)
         base = self._fallback_cursor
         self._fallback_cursor += count * sector
         return [base + i * sector for i in range(count)]
-
-    # ------------------------------------------------------------------
-    def sector_addresses(self, op) -> List[int]:
-        """The unique 32-byte sectors touched by one warp-level access.
-
-        Coalescing proper (:func:`coalesce`); accesses without a stride
-        fall back to :meth:`fallback_sectors`.
-        """
-        stride = getattr(op, "stride_bytes", 0)
-        if stride <= 0:
-            return self.fallback_sectors(getattr(op, "transactions", 1))
-        return coalesce(
-            getattr(op, "address", 0), stride, self.warp_size,
-            self.parameters.sector_bytes,
-        )
-
-    # ------------------------------------------------------------------
-    def access(self, op, now: int) -> int:
-        """Service one warp-level access; returns its completion cycle."""
-        return self.access_sectors(self.sector_addresses(op), now)
 
     # ------------------------------------------------------------------
     def access_sectors(self, sectors: List[int], now: int) -> int:
@@ -359,7 +371,7 @@ class MemoryHierarchy:
                     start = max(issued, self._dram_busy_until)
                     self._dram_busy_until = start + transfer
                     done = start + transfer + parameters.dram_latency
-                heapq.heappush(self._mshrs, done)
+                heapq.heappush(self._in_flight, done)
                 self.throttle_reopen = None
             if done > completion:
                 completion = done

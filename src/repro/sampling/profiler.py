@@ -131,7 +131,7 @@ class Profiler:
         warps_per_block = math.ceil(config.threads_per_block / architecture.warp_size)
         total_grid_warps = config.grid_blocks * warps_per_block
 
-        def trace_for_warp(global_warp_id: int):
+        def trace_for_warp(global_warp_id: int) -> List[tuple]:
             return generate_warp_trace(
                 structure,
                 kernel_name,

@@ -5,22 +5,27 @@ control flow graph using the :class:`~repro.sampling.workload.WorkloadSpec`:
 loops iterate for their configured trip counts, data-dependent forward
 branches are decided by a deterministic per-warp random stream, and ``CAL``
 instructions descend into device functions.  Each executed instruction
-becomes a :class:`TraceOp` annotated with its dynamic memory latency, the
-number of memory transactions it issues, and any instruction-fetch stall
-charged to it (present when the executed code footprint exceeds the
-instruction cache).
+becomes one *record*: the flat tuple the SM simulator
+(:class:`~repro.sampling.vector.VectorSMSimulator`) steps on, laid out in
+``docs/SIMULATOR.md`` ("The packed-array layout").  A record carries the
+instruction's static facts and its dynamic ones: the memory latency, the
+transactions it issues, the access's address and stride, and any
+instruction-fetch stall charged to it (present when the executed code
+footprint exceeds the instruction cache).
 
-Most executed instructions carry no dynamic state at all.  Each static
-instruction that is not memory, not variable-latency and not a call or exit
-has one *shared* :class:`TraceOp`, and each basic block precomputes the runs
-of such ops so the walk appends straight-line code with one ``list.extend``.
-Shared ops appear in many traces at once, so nothing may mutate a
-:class:`TraceOp` after the walk returns it: replace the list entry instead.
+Most executed instructions carry no dynamic state at all.  Each basic block
+memoizes a *plan* for one architecture and program: runs of one shared
+record per static instruction that is not memory, not variable-latency and
+not a call or exit, which the walk appends with one ``list.extend``; steps
+for the other instructions, each carrying its instruction's static record
+prefix, so the walk builds a dynamic op's record as ``static + tail``; and
+the block's resolved exit.  Shared records appear in many traces at once.
+Records are tuples, so none can change: code that needs a different record
+replaces the list entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.arch.machine import GpuArchitecture
@@ -29,44 +34,44 @@ from repro.isa.registers import MemorySpace
 from repro.sampling.memory import THROTTLED_SPACES
 from repro.sampling.stall_reasons import StallReason
 from repro.sampling.workload import WorkloadSpec
-from repro.structure.program import FunctionStructure, ProgramStructure
-
-
-@dataclass(slots=True)
-class TraceOp:
-    """One dynamically executed instruction of one warp.
-
-    An op may be shared by many traces (see the module docstring), so it is
-    never mutated once a trace holds it.
-    """
-
-    #: Function the instruction belongs to (kernel or device function).
-    function: str
-    instruction: Instruction
-    #: Completion latency for variable-latency instructions (cycles).
-    latency: int = 0
-    #: Memory transactions issued (0 for non-memory instructions).
-    transactions: int = 0
-    #: Instruction-fetch stall charged before this op issues (cycles).
-    fetch_stall: int = 0
-    #: Base byte address of the warp's access (hierarchy memory model);
-    #: thread ``t`` accesses ``address + t * stride_bytes``.
-    address: int = 0
-    #: Per-thread stride in bytes; 0 marks an op without address
-    #: information (non-memory, or a hand-built trace).
-    stride_bytes: int = 0
-
-    @property
-    def offset(self) -> int:
-        return self.instruction.offset
-
-    @property
-    def opcode(self) -> str:
-        return self.instruction.opcode
+from repro.structure.program import ProgramStructure
 
 
 class TraceError(RuntimeError):
     """Raised when a trace cannot be generated (e.g. unresolved call)."""
+
+
+# ----------------------------------------------------------------------
+# Record layout, shared with repro.sampling.vector
+# ----------------------------------------------------------------------
+# Stall codes.  The simulator carries stall reasons as small ints: a code is
+# the member's index in ``_REASONS``; record slot 8 holds one.
+_REASONS: Tuple[StallReason, ...] = tuple(StallReason)
+_CODE_OF: Dict[StallReason, int] = {reason: code for code, reason in enumerate(_REASONS)}
+
+# Check-phase flag bits — ops with none of these (the common ALU op) take
+# a single ``flags & _CHECK_MASK`` branch through the scheduler's ready
+# test instead of four attribute probes.
+_F_FETCH = 1
+_F_WAIT = 2
+_F_BAR = 4
+_F_THROTTLE = 8
+_CHECK_MASK = _F_FETCH | _F_WAIT | _F_BAR | _F_THROTTLE
+# Issue-phase flag bits.
+_F_WRITE_BAR = 16
+_F_READ_BAR = 32
+_F_FIXED = 64  # fixed-latency op: write the dense scoreboard
+
+# Record tuple positions (static prefix 0-9 per instruction and
+# architecture, 10-15 per dynamic op, 16-17 per instruction and program):
+#   0 flags          1 wait_mask     2 used_regs     3 write_barrier
+#   4 read_barrier   5 stall_inc     6 fixed_latency 7 defined_regs
+#   8 barrier_reason 9 offset       10 fetch_stall  11 mem_inc
+#  12 read_hold     13 transactions 14 address      15 stride
+#  16 site          17 sites
+# Slot 17 is the program's site table, a list of ``(function, offset)``
+# keys shared by every record of the program; ``rec[17][rec[16]]`` is the
+# op's key.
 
 
 # ----------------------------------------------------------------------
@@ -75,18 +80,16 @@ class TraceError(RuntimeError):
 class OpMeta:
     """Packed static metadata of one :class:`~repro.isa.instruction.Instruction`.
 
-    Both simulator cores consult the same per-instruction facts on every
-    dynamic execution of an op — the control code's barrier fields, the
-    def/use register sets, whether the op is throttled memory, the stall
-    reason a dependent warp reports while waiting on it.  Deriving them
-    through the instruction's ``cached_property`` chain costs an attribute
-    dispatch per access per dynamic op; an :class:`OpMeta` resolves them
-    once per *static* instruction (memoized on the instruction, see
-    :func:`instruction_meta`) into plain slots the hot loops read
-    directly.
+    The record's static prefix needs per-instruction facts — the control
+    code's barrier fields, the def/use register sets, whether the op is
+    throttled memory, the stall reason a dependent warp reports while
+    waiting on it.  Deriving them through the instruction's
+    ``cached_property`` chain costs an attribute dispatch per access; an
+    :class:`OpMeta` resolves them once per *static* instruction (memoized
+    on the instruction, see :func:`instruction_meta`) into plain slots.
 
     ``wait_mask`` preserves the iteration order of the control code's
-    frozenset: the cores break latest-barrier ties by scan order, so the
+    frozenset: the core breaks latest-barrier ties by scan order, so the
     packed order must match what iterating the frozenset produced.
     """
 
@@ -155,6 +158,37 @@ def cached_latency(architecture: GpuArchitecture, opcode: str) -> int:
     return latency
 
 
+def _static_prefix(meta: OpMeta, architecture: GpuArchitecture) -> tuple:
+    """Record slots 0-9 of an instruction on ``architecture``."""
+    flags = 0
+    if meta.wait_mask:
+        flags |= _F_WAIT
+    if meta.is_bar:
+        flags |= _F_BAR
+    if meta.is_throttled_memory:
+        flags |= _F_THROTTLE
+    if meta.write_barrier is not None:
+        flags |= _F_WRITE_BAR
+    if meta.read_barrier is not None:
+        flags |= _F_READ_BAR
+    fixed_latency = 0
+    if not meta.is_variable_latency:
+        flags |= _F_FIXED
+        fixed_latency = cached_latency(architecture, meta.opcode)
+    return (
+        flags,
+        meta.wait_mask,
+        meta.used_regs,
+        meta.write_barrier,
+        meta.read_barrier,
+        max(1, meta.stall_cycles),
+        fixed_latency,
+        meta.defined_regs,
+        _CODE_OF[meta.barrier_reason],
+        meta.offset,
+    )
+
+
 #: Latency scale classes of a variable-latency op (packed per block).
 _SCALE_NONE, _SCALE_MEMORY, _SCALE_CONSTANT, _SCALE_SHARED = range(4)
 
@@ -174,49 +208,117 @@ def _scale_kind(space: Optional[MemorySpace]) -> int:
     return _SCALE_NONE
 
 
-def _block_records(block, function: str) -> list:
-    """Packed walk records of one basic block of ``function``.
+def _site_table(structure: ProgramStructure) -> Tuple[List[Tuple[str, int]], dict]:
+    """The program's site table and its inverse, memoized on the program.
 
-    One ``(run, step)`` pair per instruction the walk must look at:
-    ``run`` is the tuple of shared :class:`TraceOp` of the static
-    instructions before it (not memory, not variable-latency, not call or
-    exit), and ``step`` is
-    ``(instruction, needs_dynamic, is_memory, throttled, line, is_call,
-    is_exit, scale_kind, opcode)``.  A final ``(run, None)`` closes a
-    block that ends in a run.
-
-    The records are memoized on the block, so every warp of a launch
-    shares them and they are freed with the program structure.
+    ``sites[n]`` is the ``(function, offset)`` of site ``n``, the number
+    record slot 16 holds; the dict maps a key back to its number.  Sites
+    are numbered as the walk first plans their block, once per program.
     """
-    memo = block.__dict__.get("_walk_records")
-    if memo is not None and memo[0] == function:
-        return memo[1]
-    records = []
-    run: List[TraceOp] = []
+    table = structure.__dict__.get("_trace_sites")
+    if table is None:
+        table = structure.__dict__["_trace_sites"] = ([], {})
+    return table
+
+
+#: How the walk leaves a block (the first item of a block's exit).
+_EXIT_RETURN, _EXIT_GOTO, _EXIT_LOOP, _EXIT_BRANCH = range(4)
+
+
+def _block_exit(block, cfg) -> tuple:
+    """Where the walk goes after ``block``, resolved once per block.
+
+    One of ``(_EXIT_RETURN,)``, ``(_EXIT_GOTO, next)``,
+    ``(_EXIT_LOOP, header, fall_through, header_line, back_edge)`` for a
+    back edge (``fall_through`` is ``None`` when the loop has no exit
+    edge), or ``(_EXIT_BRANCH, target, fall_through, branch_line)`` for a
+    predicated forward branch the walk decides with a random draw.  Blocks
+    are referred to by index, so no block's memo refers to another block.
+    """
+    terminator = block.terminator
+    successors = cfg.successors.get(block.index, [])
+    if terminator is None or not successors:
+        return (_EXIT_RETURN,)
+    if not (terminator.is_branch and terminator.target is not None):
+        return (_EXIT_GOTO, successors[0])
+    try:
+        target = cfg.block_containing(terminator.target).index
+    except KeyError:
+        return (_EXIT_GOTO, successors[0])
+    fall_through = [s for s in successors if s != target]
+    if terminator.target <= terminator.offset:
+        header_line = cfg.instruction_at(terminator.target).line
+        return (
+            _EXIT_LOOP, target, fall_through[0] if fall_through else None,
+            header_line, terminator.offset,
+        )
+    if not terminator.is_predicated or len(successors) == 1:
+        return (_EXIT_GOTO, target)
+    return (
+        _EXIT_BRANCH, target, fall_through[0] if fall_through else target,
+        terminator.line,
+    )
+
+
+def _plan_block(block, cfg, function: str, architecture: GpuArchitecture,
+                sites: list, site_of: dict) -> tuple:
+    """Plan one basic block of ``function`` and memoize the plan on it.
+
+    The plan is ``(steps, exit)``.
+
+    ``steps`` holds one ``(run, step)`` pair per instruction the walk must
+    look at: ``run`` is the tuple of shared records of the static
+    instructions before it (not memory, not variable-latency, not call or
+    exit), and ``step`` is ``(record, static, base_latency, is_memory,
+    throttled, line, is_call, is_exit, scale_kind, site)``.  ``record`` is
+    the op's shared record when it has no dynamic state (a plain call or
+    exit) and ``None`` otherwise.  A final ``(run, None)`` closes a block
+    that ends in a run.  ``exit`` is :func:`_block_exit`.
+
+    The memo, ``block._trace_plan = (architecture, sites, plan)``, is
+    keyed by architecture (the plan holds its latencies) and by program
+    (the site table ``sites`` it numbers sites in), so every warp of a
+    launch shares it and it is freed with the program structure.  Returns
+    the memo.
+    """
+    steps = []
+    run: List[tuple] = []
     for instruction in block.instructions:
         meta = instruction_meta(instruction)
+        key = (function, meta.offset)
+        site = site_of.get(key)
+        if site is None:
+            site = site_of[key] = len(sites)
+            sites.append(key)
+        static = _static_prefix(meta, architecture)
         needs_dynamic = meta.is_memory or meta.is_variable_latency
+        shared = None
+        if not needs_dynamic:
+            # Record of an op with no dynamic state: latency 0 (mem_inc 1,
+            # read_hold 20), no transactions, no address, no fetch stall.
+            shared = static + (0, 1, 20, 1, 0, 0, site, sites)
         is_call = instruction.is_call
         is_exit = instruction.is_exit
         if not (needs_dynamic or is_call or is_exit):
-            run.append(TraceOp(function=function, instruction=instruction))
+            run.append(shared)
             continue
-        records.append((tuple(run), (
-            instruction,
-            needs_dynamic,
+        steps.append((tuple(run), (
+            shared,
+            static,
+            cached_latency(architecture, meta.opcode),
             meta.is_memory,
             meta.is_throttled_memory,
             instruction.line,
             is_call,
             is_exit,
             _scale_kind(instruction.memory_space),
-            meta.opcode,
+            site,
         )))
         run = []
     if run:
-        records.append((tuple(run), None))
-    block._walk_records = (function, records)
-    return records
+        steps.append((tuple(run), None))
+    memo = block._trace_plan = (architecture, sites, (steps, _block_exit(block, cfg)))
+    return memo
 
 
 def generate_warp_trace(
@@ -226,14 +328,14 @@ def generate_warp_trace(
     architecture: GpuArchitecture,
     warp_id: int,
     num_warps: int,
-) -> List[TraceOp]:
-    """Generate the dynamic instruction trace of one warp."""
-    rng = workload.rng_for_warp(warp_id)
-    uniform = rng.uniform
-    ops: List[TraceOp] = []
+) -> List[tuple]:
+    """The records of one warp's dynamic instruction trace."""
+    random = workload.rng_for_warp(warp_id).random
+    ops: List[tuple] = []
     append_op = ops.append
     extend_ops = ops.extend
     executed_functions: Set[str] = set()
+    sites, site_of = _site_table(structure)
     sector_bytes = architecture.memory.sector_bytes
     warp_size = architecture.warp_size
     max_trace_ops = workload.max_trace_ops
@@ -243,29 +345,60 @@ def generate_warp_trace(
         1.0, memory_scale, workload.constant_latency_scale,
         workload.shared_latency_scale,
     )
-    #: Per-call memos: line -> transactions / stride, and stride -> this
-    #: warp's address layout (request bytes, working set, partition, base).
-    line_transactions: Dict[Optional[int], int] = {}
-    line_stride: Dict[Optional[int], int] = {}
-    stride_layout: Dict[int, Tuple[int, int, int, int]] = {}
+    #: Per-call memos: line -> loop trips / branch probability, and site ->
+    #: ``(scaled, transactions, stride, request_bytes, working_set,
+    #: partition, base)``, the op's latency before jitter, its transactions
+    #: slot, and for a throttled access this warp's address layout (zeros
+    #: otherwise).
+    line_trips: Dict[Optional[int], int] = {}
+    line_probability: Dict[Optional[int], float] = {}
+    site_facts: Dict[int, tuple] = {}
     #: Per-warp count of hierarchy-visible memory accesses, used to walk
     #: the warp through its working-set partition deterministically.
     memory_accesses = 0
+
+    def dynamic_facts(step) -> tuple:
+        """The per-warp facts of a dynamic step's op (see ``site_facts``)."""
+        (_, _, base_latency, is_memory, throttled, line, _, _, scale_kind, _) = step
+        transactions = workload.transactions(line) if is_memory else 0
+        # Completion latency before jitter: the opcode's base latency times
+        # its space's scale; uncoalesced accesses serialize transactions at
+        # the memory pipe.
+        scale = kind_scales[scale_kind]
+        if scale_kind == _SCALE_MEMORY and transactions > 1:
+            scale *= 1.0 + 0.15 * (transactions - 1)
+        layout = (0, 0, 0, 0, 0)
+        if throttled:
+            # Each warp streams through its own partition of the working
+            # set, wrapping at the end.
+            stride = workload.access_stride(line, sector_bytes, warp_size)
+            request_bytes = max(1, warp_size * stride)
+            working_set = max(request_bytes, workload.working_set_bytes)
+            partition = max(request_bytes, working_set // max(1, num_warps))
+            layout = (
+                stride, request_bytes, working_set, partition,
+                (warp_id * partition) % working_set,
+            )
+        return (base_latency * scale, transactions if transactions >= 1 else 1) + layout
 
     def walk(function_name: str, depth: int) -> None:
         nonlocal memory_accesses
         if depth > 8:
             raise TraceError(f"call depth limit exceeded while tracing {kernel_name}")
-        function_structure = structure.function(function_name)
+        cfg = structure.function(function_name).cfg
         executed_functions.add(function_name)
-        cfg = function_structure.cfg
+        blocks = cfg.blocks
         block = cfg.entry
         back_edge_taken: Dict[int, int] = {}
 
         while True:
             if len(ops) >= max_trace_ops:
                 return
-            for run, step in _block_records(block, function_name):
+            memo = block.__dict__.get("_trace_plan")
+            if memo is None or memo[0] is not architecture or memo[1] is not sites:
+                memo = _plan_block(block, cfg, function_name, architecture, sites, site_of)
+            steps, exit_ = memo[2]
+            for run, step in steps:
                 if run:
                     room = max_trace_ops - len(ops)
                     if len(run) >= room:
@@ -276,68 +409,32 @@ def generate_warp_trace(
                     return
                 if step is None:
                     break
-                (instruction, needs_dynamic, is_memory, throttled, line,
-                 is_call, is_exit, scale_kind, opcode) = step
-                transactions = 0
-                latency = 0
-                address = 0
-                stride = 0
-                if needs_dynamic:
-                    if is_memory:
-                        transactions = line_transactions.get(line)
-                        if transactions is None:
-                            transactions = workload.transactions(line)
-                            line_transactions[line] = transactions
-                        if throttled:
-                            # Each warp streams through its own partition of
-                            # the working set, wrapping at the end.  The
-                            # address is a pure function of the access
-                            # count — it consumes no randomness, so the flat
-                            # model's traces stay bit-identical.
-                            stride = line_stride.get(line)
-                            if stride is None:
-                                stride = workload.access_stride(
-                                    line, sector_bytes, warp_size
-                                )
-                                line_stride[line] = stride
-                            layout = stride_layout.get(stride)
-                            if layout is None:
-                                request_bytes = max(1, warp_size * stride)
-                                working_set = max(
-                                    request_bytes, workload.working_set_bytes
-                                )
-                                partition = max(
-                                    request_bytes, working_set // max(1, num_warps)
-                                )
-                                layout = (
-                                    request_bytes, working_set, partition,
-                                    (warp_id * partition) % working_set,
-                                )
-                                stride_layout[stride] = layout
-                            request_bytes, working_set, partition, base = layout
-                            address = (
-                                base + (memory_accesses * request_bytes) % partition
-                            ) % working_set
-                            memory_accesses += 1
-                    # Completion latency: the opcode's base latency times
-                    # its space's scale and a jitter draw; uncoalesced
-                    # accesses serialize transactions at the memory pipe.
-                    jitter = uniform(0.85, 1.25)
-                    scale = kind_scales[scale_kind]
-                    if scale_kind == _SCALE_MEMORY and transactions > 1:
-                        scale *= 1.0 + 0.15 * (transactions - 1)
-                    base_latency = cached_latency(architecture, opcode)
-                    latency = max(1, int(base_latency * scale * jitter))
-                append_op(
-                    TraceOp(
-                        function=function_name,
-                        instruction=instruction,
-                        latency=latency,
-                        transactions=transactions,
-                        address=address,
-                        stride_bytes=stride,
+                record, static, _, _, _, line, is_call, is_exit, _, site = step
+                if record is None:
+                    facts = site_facts.get(site)
+                    if facts is None:
+                        facts = site_facts[site] = dynamic_facts(step)
+                    (scaled, transactions, stride, request_bytes, working_set,
+                     partition, base) = facts
+                    address = 0
+                    if stride:
+                        # The address is a pure function of the access
+                        # count — it consumes no randomness, so the flat
+                        # model's traces stay bit-identical.
+                        address = (
+                            base + (memory_accesses * request_bytes) % partition
+                        ) % working_set
+                        memory_accesses += 1
+                    # The jitter is ``Random.uniform(0.85, 1.25)``'s own
+                    # formula, so the draws are bit-identical to it.
+                    latency = int(scaled * (0.85 + (1.25 - 0.85) * random()))
+                    if latency < 1:
+                        latency = 1
+                    record = static + (
+                        0, latency, latency if latency < 30 else 30, transactions,
+                        address, stride, site, sites,
                     )
-                )
+                append_op(record)
                 if is_call:
                     callee = workload.call_target(line)
                     if callee is not None and callee in structure.functions:
@@ -345,50 +442,35 @@ def generate_warp_trace(
                 if is_exit:
                     return
 
-            terminator = block.terminator
-            successors = cfg.successors.get(block.index, [])
-            if terminator is None or not successors:
-                return
-
-            if terminator.is_branch and terminator.target is not None:
-                target_block = None
-                try:
-                    target_block = cfg.block_containing(terminator.target)
-                except KeyError:
-                    target_block = None
-
-                is_back_edge = terminator.target <= terminator.offset
-                if is_back_edge and target_block is not None:
-                    header_instruction = cfg.instruction_at(terminator.target)
-                    trips = workload.trip_count(header_instruction.line, warp_id)
-                    taken = back_edge_taken.get(terminator.offset, 0)
-                    if taken + 1 < trips:
-                        back_edge_taken[terminator.offset] = taken + 1
-                        block = target_block
-                        continue
-                    back_edge_taken[terminator.offset] = 0
-                    fall_through = [s for s in successors if s != target_block.index]
-                    if fall_through:
-                        block = cfg.blocks[fall_through[0]]
-                        continue
+            kind = exit_[0]
+            if kind == _EXIT_GOTO:
+                block = blocks[exit_[1]]
+            elif kind == _EXIT_LOOP:
+                _, header, fall_through, header_line, back_edge = exit_
+                trips = line_trips.get(header_line)
+                if trips is None:
+                    trips = line_trips[header_line] = workload.trip_count(
+                        header_line, warp_id
+                    )
+                taken = back_edge_taken.get(back_edge, 0)
+                if taken + 1 < trips:
+                    back_edge_taken[back_edge] = taken + 1
+                    block = blocks[header]
+                    continue
+                back_edge_taken[back_edge] = 0
+                if fall_through is None:
                     return
-                # Forward branch.
-                if target_block is None:
-                    block = cfg.blocks[successors[0]]
-                    continue
-                if not terminator.is_predicated or len(successors) == 1:
-                    block = target_block
-                    continue
-                probability = workload.branch_probability(terminator.line)
-                if rng.random() < probability:
-                    block = target_block
-                else:
-                    fall_through = [s for s in successors if s != target_block.index]
-                    block = cfg.blocks[fall_through[0]] if fall_through else target_block
-                continue
-
-            # Fall through (non-branch terminator or branch without target).
-            block = cfg.blocks[successors[0]]
+                block = blocks[fall_through]
+            elif kind == _EXIT_BRANCH:
+                _, target, fall_through, branch_line = exit_
+                probability = line_probability.get(branch_line)
+                if probability is None:
+                    probability = line_probability[branch_line] = (
+                        workload.branch_probability(branch_line)
+                    )
+                block = blocks[target if random() < probability else fall_through]
+            else:
+                return
 
     walk(kernel_name, depth=0)
 
@@ -397,7 +479,7 @@ def generate_warp_trace(
 
 
 def _charge_fetch_stalls(
-    ops: List[TraceOp],
+    records: List[tuple],
     executed_functions: Set[str],
     structure: ProgramStructure,
     architecture: GpuArchitecture,
@@ -407,16 +489,18 @@ def _charge_fetch_stalls(
     The footprint is the total code size of every function the warp executed.
     Pressure above 1.0 causes periodic fetch stalls whose frequency and size
     grow with the pressure — the signal the Function Split optimizer matches
-    (Table 2: "Match instruction fetch stalls").  Each charged op is
-    replaced by a fresh copy, since the op in the list may be shared.
+    (Table 2: "Match instruction fetch stalls").  Each charged record is
+    replaced by a copy that carries ``_F_FETCH`` and the stall in slot 10,
+    since the record in the list may be shared.
     """
     footprint = sum(
         structure.function(name).function.code_size for name in executed_functions
     )
     pressure = footprint / architecture.instruction_cache_bytes
-    if pressure <= 1.0 or not ops:
+    if pressure <= 1.0 or not records:
         return
     period = max(6, int(48 / pressure))
     stall = max(4, int(8 * min(pressure, 4.0)))
-    for index in range(period, len(ops), period):
-        ops[index] = replace(ops[index], fetch_stall=stall)
+    for index in range(period, len(records), period):
+        record = records[index]
+        records[index] = (record[0] | _F_FETCH,) + record[1:10] + (stall,) + record[11:]

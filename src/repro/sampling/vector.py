@@ -8,9 +8,10 @@ assignment, loose round-robin issue, scoreboards and barrier registers,
 ``BAR.SYNC``, the two memory models, fetch stalls, observation-neutral
 sampling and skip-ahead) and how to extend them.
 
-The core keeps *no per-op objects* on its hot path.  At the start of a
-``simulate()`` call every warp's trace is packed once into a structure of
-flat arrays:
+The core keeps *no per-op objects* on its hot path.  A trace is a list of
+packed records, built by the trace walk
+(:func:`~repro.sampling.trace.generate_warp_trace`), so ``simulate()``
+steps on it without visiting its ops first:
 
 * **Op streams** — one packed record per dynamic op, carrying the
   precomputed facts both scheduler phases need: a check-phase flag word
@@ -18,17 +19,16 @@ flat arrays:
   a plain tuple, used/defined register indices, the control-code barrier
   slots, precomputed fixed-op latency (``architecture.latency`` never runs
   inside the loop), precomputed ``max(1, ...)`` latency/stall increments,
-  and — under the hierarchy memory model — the access's coalesced sector
-  addresses, resolved at pack time by shifting the memoized phase pattern
-  (:func:`~repro.sampling.memory.sector_pattern`).  Records are interned
-  aggressively: the static prefix is memoized per instruction, ops with no
-  dynamic state (the common fixed-latency ALU op) share one record tuple
-  outright, and the trace walk's shared ops find that record by identity —
-  so such an op costs one dict hit.
+  the access's address and stride, and the op's sample site.  Under the
+  hierarchy memory model the access's coalesced sectors are resolved when
+  it issues, by shifting the memoized phase pattern
+  (:func:`~repro.sampling.memory.sector_pattern`).  Ops with no dynamic
+  state (the common fixed-latency ALU op) share one record per
+  instruction.
 * **Warp state** — PC indices, ready/blocked cycles, fetch timers, barrier
   membership and finished flags live in flat per-warp arrays; the
-  fixed-latency scoreboard is a dense ``warps x registers`` table of
-  ready-cycles instead of per-warp dicts.
+  fixed-latency scoreboard is a dense table of ready-cycles, one row of
+  256 registers per warp, instead of per-warp dicts.
 
 The event loop scans each scheduler's warps in round-robin order and skips
 a scheduler until its earliest possible issue cycle.  The PC sampler probes
@@ -38,48 +38,68 @@ every sample period.  Stall and issue counts keep first-sample order, which
 results serialize unsorted.  The speed comes from keeping the loop on plain
 ints:
 
-* one tuple index replaces every chain of attribute dispatches, and all
-  per-op ``max()``/latency/coalescing work is hoisted out of the loop;
-* stall reasons are small-int codes, and every record carries the index of
-  its ``(function, offset)`` *site*, so a sample bumps one int-keyed
-  counter; ``StallReason`` members and ``(function, offset)`` keys are
-  built once per call, when the result is assembled;
+* one tuple index replaces every chain of attribute dispatches, all per-op
+  ``max()``/latency work is hoisted out of the loop, and coalescing an
+  issued access is one memoized pattern lookup plus a shift;
+* stall reasons are small-int codes, and every record carries the number
+  of its ``(function, offset)`` *site* in its program's site table, so a
+  sample bumps one int-keyed counter; ``StallReason`` members and
+  ``(function, offset)`` keys are looked up once per call, when the result
+  is assembled;
 * the scheduler scan walks a precomputed ``(slot, warp)`` order per start
   slot, tests one flag word and walks the register scoreboard inline on the
   common path, and issues a plain fixed-latency op inline too.
 
-Under the hierarchy model the scan also skips the check of a warp that is
-still throttled on L1 MSHRs: it sleeps until the hierarchy's memoized
-:attr:`~repro.sampling.memory.MemoryHierarchy.throttle_reopen` cycle.
+Under either memory model the scan also skips the check of a warp that is
+still throttled: it sleeps until the memoized
+:attr:`~repro.sampling.memory.TransactionBudget.throttle_reopen` cycle of
+the SM's transaction budget (the flat budget, or the hierarchy's MSHRs).
 
-Packing and stepping are pure Python: per-SM warp populations (8–64) sit
-far below any array library's vectorization break-even for this access
-pattern.  ``docs/SIMULATOR.md`` also documents the record layout.
+Stepping is pure Python: per-SM warp populations (8–64) sit far below any
+array library's vectorization break-even for this access pattern.
+``docs/SIMULATOR.md`` also documents the record layout.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.machine import GpuArchitecture
+from repro.isa.registers import ZERO_REGISTER_INDEX
 from repro.sampling.memory import (
     MemoryHierarchy,
     MemoryStatistics,
+    TransactionBudget,
     check_memory_model,
     sector_pattern,
 )
 from repro.sampling.sample import PCSample
 from repro.sampling.stall_reasons import StallReason
-from repro.sampling.trace import TraceOp, cached_latency, instruction_meta
+from repro.sampling.trace import (
+    _CHECK_MASK,
+    _CODE_OF,
+    _F_BAR,
+    _F_FETCH,
+    _F_FIXED,
+    _F_READ_BAR,
+    _F_THROTTLE,
+    _F_WAIT,
+    _F_WRITE_BAR,
+    _REASONS,
+)
 
 #: Default bound on the simulation loop; shared by the profiler and the
 #: pipeline cache key so a truncated simulation never replays as a full one.
 DEFAULT_MAX_CYCLES = 4_000_000
 
 _FAR_FUTURE = 1 << 60
+
+#: Columns of the dense register scoreboard: register indices run up to
+#: ``RZ``'s (``RegisterOperand`` rejects anything higher), so no record
+#: needs scanning to size it.
+_NUM_REGS = ZERO_REGISTER_INDEX + 1
 
 
 @dataclass
@@ -108,11 +128,10 @@ class SimulationResult:
 
 # ----------------------------------------------------------------------
 # Stall codes.  The step loop carries stall reasons as small ints: a code is
-# the member's index in ``_REASONS``, and ``_REASONS[code]`` turns it back
-# into the member where a PCSample or the result is built.
-_REASONS: Tuple[StallReason, ...] = tuple(StallReason)
+# the member's index in ``_REASONS`` (defined with the record layout in
+# repro.sampling.trace), and ``_REASONS[code]`` turns it back into the
+# member where a PCSample or the result is built.
 _NUM_REASONS = len(_REASONS)
-_CODE_OF: Dict[StallReason, int] = {reason: code for code, reason in enumerate(_REASONS)}
 _R_SELECTED = _CODE_OF[StallReason.SELECTED]
 _R_NOT_SELECTED = _CODE_OF[StallReason.NOT_SELECTED]
 _R_EXEC_DEP = _CODE_OF[StallReason.EXECUTION_DEPENDENCY]
@@ -123,142 +142,24 @@ _R_IDLE = _CODE_OF[StallReason.IDLE]
 _R_OTHER = _CODE_OF[StallReason.OTHER]
 
 # ----------------------------------------------------------------------
-# Packed-record layout (one tuple per dynamic op).
-#
-# Check-phase flag bits — ops with none of these (the common ALU op) take
-# a single ``flags & _CHECK_MASK`` branch through the scheduler's ready
-# test instead of four attribute probes.
-_F_FETCH = 1
-_F_WAIT = 2
-_F_BAR = 4
-_F_THROTTLE = 8
-_CHECK_MASK = _F_FETCH | _F_WAIT | _F_BAR | _F_THROTTLE
-# Issue-phase flag bits.
-_F_WRITE_BAR = 16
-_F_READ_BAR = 32
-_F_FIXED = 64  # fixed-latency op: write the dense scoreboard
-
-# Record tuple positions (static prefix 0-9 is memoized per instruction,
-# dynamic tail 10-16 varies per op):
-#   0 flags          1 wait_mask     2 used_regs     3 write_barrier
-#   4 read_barrier   5 stall_inc     6 fixed_latency 7 defined_regs
-#   8 barrier_reason 9 offset       10 fetch_stall  11 mem_inc
-#  12 read_hold     13 transactions 14 function     15 sectors
-#  16 site
-# Slot 8 is a stall code; slot 16 numbers the op's (function, offset).
+# The packed-record layout (one tuple per dynamic op) and its flag bits are
+# defined in repro.sampling.trace, which builds the records.  Slot 8 is a
+# stall code; slot 16 numbers the op's (function, offset) in the program's
+# site table, slot 17.
 
 
-# ----------------------------------------------------------------------
-def _pack_warp(
-    trace: Sequence[TraceOp],
-    architecture: GpuArchitecture,
-    hierarchy: bool,
-    sector_bytes: int,
-    warp_size: int,
-    static_memo: dict,
-    shared_memo: dict,
-    sites: dict,
-) -> list:
-    """One warp's packed op records.
+def _pack_warp(trace: Sequence[tuple], sites: Sequence[Tuple[str, int]]) -> Sequence[tuple]:
+    """One warp's records, ready to step.
 
-    ``static_memo`` interns, per instruction: the record's static prefix,
-    a complete default record (shared outright by ops with no dynamic
-    state — the common case), and the instruction's highest register
-    index.  ``shared_memo`` maps ``id(op)`` of every op that packed to a
-    default record to that record: the trace walk appends one shared,
-    never-mutated :class:`TraceOp` per static instruction for such ops, so
-    each costs one dict hit.  Both memos are per-``simulate()`` dicts keyed
-    by object identity — the traces pin the ops and their instructions for
-    the duration of the call, so ids cannot be recycled underneath them.
-    ``sites``, also per call, numbers each ``(function, offset)`` a record
-    charges its samples to; the number is the record's slot 16.
-    Sector addresses shift the process-wide phase pattern of
-    :func:`~repro.sampling.memory.sector_pattern`.
+    The trace walk already emits the records the step loop reads, so the
+    per-warp work left is a check: the warp's records must number their
+    sites in ``sites``, the site table the call resolves every sample
+    against.  Warps traced from another program would charge their samples
+    to the wrong ``(function, offset)``.
     """
-    records = []
-    append = records.append
-    shared_record = shared_memo.get
-    for op in trace:
-        record = shared_record(id(op))
-        if record is not None:
-            append(record)
-            continue
-        instruction = op.instruction
-        entry = static_memo.get(id(instruction))
-        if entry is None:
-            meta = instruction_meta(instruction)
-            flags = 0
-            if meta.wait_mask:
-                flags |= _F_WAIT
-            if meta.is_bar:
-                flags |= _F_BAR
-            if meta.is_throttled_memory:
-                flags |= _F_THROTTLE
-            if meta.write_barrier is not None:
-                flags |= _F_WRITE_BAR
-            if meta.read_barrier is not None:
-                flags |= _F_READ_BAR
-            fixed_latency = 0
-            if not meta.is_variable_latency:
-                flags |= _F_FIXED
-                fixed_latency = cached_latency(architecture, meta.opcode)
-            top = -1
-            if meta.used_regs:
-                top = max(meta.used_regs)
-            if meta.defined_regs:
-                top = max(top, max(meta.defined_regs))
-            static = (
-                flags,
-                meta.wait_mask,
-                meta.used_regs,
-                meta.write_barrier,
-                meta.read_barrier,
-                max(1, meta.stall_cycles),
-                fixed_latency,
-                meta.defined_regs,
-                _CODE_OF[meta.barrier_reason],
-                meta.offset,
-            )
-            site = sites.setdefault((op.function, meta.offset), len(sites))
-            # Default record for ops with no dynamic state: latency 0
-            # (mem_inc 1, read_hold 20), no transactions, no fetch stall.
-            default_rec = static + (0, 1, 20, 1, op.function, None, site)
-            entry = (static, default_rec, top)
-            static_memo[id(instruction)] = entry
-        static, default_rec, _ = entry
-
-        latency = op.latency
-        transactions = op.transactions
-        fetch = op.fetch_stall
-        flags = static[0]
-        needs_sectors = hierarchy and flags & _F_THROTTLE
-        if not (latency or transactions or fetch or needs_sectors):
-            shared_memo[id(op)] = default_rec
-            append(default_rec)
-            continue
-
-        sectors = None
-        if needs_sectors and op.stride_bytes > 0:
-            address = op.address
-            phase = address % sector_bytes
-            pattern = sector_pattern(phase, op.stride_bytes, warp_size, sector_bytes)
-            shift = address - phase
-            sectors = tuple([shift + sector for sector in pattern])
-        if fetch:
-            static = (flags | _F_FETCH,) + static[1:]
-        site = default_rec[16]
-        if op.function != default_rec[14]:
-            site = sites.setdefault((op.function, static[9]), len(sites))
-        append(static + (
-            fetch,
-            latency if latency >= 1 else 1,
-            (latency if latency < 30 else 30) if latency >= 1 else 20,
-            transactions if transactions >= 1 else 1,
-            op.function,
-            sectors,
-            site,
-        ))
-    return records
+    if trace and trace[0][17] is not sites:
+        raise ValueError("every warp of one simulate() call must be traced from one program")
+    return trace
 
 
 def _scan_orders(warps: Sequence[int]) -> List[Tuple[Tuple[int, int], ...]]:
@@ -296,7 +197,7 @@ class VectorSMSimulator:
     def simulate(
         self,
         kernel: str,
-        traces: Sequence[List[TraceOp]],
+        traces: Sequence[List[tuple]],
         block_of_warp: Sequence[int],
         sm_id: int = 0,
     ) -> SimulationResult:
@@ -311,25 +212,17 @@ class VectorSMSimulator:
         num_warps = len(traces)
         hierarchy: Optional[MemoryHierarchy] = None
         if self.memory_model == "hierarchy":
-            hierarchy = MemoryHierarchy(arch.memory, warp_size=arch.warp_size)
+            hierarchy = MemoryHierarchy(arch.memory)
+            budget: TransactionBudget = hierarchy
+        else:
+            budget = TransactionBudget(arch.max_outstanding_memory_requests)
         sector_bytes = arch.memory.sector_bytes
+        warp_size = arch.warp_size
 
-        # ---- pack phase: per-op records + register-file sizing ----------
-        static_memo: dict = {}
-        shared_memo: dict = {}
-        sites: Dict[Tuple[str, int], int] = {}
-        recs_of_warp: List[list] = [
-            _pack_warp(
-                trace, arch, hierarchy is not None, sector_bytes,
-                arch.warp_size, static_memo, shared_memo, sites,
-            )
-            for trace in traces
-        ]
-        # Every packed op's instruction is in static_memo with its highest
-        # register index.
-        num_regs = 1 + max((top for _, _, top in static_memo.values()), default=-1)
-        #: site -> (function, offset), the inverse of ``sites``.
-        site_keys = list(sites)
+        #: site -> (function, offset): the program's site table, which every
+        #: record carries in slot 17.
+        site_keys = next((trace[0][17] for trace in traces if trace), ())
+        recs_of_warp = [_pack_warp(trace, site_keys) for trace in traces]
 
         # ---- flat warp-state arrays ------------------------------------
         op_count = [len(records) for records in recs_of_warp]
@@ -345,7 +238,7 @@ class VectorSMSimulator:
         barrier_clear = [[0, 0, 0, 0, 0, 0] for _ in range(num_warps)]
         barrier_reason = [[_R_EXEC_DEP] * 6 for _ in range(num_warps)]
         #: Dense scoreboard: reg_ready[w][r] = cycle register r is ready.
-        reg_ready = [[0] * num_regs for _ in range(num_warps)]
+        reg_ready = [[0] * _NUM_REGS for _ in range(num_warps)]
 
         #: rotations[s][start]: scheduler s's scan order from slot ``start``;
         #: warps are dealt to schedulers round-robin.
@@ -357,9 +250,6 @@ class VectorSMSimulator:
         for w in range(num_warps):
             warps_of_block[block_of_warp[w]].append(w)
         barrier_arrived: Dict[int, set] = defaultdict(set)
-
-        pending_memory: List[int] = []
-        memory_limit = arch.max_outstanding_memory_requests
 
         #: Latency samples per ``site * _NUM_REASONS + code`` and active
         #: samples per site, both in first-sample order.
@@ -386,10 +276,10 @@ class VectorSMSimulator:
 
             ``commit=False`` is the PC sampler's observation mode: the same
             classification runs, but nothing is mutated (no fetch-timer
-            arming, no barrier-arrival registration, no outstanding-
-            transaction pops), so sampling never perturbs the timing.  One
-            routine for both modes keeps the sampler's stall reasons equal
-            to what the scheduler sees.  The scheduler scan inlines the
+            arming, no barrier-arrival registration, no retirement of
+            transactions in flight), so sampling never perturbs the timing.
+            One routine for both modes keeps the sampler's stall reasons
+            equal to what the scheduler sees.  The scheduler scan inlines the
             common path (no flags, register scoreboard only) and only calls
             in here for flagged ops and sampling probes.
             """
@@ -451,21 +341,9 @@ class VectorSMSimulator:
 
                 # Memory throttle.
                 if flags & _F_THROTTLE:
-                    if hierarchy is not None:
-                        recheck = hierarchy.backpressure(now, commit=commit)
-                        if recheck is not None:
-                            return False, _R_THROTTLE, recheck
-                    elif commit:
-                        while pending_memory and pending_memory[0] <= now:
-                            heapq.heappop(pending_memory)
-                        if len(pending_memory) >= memory_limit:
-                            return False, _R_THROTTLE, pending_memory[0]
-                    else:
-                        in_flight = sum(
-                            1 for completion in pending_memory if completion > now
-                        )
-                        if in_flight >= memory_limit:
-                            return False, _R_THROTTLE, now + 1
+                    recheck = budget.backpressure(now, commit=commit)
+                    if recheck is not None:
+                        return False, _R_THROTTLE, recheck
 
             return True, _R_SELECTED, now
 
@@ -475,12 +353,21 @@ class VectorSMSimulator:
             i = idx[w]
             (flags, _wait, _used, write_barrier, read_barrier, stall_inc,
              fixed_latency, defined, dep_reason, _offset, _fetch, mem_inc,
-             read_hold, transactions, _function, sectors, _site
+             read_hold, transactions, address, stride, _site, _sites
              ) = recs_of_warp[w][i]
 
             is_hierarchy_memory = hierarchy is not None and flags & _F_THROTTLE
             if is_hierarchy_memory:
-                if sectors is None:
+                if stride > 0:
+                    # Coalescing is shift-invariant: shift the pattern of
+                    # the address's phase within its sector.
+                    phase = address % sector_bytes
+                    shift = address - phase
+                    sectors = [
+                        shift + sector
+                        for sector in sector_pattern(phase, stride, warp_size, sector_bytes)
+                    ]
+                else:
                     sectors = hierarchy.fallback_sectors(transactions)
                 memory_completion = hierarchy.access_sectors(sectors, now)
 
@@ -506,9 +393,7 @@ class VectorSMSimulator:
                     regs[r] = done
 
             if hierarchy is None and flags & _F_THROTTLE:
-                completion = now + mem_inc
-                for _ in range(transactions):
-                    heapq.heappush(pending_memory, completion)
+                budget.admit(now + mem_inc, transactions)
 
             if flags & _F_BAR:
                 sync_arrived[w] = False
@@ -636,15 +521,15 @@ class VectorSMSimulator:
                     else:
                         rec = recs_of_warp[w][idx[w]]
                         if rec[0] & _CHECK_MASK:
-                            if (last_reason[w] == _R_THROTTLE and hierarchy is not None
-                                    and hierarchy.throttle_reopen is not None
-                                    and cycle < hierarchy.throttle_reopen):
+                            reopen = budget.throttle_reopen
+                            if (last_reason[w] == _R_THROTTLE and reopen is not None
+                                    and cycle < reopen):
                                 # Still throttled: the checks before the
                                 # throttle passed at this op, and they change
                                 # only when ``w`` itself issues.
                                 ready = False
                                 reason = _R_THROTTLE
-                                recheck = hierarchy.throttle_reopen
+                                recheck = reopen
                             else:
                                 ready, reason, recheck = check(w, cycle)
                         else:

@@ -10,10 +10,12 @@ from repro.sampling.memory import (
     MemoryHierarchy,
     MemoryStatistics,
     SectorCache,
+    TransactionBudget,
     check_memory_model,
+    coalesce,
 )
 from repro.sampling.stall_reasons import StallReason
-from repro.sampling.trace import TraceOp, generate_warp_trace
+from repro.sampling.trace import _F_THROTTLE, generate_warp_trace
 from repro.sampling.vector import VectorSMSimulator
 from repro.structure.program import build_program_structure
 from repro.workloads.memory_patterns import (
@@ -34,13 +36,9 @@ def _params(**overrides) -> MemoryHierarchyParameters:
     return MemoryHierarchyParameters(**defaults)
 
 
-class _FakeOp:
-    """A minimal stand-in carrying only the fields the hierarchy reads."""
-
-    def __init__(self, address=0, stride_bytes=0, transactions=0):
-        self.address = address
-        self.stride_bytes = stride_bytes
-        self.transactions = transactions
+def _sectors(address, stride_bytes):
+    """The coalesced sectors of one warp access (32 threads, 32-byte sectors)."""
+    return coalesce(address, stride_bytes, 32, 32)
 
 
 class TestCheckMemoryModel:
@@ -77,26 +75,23 @@ class TestSectorCache:
 
 class TestCoalescing:
     def test_unit_stride_touches_four_sectors(self):
-        hierarchy = MemoryHierarchy(_params(), warp_size=32)
-        sectors = hierarchy.sector_addresses(_FakeOp(address=0, stride_bytes=4))
+        sectors = _sectors(address=0, stride_bytes=4)
         # 32 threads x 4 bytes = 128 bytes = 4 aligned 32-byte sectors.
         assert sectors == [0, 32, 64, 96]
 
     def test_full_stride_touches_one_sector_per_thread(self):
-        hierarchy = MemoryHierarchy(_params(), warp_size=32)
-        sectors = hierarchy.sector_addresses(_FakeOp(address=0, stride_bytes=128))
+        sectors = _sectors(address=0, stride_bytes=128)
         assert len(sectors) == 32
 
     def test_unaligned_access_spills_into_an_extra_sector(self):
-        hierarchy = MemoryHierarchy(_params(), warp_size=32)
-        sectors = hierarchy.sector_addresses(_FakeOp(address=30, stride_bytes=4))
+        sectors = _sectors(address=30, stride_bytes=4)
         # The footprint [30, 158) covers sectors 0..4.
         assert sectors == [0, 32, 64, 96, 128]
 
     def test_ops_without_addresses_fall_back_to_transaction_count(self):
-        hierarchy = MemoryHierarchy(_params(), warp_size=32)
-        first = hierarchy.sector_addresses(_FakeOp(transactions=3))
-        second = hierarchy.sector_addresses(_FakeOp(transactions=3))
+        hierarchy = MemoryHierarchy(_params())
+        first = hierarchy.fallback_sectors(3)
+        second = hierarchy.fallback_sectors(3)
         assert len(first) == len(second) == 3
         # The rolling cursor keeps fallback accesses from aliasing.
         assert not set(first) & set(second)
@@ -104,27 +99,27 @@ class TestCoalescing:
 
 class TestHierarchyTiming:
     def test_l1_hit_is_faster_than_l2_hit_is_faster_than_dram(self):
-        hierarchy = MemoryHierarchy(_params(), warp_size=32)
-        op = _FakeOp(address=0, stride_bytes=4)
-        dram = hierarchy.access(op, 0)
-        l1 = hierarchy.access(op, 0)
+        hierarchy = MemoryHierarchy(_params())
+        sectors = _sectors(address=0, stride_bytes=4)
+        dram = hierarchy.access_sectors(sectors, 0)
+        l1 = hierarchy.access_sectors(sectors, 0)
         assert dram > l1
         assert hierarchy.statistics.l1_hits == 4
         assert hierarchy.statistics.dram_sectors == 4
 
     def test_dram_bandwidth_serializes_transfers(self):
         parameters = _params(dram_bytes_per_cycle=8)  # 4 cycles per sector
-        hierarchy = MemoryHierarchy(parameters, warp_size=32)
-        first = hierarchy.access(_FakeOp(address=0, stride_bytes=128), 0)
-        hierarchy_idle = MemoryHierarchy(parameters, warp_size=32)
-        single = hierarchy_idle.access(_FakeOp(address=0, stride_bytes=4), 0)
+        hierarchy = MemoryHierarchy(parameters)
+        first = hierarchy.access_sectors(_sectors(address=0, stride_bytes=128), 0)
+        hierarchy_idle = MemoryHierarchy(parameters)
+        single = hierarchy_idle.access_sectors(_sectors(address=0, stride_bytes=4), 0)
         # 32 queued sectors wait behind each other at 4 cycles each; a
         # 4-sector access on an idle channel completes much earlier.
         assert first > single
 
     def test_mshr_backpressure_reports_a_recheck_cycle(self):
-        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4), warp_size=32)
-        hierarchy.access(_FakeOp(address=0, stride_bytes=128), 0)  # 32 misses
+        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4))
+        hierarchy.access_sectors(_sectors(address=0, stride_bytes=128), 0)  # 32 misses
         recheck = hierarchy.backpressure(1, commit=True)
         assert recheck is not None and recheck > 1
         # Once every miss completes the pipeline accepts requests again.
@@ -133,34 +128,34 @@ class TestHierarchyTiming:
     def test_refusal_returns_the_exact_reopen_cycle(self):
         """The returned cycle is when in-flight misses drop below the MSHR
         count, not the earliest completion (31 misses still in flight)."""
-        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4), warp_size=32)
-        hierarchy.access(_FakeOp(address=0, stride_bytes=128), 0)  # 32 misses
+        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4))
+        hierarchy.access_sectors(_sectors(address=0, stride_bytes=128), 0)  # 32 misses
         reopen = hierarchy.backpressure(1, commit=True)
         assert hierarchy.backpressure(reopen - 1, commit=True) == reopen
         assert hierarchy.backpressure(reopen, commit=True) is None
 
     def test_an_allocation_drops_the_reopen_memo(self):
-        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4), warp_size=32)
-        hierarchy.access(_FakeOp(address=0, stride_bytes=128), 0)
+        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4))
+        hierarchy.access_sectors(_sectors(address=0, stride_bytes=128), 0)
         reopen = hierarchy.backpressure(1, commit=True)
-        hierarchy.access(_FakeOp(address=1 << 20, stride_bytes=128), reopen)
+        hierarchy.access_sectors(_sectors(address=1 << 20, stride_bytes=128), reopen)
         assert hierarchy.throttle_reopen is None
         later = hierarchy.backpressure(reopen, commit=True)
         assert later > reopen and hierarchy.throttle_reopen == later
 
     def test_observation_probe_does_not_mutate_mshrs(self):
-        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4), warp_size=32)
-        hierarchy.access(_FakeOp(address=0, stride_bytes=128), 0)
-        before = list(hierarchy._mshrs)
+        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4))
+        hierarchy.access_sectors(_sectors(address=0, stride_bytes=128), 0)
+        before = list(hierarchy._in_flight)
         assert hierarchy.backpressure(10**9, commit=False) is None
-        assert hierarchy._mshrs == before  # commit=True would have drained
+        assert hierarchy._in_flight == before  # commit=True would have drained
 
 
 class TestStatistics:
     def test_counters_are_level_consistent(self):
-        hierarchy = MemoryHierarchy(_params(), warp_size=32)
+        hierarchy = MemoryHierarchy(_params())
         for index in range(64):
-            hierarchy.access(_FakeOp(address=index * 128, stride_bytes=4), index)
+            hierarchy.access_sectors(_sectors(address=index * 128, stride_bytes=4), index)
         stats = hierarchy.statistics
         assert stats.l1_hits + stats.l1_misses == stats.sectors
         assert stats.l2_hits + stats.l2_misses == stats.l1_misses
@@ -272,21 +267,70 @@ class TestSimulatorIntegration:
             VectorSMSimulator(VoltaV100, memory_model="banked")
 
 
+class TestTransactionBudget:
+    """The flat model's budget keeps the hierarchy's throttle contract."""
+
+    def test_refusal_returns_the_exact_reopen_cycle(self):
+        budget = TransactionBudget(limit=4)
+        budget.admit(100, 3)
+        budget.admit(50, 2)
+        budget.admit(70, 2)  # completions 50 50 70 70 100 100 100
+        reopen = budget.backpressure(1)
+        # 7 in flight against 4: the 4th earliest completion leaves 3.
+        assert reopen == 70 and budget.throttle_reopen == 70
+        assert budget.backpressure(reopen - 1) == reopen
+        assert budget.backpressure(reopen) is None
+
+    def test_an_admission_drops_the_reopen_memo(self):
+        budget = TransactionBudget(limit=2)
+        budget.admit(10, 3)
+        assert budget.backpressure(1) == 10
+        budget.admit(5, 1)
+        assert budget.throttle_reopen is None
+        assert budget.backpressure(1) == 10
+
+    def test_observation_probe_does_not_retire_transactions(self):
+        budget = TransactionBudget(limit=2)
+        budget.admit(10, 3)
+        before = list(budget._in_flight)
+        assert budget.backpressure(5, commit=False) == 6
+        assert budget.backpressure(10**9, commit=False) is None
+        assert budget._in_flight == before and budget.throttle_reopen is None
+
+
+def _count_refusals(monkeypatch, budget_class, memory_model, case):
+    """Backpressure refusals and admissions while profiling ``case``."""
+    counts = {"refused": 0, "accepted": 0}
+    backpressure = budget_class.backpressure
+
+    def counting(self, now, commit=True):
+        recheck = backpressure(self, now, commit)
+        counts["refused" if recheck is not None else "accepted"] += 1
+        return recheck
+
+    monkeypatch.setattr(budget_class, "backpressure", counting)
+    AdvisingSession(memory_model=memory_model).profile(request_for_case(case))
+    return counts
+
+
 class TestThrottleWakeups:
     def test_throttled_warps_sleep_until_an_mshr_frees(self, monkeypatch):
         """A throttled warp is refused about once per accepted request, not
         at every MSHR retirement (~100 refusals per request)."""
-        counts = {"refused": 0, "accepted": 0}
-        backpressure = MemoryHierarchy.backpressure
+        counts = _count_refusals(
+            monkeypatch, MemoryHierarchy, "hierarchy", "Minimod:code_reorder"
+        )
+        assert counts["accepted"] > 0
+        assert counts["refused"] <= 2 * counts["accepted"], counts
 
-        def counting(self, now, commit=True):
-            recheck = backpressure(self, now, commit)
-            counts["refused" if recheck is not None else "accepted"] += 1
-            return recheck
-
-        monkeypatch.setattr(MemoryHierarchy, "backpressure", counting)
-        session = AdvisingSession(memory_model="hierarchy")
-        session.profile(request_for_case("Minimod:code_reorder"))
+    def test_flat_throttled_warps_sleep_until_the_budget_reopens(self, monkeypatch):
+        """Under the flat model a throttled warp is refused about once per
+        accepted request, not at every completion while the budget stays
+        full (~8 refusals per request)."""
+        counts = _count_refusals(
+            monkeypatch, TransactionBudget, "flat",
+            "ExaTENSOR:memory_transaction_reduction",
+        )
         assert counts["accepted"] > 0
         assert counts["refused"] <= 2 * counts["accepted"], counts
 
@@ -297,11 +341,12 @@ class TestTraceAddresses:
         trace = generate_warp_trace(
             structure, "memory_stream", strided_workload(stride_bytes=64),
             VoltaV100, warp_id=0, num_warps=8)
-        loads = [op for op in trace if op.opcode == "LDG"]
-        assert loads
-        assert all(op.stride_bytes == 64 for op in loads)
+        kernel = structure.function("memory_stream")
+        loads = [rec for rec in trace if kernel.instruction_at(rec[9]).opcode == "LDG"]
+        assert loads and all(rec[0] & _F_THROTTLE for rec in loads)
+        assert all(rec[15] == 64 for rec in loads)
         # Consecutive accesses advance through the working set.
-        assert len({op.address for op in loads}) > 1
+        assert len({rec[14] for rec in loads}) > 1
 
     def test_addresses_do_not_perturb_flat_randomness(self, micro_setup):
         """Attaching addresses must not consume the workload's rng stream."""
@@ -311,8 +356,4 @@ class TestTraceAddresses:
             structure, "memory_stream", workload, VoltaV100, 0, 8)
         again = generate_warp_trace(
             structure, "memory_stream", workload, VoltaV100, 0, 8)
-        assert [op.latency for op in with_addresses] == [op.latency for op in again]
-
-    def test_default_trace_op_has_no_address_info(self):
-        op = TraceOp(function="f", instruction=None)
-        assert op.address == 0 and op.stride_bytes == 0
+        assert [rec[11] for rec in with_addresses] == [rec[11] for rec in again]

@@ -169,7 +169,7 @@ class TestObservationNeutrality:
         workload = WorkloadSpec()
         traces = [generate_warp_trace(structure, "fat_kernel", workload, VoltaV100,
                                       warp, 8) for warp in range(8)]
-        assert any(op.fetch_stall for trace in traces for op in trace), (
+        assert any(rec[10] for trace in traces for rec in trace), (
             "kernel must exceed the i-cache for this regression test")
         blocks = [warp // 4 for warp in range(8)]
         timings = {}

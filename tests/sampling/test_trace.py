@@ -1,4 +1,10 @@
-"""Tests for dynamic trace generation."""
+"""Tests for dynamic trace generation.
+
+A trace is a list of the simulator's packed records (layout in
+``docs/SIMULATOR.md``): slot 9 is the offset, 10 the fetch stall, 11 the
+memory latency increment, 13 the transactions, 14/15 the address and
+stride, and ``rec[17][rec[16]]`` the op's ``(function, offset)``.
+"""
 
 import dataclasses
 import gc
@@ -8,13 +14,14 @@ import pytest
 
 from repro.api.request import AdvisingRequest
 from repro.api.session import AdvisingSession
-from repro.arch.machine import VoltaV100
+from repro.arch.machine import TuringLike, VoltaV100
 from repro.sampling.trace import (
-    _block_records,
+    _F_FETCH,
     cached_latency,
     generate_warp_trace,
     instruction_meta,
 )
+from repro.sampling.vector import VectorSMSimulator
 from repro.sampling.workload import WorkloadSpec
 from repro.structure.program import build_program_structure
 from repro.workloads.apps import quicksilver
@@ -27,47 +34,59 @@ def toy_structure(toy_cubin):
     return build_program_structure(toy_cubin)
 
 
-def trace_for(structure, workload, warp_id=0):
-    return generate_warp_trace(structure, "toy_kernel", workload, VoltaV100, warp_id, 16)
+def trace_for(structure, workload, warp_id=0, architecture=VoltaV100):
+    return generate_warp_trace(structure, "toy_kernel", workload, architecture, warp_id, 16)
+
+
+def site_of(record):
+    """The ``(function, offset)`` a record charges its samples to."""
+    return record[17][record[16]]
+
+
+def opcode_of(structure, record):
+    function, offset = site_of(record)
+    return structure.function(function).instruction_at(offset).opcode
 
 
 def test_loop_trip_count_controls_iterations(toy_structure):
     short = trace_for(toy_structure, WorkloadSpec(loop_trip_counts={12: 3}))
     long = trace_for(toy_structure, WorkloadSpec(loop_trip_counts={12: 12}))
     assert len(long) > len(short)
-    assert sum(1 for op in long if op.opcode == "LDG") == 12
-    assert sum(1 for op in short if op.opcode == "LDG") == 3
+    assert sum(1 for rec in long if opcode_of(toy_structure, rec) == "LDG") == 12
+    assert sum(1 for rec in short if opcode_of(toy_structure, rec) == "LDG") == 3
 
 
 def test_trace_is_deterministic(toy_structure):
     workload = WorkloadSpec(loop_trip_counts={12: 5}, seed=3)
     a = trace_for(toy_structure, workload)
     b = trace_for(toy_structure, workload)
-    assert [op.offset for op in a] == [op.offset for op in b]
+    assert [rec[9] for rec in a] == [rec[9] for rec in b]
 
 
 def test_trace_ends_with_exit(toy_structure):
     trace = trace_for(toy_structure, WorkloadSpec(loop_trip_counts={12: 2}))
-    assert trace[-1].opcode == "EXIT"
+    assert opcode_of(toy_structure, trace[-1]) == "EXIT"
 
 
 def test_memory_ops_get_latency_and_transactions(toy_structure):
     trace = trace_for(toy_structure, WorkloadSpec(loop_trip_counts={12: 2},
                                                   uncoalesced_lines={13},
                                                   uncoalesced_transactions=4))
-    loads = [op for op in trace if op.opcode == "LDG"]
-    assert all(op.latency > 100 for op in loads)
-    assert all(op.transactions == 4 for op in loads)
-    alu = [op for op in trace if op.opcode == "FFMA"]
-    assert all(op.latency == 0 and op.transactions == 0 for op in alu)
+    loads = [rec for rec in trace if opcode_of(toy_structure, rec) == "LDG"]
+    assert all(rec[11] > 100 for rec in loads)
+    assert all(rec[13] == 4 for rec in loads)
+    # No latency and no transactions pack as mem_inc 1, read_hold 20 and
+    # one transaction, with no address and no stride.
+    alu = [rec for rec in trace if opcode_of(toy_structure, rec) == "FFMA"]
+    assert alu and all(rec[11:16] == (1, 20, 1, 0, 0) for rec in alu)
 
 
 def test_memory_latency_scale_applies(toy_structure):
     base = trace_for(toy_structure, WorkloadSpec(loop_trip_counts={12: 2}, seed=1))
     scaled = trace_for(toy_structure, WorkloadSpec(loop_trip_counts={12: 2}, seed=1,
                                                    memory_latency_scale=2.0))
-    base_latency = [op.latency for op in base if op.opcode == "LDG"]
-    scaled_latency = [op.latency for op in scaled if op.opcode == "LDG"]
+    base_latency = [rec[11] for rec in base if opcode_of(toy_structure, rec) == "LDG"]
+    scaled_latency = [rec[11] for rec in scaled if opcode_of(toy_structure, rec) == "LDG"]
     assert all(s > b for s, b in zip(scaled_latency, base_latency))
 
 
@@ -77,50 +96,57 @@ def test_max_trace_ops_bounds_runaway_loops(toy_structure):
     assert len(trace) == 500
 
 
-def op_fields(op):
-    return tuple(getattr(op, field.name) for field in dataclasses.fields(op))
+def block_plans(structure):
+    """Every block's memoized walk plan, ``(steps, exit)``."""
+    return [
+        block._trace_plan[2]
+        for function in structure.functions.values()
+        for block in function.cfg.blocks
+        if "_trace_plan" in block.__dict__
+    ]
 
 
-def shared_op_ids(structure):
-    """Identities of every op the walk shares across traces."""
+def shared_record_ids(structure):
+    """Identities of every record the walk shares across traces."""
     ids = set()
-    for name, function in structure.functions.items():
-        for block in function.cfg.blocks:
-            for run, _ in _block_records(block, name):
-                ids.update(id(op) for op in run)
+    for steps, _ in block_plans(structure):
+        for run, step in steps:
+            ids.update(id(rec) for rec in run)
+            if step is not None and step[0] is not None:
+                ids.add(id(step[0]))
     return ids
 
 
 def test_every_trace_cap_yields_a_prefix_of_the_full_trace(toy_structure):
     workload = WorkloadSpec(loop_trip_counts={12: 4}, seed=5)
     full = trace_for(toy_structure, workload)
-    assert any(id(op) in shared_op_ids(toy_structure) for op in full)
-    expected = [op_fields(op) for op in full]
+    assert any(id(rec) in shared_record_ids(toy_structure) for rec in full)
     for cap in range(1, len(full) + 1):
         capped = trace_for(toy_structure, dataclasses.replace(workload, max_trace_ops=cap))
-        assert [op_fields(op) for op in capped] == expected[:cap], cap
+        assert capped == full[:cap], cap
 
 
-def test_fetch_stalls_never_leak_through_shared_ops():
+def test_fetch_stalls_never_leak_through_shared_records():
     setup = myocyte.baseline()
     structure = build_program_structure(setup.cubin)
     first = generate_warp_trace(structure, setup.kernel, setup.workload, VoltaV100, 0, 8)
-    stalls = [op.fetch_stall for op in first]
+    stalls = [rec[10] for rec in first]
     second = generate_warp_trace(structure, setup.kernel, setup.workload, VoltaV100, 1, 8)
-    assert any(op.fetch_stall > 0 for op in second)
-    assert [op.fetch_stall for op in first] == stalls
-    shared = shared_op_ids(structure)
-    assert any(id(op) in shared for op in first + second)
-    assert not any(
-        id(op) in shared for op in first + second if op.fetch_stall > 0
-    )
+    assert any(rec[10] > 0 for rec in second)
+    assert [rec[10] for rec in first] == stalls
+    shared = shared_record_ids(structure)
+    assert any(id(rec) in shared for rec in first + second)
+    charged = [rec for rec in first + second if rec[10] > 0]
+    assert not any(id(rec) in shared for rec in charged)
+    assert all(rec[0] & _F_FETCH for rec in charged)
+    assert not any(rec[0] & _F_FETCH for rec in first + second if rec[10] == 0)
 
 
 def test_calls_descend_into_device_functions():
     setup = quicksilver.baseline()
     structure = build_program_structure(setup.cubin)
     trace = generate_warp_trace(structure, setup.kernel, setup.workload, VoltaV100, 0, 8)
-    functions = {op.function for op in trace}
+    functions = {site_of(rec)[0] for rec in trace}
     assert "MC_Segment_Outcome" in functions
     assert "MacroscopicCrossSection" in functions
 
@@ -130,12 +156,12 @@ def test_fetch_stalls_charged_when_footprint_exceeds_icache():
     structure = build_program_structure(setup.cubin)
     assert structure.function(setup.kernel).function.code_size > VoltaV100.instruction_cache_bytes
     trace = generate_warp_trace(structure, setup.kernel, setup.workload, VoltaV100, 0, 8)
-    assert any(op.fetch_stall > 0 for op in trace)
+    assert any(rec[10] > 0 for rec in trace)
 
 
 def test_no_fetch_stalls_for_small_kernels(toy_structure):
     trace = trace_for(toy_structure, WorkloadSpec(loop_trip_counts={12: 4}))
-    assert all(op.fetch_stall == 0 for op in trace)
+    assert all(rec[10] == 0 for rec in trace)
 
 
 class TestMemosLiveOnTheirObjects:
@@ -162,9 +188,12 @@ class TestMemosLiveOnTheirObjects:
         assert twin == instruction
         assert instruction_meta(twin) is not instruction_meta(instruction)
 
-    def test_block_records_are_memoized_per_block(self, toy_structure):
+    def test_block_plans_are_memoized_per_block(self, toy_structure):
+        trace_for(toy_structure, WorkloadSpec())
         block = toy_structure.function("toy_kernel").cfg.blocks[0]
-        assert _block_records(block, "toy_kernel") is _block_records(block, "toy_kernel")
+        plan = block._trace_plan
+        trace_for(toy_structure, WorkloadSpec(), warp_id=1)
+        assert block._trace_plan is plan
 
     def test_latency_overrides_never_share_a_latency(self):
         slow = dataclasses.replace(VoltaV100, latency_overrides={"LDG": 999})
@@ -172,3 +201,55 @@ class TestMemosLiveOnTheirObjects:
         for _ in range(2):
             assert cached_latency(VoltaV100, "LDG") == VoltaV100.latency("LDG")
             assert cached_latency(slow, "LDG") == 999
+
+
+def keyed(trace):
+    """A trace's records with the site number replaced by its key, so traces
+    of different program objects compare."""
+    return [rec[:16] + (site_of(rec),) for rec in trace]
+
+
+class TestPlanKeying:
+    """A block's plan holds one architecture's latencies and one program's
+    site numbers: a plan keyed too loosely would carry them into another."""
+
+    WORKLOAD = WorkloadSpec(loop_trip_counts={12: 3})
+
+    def test_an_architecture_switch_gives_fresh_records(self, toy_cubin):
+        structure = build_program_structure(toy_cubin)
+        volta = trace_for(structure, self.WORKLOAD)
+        turing = trace_for(structure, self.WORKLOAD, architecture=TuringLike)
+        fresh = trace_for(build_program_structure(toy_cubin), self.WORKLOAD,
+                          architecture=TuringLike)
+        assert keyed(turing) == keyed(fresh)
+        # The two architectures' LDG latencies differ, so a stale plan shows.
+        assert keyed(volta) != keyed(turing)
+        assert keyed(trace_for(structure, self.WORKLOAD)) == keyed(volta)
+
+    def test_two_programs_give_fresh_records(self, toy_cubin):
+        """Two programs built from one binary share every ``Instruction``
+        but number their sites in their own tables."""
+        first = build_program_structure(toy_cubin)
+        second = build_program_structure(toy_cubin)
+        setup = quicksilver.baseline()
+        other = build_program_structure(setup.cubin)
+        a = trace_for(first, self.WORKLOAD)
+        b = trace_for(second, self.WORKLOAD)
+        c = generate_warp_trace(other, setup.kernel, setup.workload, VoltaV100, 0, 8)
+        fresh_c = generate_warp_trace(
+            build_program_structure(setup.cubin), setup.kernel, setup.workload,
+            VoltaV100, 0, 8,
+        )
+        assert a == trace_for(first, self.WORKLOAD)
+        assert keyed(b) == keyed(a)
+        assert keyed(c) == keyed(fresh_c)
+        tables = [{id(rec[17]) for rec in trace} for trace in (a, b, c)]
+        assert all(len(table) == 1 for table in tables)
+        assert len(set.union(*tables)) == 3
+
+    def test_one_simulation_rejects_warps_of_two_programs(self, toy_cubin):
+        a = trace_for(build_program_structure(toy_cubin), self.WORKLOAD)
+        b = trace_for(build_program_structure(toy_cubin), self.WORKLOAD)
+        simulator = VectorSMSimulator(VoltaV100)
+        with pytest.raises(ValueError, match="one program"):
+            simulator.simulate("toy_kernel", [a, b], [0, 0])

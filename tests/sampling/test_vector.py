@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.arch.machine import VoltaV100
-from repro.sampling.memory import MemoryHierarchy, sector_pattern
+from repro.sampling.memory import coalesce, sector_pattern
 from repro.sampling.trace import generate_warp_trace
 from repro.sampling.vector import VectorSMSimulator
 from repro.structure.program import build_program_structure
@@ -180,22 +180,21 @@ class TestObservationNeutrality:
 
 
 class TestSectorPattern:
-    """The pack path shifts a phase-relative pattern; it must equal direct
+    """The issue path shifts a phase-relative pattern; it must equal direct
     coalescing at every phase a whole-GPU trace can hit."""
 
     @pytest.mark.parametrize("stride", [1, 4, 8, 32, 36, 128])
-    def test_shifted_pattern_matches_hierarchy_at_every_phase(self, toy_traces, stride):
-        hierarchy = MemoryHierarchy(VoltaV100.memory, warp_size=VoltaV100.warp_size)
+    def test_shifted_pattern_matches_coalescing_at_every_phase(self, stride):
         sector_bytes = VoltaV100.memory.sector_bytes
+        warp_size = VoltaV100.warp_size
         assert sector_bytes == 32
-        traces, _ = toy_traces
-        op = next(op for trace in traces for op in trace if op.transactions)
         for phase in range(sector_bytes):
             address = 0x1000 + phase
-            probe = dataclasses.replace(op, address=address, stride_bytes=stride)
-            pattern = sector_pattern(phase, stride, VoltaV100.warp_size, sector_bytes)
+            pattern = sector_pattern(phase, stride, warp_size, sector_bytes)
             shifted = [address - phase + sector for sector in pattern]
-            assert shifted == hierarchy.sector_addresses(probe), (phase, stride)
+            assert shifted == coalesce(address, stride, warp_size, sector_bytes), (
+                phase, stride,
+            )
 
 
 def write_golden() -> None:
