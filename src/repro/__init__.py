@@ -77,7 +77,7 @@ from repro.staticcheck.engine import StaticChecker
 from repro.staticcheck.report import StaticDiagnostic, StaticReport, render_static_report
 from repro.structure.program import ProgramStructure, build_program_structure
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "API_SCHEMA_VERSION",

@@ -25,8 +25,11 @@ sequence) and observation-neutral: :meth:`MemoryHierarchy.backpressure` has
 a read-only probe mode, and :meth:`MemoryHierarchy.access_sectors` is only
 invoked when an instruction actually issues — so PC sampling can never
 perturb the simulated timing, the same property the rest of the simulator
-guarantees.  The simulator resolves an access's sectors from its record's
-address and stride (:func:`sector_pattern`, shifted) when the op issues.
+guarantees.  When a memory op issues, the simulator hands
+:meth:`~MemoryHierarchy.access_sectors` the memoized :func:`sector_pattern`
+of its address's phase and the shift to add to it, so no per-access sector
+list is built.  The access walks those sectors once, with the L1 and L2
+LRU lookups inline: one call per warp-level request, no call per sector.
 
 Both models throttle through one contract, :class:`TransactionBudget`: the
 flat model's budget is one, and the hierarchy extends it with its L1 MSHRs
@@ -35,15 +38,17 @@ as the transactions in flight.
 :class:`MemoryStatistics` is the aggregate the profiler surfaces through
 :class:`~repro.sampling.sample.LaunchStatistics`: warp-level requests,
 sector transactions, per-level hit rates and DRAM traffic — the signal the
-Memory Coalescing optimizer consumes.
+Memory Coalescing optimizer consumes.  :attr:`MemoryHierarchy.statistics`
+derives it from the two caches' hit and miss counters and the hierarchy's
+request count, the only counters an access updates.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import List, Optional, Sequence, Tuple
 
 from repro.arch.machine import MemoryHierarchyParameters
 from repro.isa.registers import MemorySpace
@@ -200,11 +205,14 @@ class MemoryStatistics:
 
 
 class SectorCache:
-    """A set-associative cache of 32-byte sectors with LRU replacement.
+    """The geometry, tag sets and hit/miss counters of one set-associative
+    cache of 32-byte sectors with LRU replacement.
 
     Tags are sector addresses; there is no data (the simulator only needs
     hit/miss timing).  Misses allocate immediately (allocate-on-miss), which
-    models the MSHR merging a second access to an in-flight sector.
+    models the MSHR merging a second access to an in-flight sector.  The
+    lookup itself lives inline in :meth:`MemoryHierarchy.access_sectors`,
+    the one place that walks an access's sectors.
     """
 
     def __init__(self, capacity_bytes: int, ways: int, sector_bytes: int):
@@ -213,28 +221,11 @@ class SectorCache:
         self.sector_bytes = sector_bytes
         self.ways = ways
         self.num_sets = max(1, capacity_bytes // (ways * sector_bytes))
-        #: set index -> sector tags in LRU order (last = most recent).
-        self._sets: Dict[int, List[int]] = {}
+        #: ``sets[(sector // sector_bytes) % num_sets]`` holds that set's
+        #: sector tags in LRU order (last = most recent).
+        self.sets: List[List[int]] = [[] for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
-
-    def access(self, sector_address: int) -> bool:
-        """Look up (and allocate) one sector; returns whether it hit."""
-        index = (sector_address // self.sector_bytes) % self.num_sets
-        entries = self._sets.get(index)
-        if entries is None:
-            entries = []
-            self._sets[index] = entries
-        if sector_address in entries:
-            entries.remove(sector_address)
-            entries.append(sector_address)
-            self.hits += 1
-            return True
-        entries.append(sector_address)
-        if len(entries) > self.ways:
-            entries.pop(0)
-        self.misses += 1
-        return False
 
 
 class TransactionBudget:
@@ -275,7 +266,7 @@ class TransactionBudget:
         in_flight = self._in_flight
         if commit:
             while in_flight and in_flight[0] <= now:
-                heapq.heappop(in_flight)
+                heappop(in_flight)
             excess = len(in_flight) - self.limit
             if excess < 0:
                 return None
@@ -291,7 +282,7 @@ class TransactionBudget:
         """Put ``transactions`` transactions completing at ``completion``
         in flight (the flat model's issue of a throttled access)."""
         for _ in range(transactions):
-            heapq.heappush(self._in_flight, completion)
+            heappush(self._in_flight, completion)
         self.throttle_reopen = None
 
 
@@ -312,11 +303,42 @@ class MemoryHierarchy(TransactionBudget):
         self.l2 = SectorCache(
             parameters.l2_slice_bytes, parameters.l2_ways, parameters.sector_bytes
         )
-        self.statistics = MemoryStatistics()
+        #: Warp-level requests serviced; the sector counters are the caches'.
+        self.requests = 0
         #: Cycle until which the DRAM channel is busy transferring.
         self._dram_busy_until = 0
         #: Rolling cursor for accesses without address information.
         self._fallback_cursor = 0
+        # The fixed geometry and timing access_sectors reads, unpacked in
+        # one step per access.  DRAM serializes transfers on the per-SM
+        # bandwidth share, one sector every ``transfer`` cycles.
+        transfer = max(1, parameters.sector_bytes // parameters.dram_bytes_per_cycle)
+        self._geometry = (
+            parameters.sector_bytes, parameters.l1_sectors_per_cycle,
+            self.l1.sets, self.l1.num_sets, self.l1.ways, parameters.l1_hit_latency,
+            self.l2.sets, self.l2.num_sets, self.l2.ways, parameters.l2_hit_latency,
+            transfer, parameters.dram_latency,
+        )
+
+    # ------------------------------------------------------------------
+    @property
+    def statistics(self) -> MemoryStatistics:
+        """The counters so far, derived from the caches'.
+
+        Every sector looks up L1, every L1 miss looks up L2, and every L2
+        miss moves one sector over DRAM.  Each read builds a fresh
+        snapshot.
+        """
+        l1, l2 = self.l1, self.l2
+        return MemoryStatistics(
+            requests=self.requests,
+            sectors=l1.hits + l1.misses,
+            l1_hits=l1.hits,
+            l1_misses=l1.misses,
+            l2_hits=l2.hits,
+            l2_misses=l2.misses,
+            dram_bytes=l2.misses * self.parameters.sector_bytes,
+        )
 
     # ------------------------------------------------------------------
     def fallback_sectors(self, transactions: int) -> List[int]:
@@ -337,42 +359,75 @@ class MemoryHierarchy(TransactionBudget):
         return [base + i * sector for i in range(count)]
 
     # ------------------------------------------------------------------
-    def access_sectors(self, sectors: List[int], now: int) -> int:
-        """Service one warp-level access given its coalesced sectors.
+    def access_sectors(self, sectors: Sequence[int], now: int, shift: int = 0) -> int:
+        """Service one warp-level access to ``sectors``, each plus ``shift``.
 
+        The simulator passes an access's memoized :func:`sector_pattern`
+        and the shift of its address, so no per-access list is built.
         Sectors issue into the L1 pipeline at ``l1_sectors_per_cycle``; each
         is serviced by the first level that holds it; the request completes
-        when its slowest sector does.
+        when its slowest sector does.  Both LRU lookups run inline, in one
+        pass: a hit moves its tag to the most-recent end of its set, a miss
+        appends it and evicts the set's least-recent tag when the set
+        overflows.
         """
-        parameters = self.parameters
-        stats = self.statistics
-        stats.requests += 1
-        stats.sectors += len(sectors)
-
+        (sector_bytes, per_cycle,
+         l1_sets, l1_num_sets, l1_ways, l1_latency,
+         l2_sets, l2_num_sets, l2_ways, l2_latency,
+         transfer, dram_latency) = self._geometry
+        self.requests += 1
         completion = now + 1
-        for position, sector_address in enumerate(sectors):
-            issued = now + position // parameters.l1_sectors_per_cycle
-            if self.l1.access(sector_address):
-                stats.l1_hits += 1
-                done = issued + parameters.l1_hit_latency
+        last_hit = -1
+        l1_misses = l2_misses = 0
+        in_flight = self._in_flight
+        busy = self._dram_busy_until
+        for position, sector in enumerate(sectors):
+            sector += shift
+            number = sector // sector_bytes
+            entries = l1_sets[number % l1_num_sets]
+            if sector in entries:
+                if entries[-1] != sector:
+                    entries.remove(sector)
+                    entries.append(sector)
+                # Hits complete in pipeline order: only the last one can
+                # set the completion.
+                last_hit = position
+                continue
+            entries.append(sector)
+            if len(entries) > l1_ways:
+                del entries[0]
+            l1_misses += 1
+            issued = now + position // per_cycle
+            entries = l2_sets[number % l2_num_sets]
+            if sector in entries:
+                if entries[-1] != sector:
+                    entries.remove(sector)
+                    entries.append(sector)
+                done = issued + l2_latency
             else:
-                stats.l1_misses += 1
-                if self.l2.access(sector_address):
-                    stats.l2_hits += 1
-                    done = issued + parameters.l2_hit_latency
-                else:
-                    stats.l2_misses += 1
-                    stats.dram_bytes += parameters.sector_bytes
-                    # DRAM serializes transfers on the per-SM bandwidth
-                    # share; queueing delay grows when requests outpace it.
-                    transfer = max(
-                        1, parameters.sector_bytes // parameters.dram_bytes_per_cycle
-                    )
-                    start = max(issued, self._dram_busy_until)
-                    self._dram_busy_until = start + transfer
-                    done = start + transfer + parameters.dram_latency
-                heapq.heappush(self._in_flight, done)
-                self.throttle_reopen = None
+                entries.append(sector)
+                if len(entries) > l2_ways:
+                    del entries[0]
+                l2_misses += 1
+                # Queueing delay grows when requests outpace the channel.
+                if busy < issued:
+                    busy = issued
+                busy += transfer
+                done = busy + dram_latency
+            heappush(in_flight, done)
             if done > completion:
                 completion = done
+        if last_hit >= 0:
+            done = now + last_hit // per_cycle + l1_latency
+            if done > completion:
+                completion = done
+        l1 = self.l1
+        l1.hits += len(sectors) - l1_misses
+        if l1_misses:
+            l1.misses += l1_misses
+            l2 = self.l2
+            l2.hits += l1_misses - l2_misses
+            l2.misses += l2_misses
+            self._dram_busy_until = busy
+            self.throttle_reopen = None
         return completion

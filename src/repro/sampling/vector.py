@@ -20,9 +20,10 @@ steps on it without visiting its ops first:
   slots, precomputed fixed-op latency (``architecture.latency`` never runs
   inside the loop), precomputed ``max(1, ...)`` latency/stall increments,
   the access's address and stride, and the op's sample site.  Under the
-  hierarchy memory model the access's coalesced sectors are resolved when
-  it issues, by shifting the memoized phase pattern
-  (:func:`~repro.sampling.memory.sector_pattern`).  Ops with no dynamic
+  hierarchy memory model an issued access hands the hierarchy the
+  memoized pattern of its address's phase
+  (:func:`~repro.sampling.memory.sector_pattern`) and the shift to add to
+  it, so no sector list is built.  Ops with no dynamic
   state (the common fixed-latency ALU op) share one record per
   instruction.
 * **Warp state** — PC indices, ready/blocked cycles, fetch timers, barrier
@@ -39,16 +40,16 @@ results serialize unsorted.  The speed comes from keeping the loop on plain
 ints:
 
 * one tuple index replaces every chain of attribute dispatches, all per-op
-  ``max()``/latency work is hoisted out of the loop, and coalescing an
-  issued access is one memoized pattern lookup plus a shift;
+  ``max()``/latency work is hoisted out of the loop, and an issued
+  memory access is one memoized pattern lookup plus one hierarchy call;
 * stall reasons are small-int codes, and every record carries the number
   of its ``(function, offset)`` *site* in its program's site table, so a
   sample bumps one int-keyed counter; ``StallReason`` members and
   ``(function, offset)`` keys are looked up once per call, when the result
   is assembled;
-* the scheduler scan walks a precomputed ``(slot, warp)`` order per start
-  slot, tests one flag word and walks the register scoreboard inline on the
-  common path, and issues a plain fixed-latency op inline too.
+* the scheduler scan walks a precomputed ``(next_slot, warp)`` order per
+  start slot, tests one flag word and walks the register scoreboard inline
+  on the common path, and issues a plain fixed-latency op inline too.
 
 Under either memory model the scan also skips the check of a warp that is
 still throttled: it sleeps until the memoized
@@ -163,15 +164,18 @@ def _pack_warp(trace: Sequence[tuple], sites: Sequence[Tuple[str, int]]) -> Sequ
 
 
 def _scan_orders(warps: Sequence[int]) -> List[Tuple[Tuple[int, int], ...]]:
-    """Per start slot, one scheduler's ``(slot, warp)`` pairs in scan order.
+    """Per start slot, one scheduler's ``(next_slot, warp)`` pairs in scan order.
 
-    The round-robin scan and the sampler's warp pick walk
-    ``orders[start]``, so they do no modular arithmetic per slot.  A
+    ``next_slot`` is the slot after the warp's, wrapped round: the start of
+    the order that resumes the round robin past that warp.  The scan and
+    the sampler's warp pick walk ``orders[start]`` and resume at the
+    chosen pair's ``next_slot``, so they do no modular arithmetic.  A
     scheduler without warps gets one empty order, so its scan finds
     nothing.
     """
-    pairs = list(enumerate(warps))
-    return [tuple(pairs[start:] + pairs[:start]) for start in range(len(pairs))] or [()]
+    count = len(warps)
+    pairs = [((slot + 1) % count, warp) for slot, warp in enumerate(warps)]
+    return [tuple(pairs[start:] + pairs[:start]) for start in range(count)] or [()]
 
 
 class VectorSMSimulator:
@@ -359,17 +363,16 @@ class VectorSMSimulator:
             is_hierarchy_memory = hierarchy is not None and flags & _F_THROTTLE
             if is_hierarchy_memory:
                 if stride > 0:
-                    # Coalescing is shift-invariant: shift the pattern of
-                    # the address's phase within its sector.
+                    # Coalescing is shift-invariant: the access's sectors are
+                    # the pattern of the address's phase within its sector,
+                    # shifted by the rest of the address.
                     phase = address % sector_bytes
+                    sectors = sector_pattern(phase, stride, warp_size, sector_bytes)
                     shift = address - phase
-                    sectors = [
-                        shift + sector
-                        for sector in sector_pattern(phase, stride, warp_size, sector_bytes)
-                    ]
                 else:
                     sectors = hierarchy.fallback_sectors(transactions)
-                memory_completion = hierarchy.access_sectors(sectors, now)
+                    shift = 0
+                memory_completion = hierarchy.access_sectors(sectors, now, shift)
 
             if flags & _F_WRITE_BAR:
                 if is_hierarchy_memory:
@@ -436,10 +439,9 @@ class VectorSMSimulator:
             """One PC sample of ``scheduler``: active if it issued the op at
             ``issued_site`` this cycle, a latency sample if that is -1."""
             nonlocal active_samples, latency_samples
-            order = rotations[scheduler][sample_pointer[scheduler]]
-            for slot, sampled in order:
+            for next_slot, sampled in rotations[scheduler][sample_pointer[scheduler]]:
                 if not finished[sampled]:
-                    sample_pointer[scheduler] = (slot + 1) % len(order)
+                    sample_pointer[scheduler] = next_slot
                     break
             else:
                 return
@@ -502,10 +504,9 @@ class VectorSMSimulator:
             for scheduler in range(num_schedulers):
                 if cycle < sched_next[scheduler]:
                     continue
-                orders = rotations[scheduler]
-                chosen_slot = -1
+                chosen_next = -1
                 min_next = _FAR_FUTURE
-                for slot, w in orders[last_issued_slot[scheduler]]:
+                for next_slot, w in rotations[scheduler][last_issued_slot[scheduler]]:
                     if finished[w]:
                         continue
                     until = blocked_until[w]
@@ -549,12 +550,12 @@ class VectorSMSimulator:
                                 recheck = cycle
                     last_reason[w] = reason
                     if ready:
-                        chosen_slot = slot
+                        chosen_next = next_slot
                         break
                     blocked_until[w] = recheck
                     if recheck < min_next:
                         min_next = recheck
-                if chosen_slot >= 0:
+                if chosen_next >= 0:
                     # The scan broke out on the chosen warp ``w`` and its op ``rec``.
                     if scheduler == sampled_scheduler:
                         issued_site = rec[16]
@@ -572,7 +573,7 @@ class VectorSMSimulator:
                         blocked_until[w] = ready_at
                     else:
                         issue(w, cycle)
-                    last_issued_slot[scheduler] = (chosen_slot + 1) % len(orders)
+                    last_issued_slot[scheduler] = chosen_next
                     any_issued = True
                     # An issuing scheduler may pick another warp next cycle.
                     sched_next[scheduler] = cycle + 1

@@ -1,5 +1,7 @@
 """Tests for the memory-hierarchy model (coalescing, L1/L2/DRAM, MSHRs)."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.api.request import request_for_case
@@ -13,6 +15,7 @@ from repro.sampling.memory import (
     TransactionBudget,
     check_memory_model,
     coalesce,
+    sector_pattern,
 )
 from repro.sampling.stall_reasons import StallReason
 from repro.sampling.trace import _F_THROTTLE, generate_warp_trace
@@ -52,21 +55,27 @@ class TestCheckMemoryModel:
 
 
 class TestSectorCache:
+    """The LRU lookup, which runs inline in ``access_sectors``."""
+
     def test_miss_then_hit(self):
-        cache = SectorCache(1024, ways=2, sector_bytes=32)
-        assert cache.access(0) is False
-        assert cache.access(0) is True
-        assert (cache.hits, cache.misses) == (1, 1)
+        hierarchy = MemoryHierarchy(_params())
+        # The miss goes to DRAM: 4 transfer cycles + 200 latency.
+        assert hierarchy.access_sectors([0], 0) == 204
+        assert hierarchy.access_sectors([0], 300) == 310
+        assert (hierarchy.l1.hits, hierarchy.l1.misses) == (1, 1)
 
     def test_lru_eviction_within_a_set(self):
-        cache = SectorCache(128, ways=2, sector_bytes=32)  # 2 sets x 2 ways
-        set_stride = cache.num_sets * 32
+        hierarchy = MemoryHierarchy(_params())  # L1: 16 sets x 2 ways
+        l1 = hierarchy.l1
+        set_stride = l1.num_sets * 32
         a, b, c = 0, set_stride, 2 * set_stride  # all map to set 0
-        cache.access(a)
-        cache.access(b)
-        cache.access(c)          # evicts a (LRU)
-        assert cache.access(b) is True
-        assert cache.access(a) is False  # was evicted
+        for sector in (a, b, c):  # c evicts a (LRU)
+            hierarchy.access_sectors([sector], 0)
+        hierarchy.access_sectors([b], 0)
+        assert (l1.hits, l1.misses) == (1, 3)
+        hierarchy.access_sectors([a], 0)  # was evicted; evicts c, not b
+        assert (l1.hits, l1.misses) == (1, 4)
+        assert l1.sets[0] == [b, a]
 
     def test_capacity_must_hold_one_set(self):
         with pytest.raises(ValueError):
@@ -149,6 +158,62 @@ class TestHierarchyTiming:
         before = list(hierarchy._in_flight)
         assert hierarchy.backpressure(10**9, commit=False) is None
         assert hierarchy._in_flight == before  # commit=True would have drained
+
+
+class _ReferenceLRU:
+    """A set-associative LRU sector cache written the plain way: the oracle
+    for the tag sets ``access_sectors`` keeps."""
+
+    def __init__(self, cache: SectorCache):
+        self.ways = cache.ways
+        self.sets = [OrderedDict() for _ in range(cache.num_sets)]
+
+    def access(self, sector: int) -> bool:
+        tags = self.sets[(sector // 32) % len(self.sets)]
+        if sector in tags:
+            tags.move_to_end(sector)
+            return True
+        tags[sector] = None
+        if len(tags) > self.ways:
+            tags.popitem(last=False)
+        return False
+
+    def tags(self):
+        return [list(tags) for tags in self.sets]
+
+
+class TestShiftedPattern:
+    def test_pattern_and_shift_match_the_explicit_sector_list(self):
+        """An access given its phase pattern and shift leaves the hierarchy
+        exactly as one given its coalesced sectors, and both keep the tag
+        sets of a plain LRU.  The small geometry makes sets evict, and
+        lines are revisited, so LRU order matters."""
+        shifted = MemoryHierarchy(_params())
+        explicit = MemoryHierarchy(_params())
+        l1, l2 = _ReferenceLRU(shifted.l1), _ReferenceLRU(shifted.l2)
+        now = 0
+        for stride in (4, 8, 12, 128):
+            for phase in range(32):
+                for line in (0, 5, 1, 40, 5, 0, 97, 2):
+                    address = line * 128 + phase
+                    assert shifted.backpressure(now) == explicit.backpressure(now)
+                    sectors = coalesce(address, stride, 32, 32)
+                    completion = shifted.access_sectors(
+                        sector_pattern(phase, stride, 32, 32), now, address - phase
+                    )
+                    assert completion == explicit.access_sectors(sectors, now, 0), (
+                        stride, phase, line,
+                    )
+                    assert shifted._in_flight == explicit._in_flight
+                    assert shifted.throttle_reopen == explicit.throttle_reopen
+                    assert shifted.statistics == explicit.statistics
+                    for sector in sectors:
+                        if not l1.access(sector):
+                            l2.access(sector)
+                    assert shifted.l1.sets == l1.tags() and shifted.l2.sets == l2.tags()
+                    now += 7
+        stats = shifted.statistics
+        assert stats.l1_hits and stats.l2_hits and stats.l2_misses
 
 
 class TestStatistics:
@@ -265,6 +330,26 @@ class TestSimulatorIntegration:
     def test_rejects_unknown_memory_model(self):
         with pytest.raises(ValueError):
             VectorSMSimulator(VoltaV100, memory_model="banked")
+
+    def test_every_request_calls_access_sectors(self, micro_setup, monkeypatch):
+        """The core reaches the hierarchy through ``access_sectors``, looked
+        up on the class at call time, once per request: a wrapper installed
+        there (as perfbench's memory layer is) sees every access."""
+        _cubin, structure = micro_setup
+        traces, blocks = _traces(structure, strided_workload())
+        calls = []
+        access_sectors = MemoryHierarchy.access_sectors
+
+        def counting(self, sectors, now, shift=0):
+            calls.append(now)
+            return access_sectors(self, sectors, now, shift)
+
+        monkeypatch.setattr(MemoryHierarchy, "access_sectors", counting)
+        result = VectorSMSimulator(
+            VoltaV100, sample_period=8, memory_model="hierarchy"
+        ).simulate("memory_stream", traces, blocks)
+        assert result.memory.requests > 0
+        assert len(calls) == result.memory.requests
 
 
 class TestTransactionBudget:

@@ -21,7 +21,7 @@ import pytest
 from repro.arch.machine import VoltaV100
 from repro.sampling.memory import coalesce, sector_pattern
 from repro.sampling.trace import generate_warp_trace
-from repro.sampling.vector import VectorSMSimulator
+from repro.sampling.vector import VectorSMSimulator, _scan_orders
 from repro.structure.program import build_program_structure
 
 GOLDEN = Path(__file__).parent / "golden" / "sm_digests.json"
@@ -195,6 +195,20 @@ class TestSectorPattern:
             assert shifted == coalesce(address, stride, warp_size, sector_bytes), (
                 phase, stride,
             )
+
+
+class TestScanOrders:
+    @pytest.mark.parametrize("num_warps", [1, 3, 4])
+    def test_next_slot_starts_the_order_at_the_next_warp(self, num_warps):
+        # Scheduler 2's warps on an SM with 4 schedulers.
+        warps = range(2, 2 + 4 * num_warps, 4)
+        orders = _scan_orders(warps)
+        assert len(orders) == num_warps
+        for start, order in enumerate(orders):
+            assert [warp for _, warp in order] == list(warps[start:]) + list(warps[:start])
+            for next_slot, warp in order:
+                following = warps[(warps.index(warp) + 1) % num_warps]
+                assert orders[next_slot][0][1] == following
 
 
 def write_golden() -> None:
