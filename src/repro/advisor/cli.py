@@ -492,8 +492,6 @@ def _build_submit_parser() -> argparse.ArgumentParser:
                         help="output format, mirroring the inline CLI")
     parser.add_argument("--timeout", type=float, default=600.0, metavar="SECONDS",
                         help="how long to wait for completion (default 600)")
-    parser.add_argument("--poll", type=float, default=0.1, metavar="SECONDS",
-                        help="job polling interval (default 0.1)")
     return parser
 
 
@@ -519,8 +517,6 @@ def _submit_main(argv: List[str]) -> int:
         parser.error("--sample-period must be positive")
     if args.timeout <= 0:
         parser.error("--timeout must be positive")
-    if args.poll <= 0:
-        parser.error("--poll must be positive")
     if args.case:
         try:
             case_by_name(args.case)
@@ -550,10 +546,7 @@ def _submit_main(argv: List[str]) -> int:
             print(json.dumps(client.stats(), indent=2))
             return 0
         if args.case:
-            result = client.advise(
-                build_request(args.case), timeout=args.timeout,
-                poll_interval=args.poll,
-            )
+            result = client.advise(build_request(args.case), timeout=args.timeout)
             if not result.ok and args.output != "jsonl":
                 print(result.error, file=sys.stderr)
                 return 1
@@ -565,8 +558,7 @@ def _submit_main(argv: List[str]) -> int:
         if args.limit is not None:
             ids = ids[: args.limit]
         results = client.advise_many(
-            [build_request(case_id) for case_id in ids],
-            timeout=args.timeout, poll_interval=args.poll,
+            [build_request(case_id) for case_id in ids], timeout=args.timeout,
         )
         if args.output == "jsonl":
             return _emit_jsonl(results)
@@ -574,6 +566,8 @@ def _submit_main(argv: List[str]) -> int:
     except ServiceError as exc:
         print(f"gpa-advise submit: {exc}", file=sys.stderr)
         return 1
+    finally:
+        client.close()
 
 
 def _build_lint_parser() -> argparse.ArgumentParser:

@@ -21,10 +21,10 @@ swap of the constructor::
 
 The protocol pins the four verbs and their core shapes only; each
 implementation keeps its own extra keyword knobs (``progress`` callbacks
-inline, ``timeout``/``poll_interval`` remotely).  ``@runtime_checkable``
-makes ``isinstance(surface, Advisor)`` usable in tests and plugin
-registries — with the usual caveat that runtime checks verify method
-*presence*, not signatures.
+inline, ``timeout`` and ``stream``'s ``poll_interval`` remotely).
+``@runtime_checkable`` makes ``isinstance(surface, Advisor)`` usable in
+tests and plugin registries — with the usual caveat that runtime checks
+verify method *presence*, not signatures.
 """
 
 from __future__ import annotations

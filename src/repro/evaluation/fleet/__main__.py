@@ -130,7 +130,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         kill_after=args.kill_after,
         progress=progress,
     )
-    summary = runner.run()
+    try:
+        summary = runner.run()
+    finally:
+        if advisor is not None:
+            advisor.close()
     if summary.resume_note:
         print(summary.resume_note, file=sys.stderr)
     if summary.skipped:

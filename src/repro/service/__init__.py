@@ -22,14 +22,15 @@ profile cache and worker pool:
   unlimited local use stays the zero-config default;
 * a versioned JSON-over-HTTP protocol
   (:mod:`repro.service.http`: ``POST /v1/advise``, ``POST /v1/batch``,
-  ``POST /v1/lint``, ``GET /v1/jobs/<id>``, ``GET /v1/healthz``,
-  ``GET /v1/stats``) validates every envelope against
+  ``POST /v1/lint``, ``GET /v1/jobs/<id>[?wait=<seconds>]``,
+  ``GET /v1/healthz``, ``GET /v1/stats``) validates every envelope against
   :data:`~repro.api.schema.API_SCHEMA_VERSION`;
 * a :class:`~repro.service.client.ServiceClient` implements the same
   :class:`~repro.api.advisor.Advisor` protocol as
   :class:`~repro.api.session.AdvisingSession`
   (``advise``/``advise_many``/``stream``/``lint``), returning
-  **bit-identical** reports;
+  **bit-identical** reports; it keeps one connection per thread, and a
+  round trip is a submit plus one blocking wait;
 * shutdown is graceful: drain the queue, settle every job, persist the
   profile cache, answer 503 to latecomers — exactly what the
   ``gpa-advise serve`` SIGTERM handler triggers.
@@ -42,8 +43,8 @@ Quickstart (see ``docs/SERVICE.md`` for the full protocol)::
     server.serve_forever()          # or: gpa-advise serve --port 8765
 
     from repro.service import ServiceClient
-    client = ServiceClient("http://127.0.0.1:8765")
-    result = client.advise(request)         # == session.advise(request), bit for bit
+    with ServiceClient("http://127.0.0.1:8765") as client:
+        result = client.advise(request)     # == session.advise(request), bit for bit
 """
 
 from repro.service.auth import ANONYMOUS, AuthPolicy, TokenBucket

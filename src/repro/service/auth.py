@@ -19,9 +19,9 @@ modes map onto distinct protocol answers:
 **Anonymous mode is the default**: a policy with no tokens authenticates
 everyone as ``"anonymous"``, so a local daemon keeps working with zero
 configuration — rate limiting still applies if configured (all anonymous
-traffic shares one bucket).  Reads (job polling, stats) are
+traffic shares one bucket).  Reads (job reads and waits, stats) are
 authenticated but never rate limited; only submissions spend tokens, so
-a waiting client can poll its job as fast as it likes.
+waiting on a job costs a client nothing.
 
 The clock is injectable everywhere for deterministic tests.
 """

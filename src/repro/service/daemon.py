@@ -420,8 +420,9 @@ class AdvisingDaemon:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def job_view(self, job_id: str) -> dict:
-        return self.store.view(job_id)
+    def job_view(self, job_id: str, wait: float = 0.0) -> dict:
+        """A job's view, once it settles or after ``wait`` seconds."""
+        return self.store.wait(job_id, wait).view()
 
     def lint(self, payload: dict) -> dict:
         """Run the static lint for one ``advising_request`` envelope.

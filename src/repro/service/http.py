@@ -12,7 +12,10 @@ POST      ``/v1/batch``       ``{"requests": [<advising_request>, ...]}``
                               -> 202 ``{"job_ids": [...]}`` (atomic)
 POST      ``/v1/lint``        ``{"request": <advising_request>}`` -> 200
                               ``static_report`` envelope (synchronous)
-GET       ``/v1/jobs/<id>``   job state + the ``advising_result`` envelope
+GET       ``/v1/jobs/<id>``   job state + the ``advising_result`` envelope;
+                              ``?wait=<seconds>`` holds the reply until the
+                              job settles or the wait (at most
+                              :data:`~repro.service.jobs.MAX_WAIT_S`) runs out
 GET       ``/v1/healthz``     liveness + daemon state + config echo
 GET       ``/v1/stats``       queue depth, cache hit rate, jobs served
 ========  ==================  ==============================================
@@ -30,15 +33,19 @@ tokens), 404 unknown job, 429 queue full or rate limited (the latter with
 The server is a :class:`ThreadingHTTPServer`: each connection gets a
 handler thread, every handler funnels into the same
 :class:`~repro.service.daemon.AdvisingDaemon`, whose queue and store are
-thread-safe.
+thread-safe.  Connections are kept alive, so a client's submit and its
+blocking wait travel over one socket and one handler thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import socket
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
+from urllib.parse import parse_qs
 
 from repro.service.auth import AuthPolicy
 from repro.service.daemon import AdvisingDaemon
@@ -50,10 +57,24 @@ from repro.service.errors import (
     kind_for_error,
     status_for_error,
 )
+from repro.service.jobs import MAX_WAIT_S
 
 #: Largest request body the daemon will read, as a guard against a client
 #: (or a stray process) streaming unbounded data at the service.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
+def _non_negative(name: str, text: str, parse: Callable[[str], float]) -> float:
+    """``parse(text)`` if it is a finite number >= 0, else a 400."""
+    try:
+        value = parse(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise ServiceValidationError(
+            f"{name} must be a finite number >= 0, got {text!r}"
+        )
+    return value
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -69,6 +90,11 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         #: The admission middleware; the default policy is anonymous and
         #: unlimited, so a plain local daemon needs no configuration.
         self.auth = auth if auth is not None else AuthPolicy()
+        # Kept-alive connections outlive `shutdown()`, which only stops
+        # accepting; `server_close()` hangs them up so that no handler
+        # keeps serving a daemon that is stopping.
+        self._open: Set[socket.socket] = set()
+        self._open_lock = threading.Lock()
         super().__init__(address, ServiceRequestHandler)
 
     @property
@@ -76,15 +102,39 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._open_lock:
+            connections = list(self._open)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # its handler closed it first
+                pass
+
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
     server_version = "gpa-advise-service"
-    # Keep-alive: a waiting client polls its job every few tens of
-    # milliseconds, and every reply carries Content-Length, so HTTP/1.1
-    # persistent connections are safe and save a TCP handshake per poll.
-    # Error replies close the connection (see `_reply`) because some error
-    # paths answer before draining the request body.
+    # Keep-alive: a client sends its submit and its wait over one socket,
+    # and every reply carries Content-Length, so HTTP/1.1 persistent
+    # connections are safe and save a TCP handshake per call.  Error
+    # replies close the connection (see `_reply`) because some error paths
+    # answer before draining the request body.
     protocol_version = "HTTP/1.1"
+    # A reply goes out in two sends, headers then body.  With Nagle's
+    # algorithm on, a kept-alive connection holds the body until the
+    # client's delayed ACK of the headers (~40 ms per call on Linux).
+    disable_nagle_algorithm = True
     # An idle persistent connection may not hold a handler thread forever.
     timeout = 60.0
 
@@ -105,10 +155,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 stats["auth"] = self.server.auth.describe()
                 self._reply(200, stats)
             elif self.path.startswith("/v1/jobs/"):
-                job_id = self.path[len("/v1/jobs/"):]
+                job_id, _, query = self.path[len("/v1/jobs/"):].partition("?")
+                wait = self._wait_seconds(query)
                 if not job_id or "/" in job_id:
                     raise UnknownJobError(f"unknown job id {job_id!r}")
-                self._reply(200, daemon.job_view(job_id))
+                self._reply(200, daemon.job_view(job_id, wait))
             else:
                 self._reply(404, {"error": f"unknown path {self.path!r}"})
         except Exception as exc:
@@ -156,9 +207,31 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
+    @staticmethod
+    def _wait_seconds(query: str) -> float:
+        """The ``wait`` of a job query string, clamped to ``MAX_WAIT_S``."""
+        if not query:
+            return 0.0
+        try:
+            fields = parse_qs(query, keep_blank_values=True, strict_parsing=True)
+        except ValueError:
+            raise ServiceValidationError(
+                f"malformed query string {query!r}"
+            ) from None
+        unknown = sorted(set(fields) - {"wait"})
+        if unknown:
+            raise ServiceValidationError(
+                f"unknown query parameter(s) {unknown}: a job takes only 'wait'"
+            )
+        if len(fields["wait"]) != 1:
+            raise ServiceValidationError("'wait' may be given only once")
+        return min(_non_negative("wait", fields["wait"][0], float), MAX_WAIT_S)
+
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        length = _non_negative(
+            "Content-Length", self.headers.get("Content-Length") or "0", int
+        )
+        if length == 0:
             raise ServiceValidationError("request body is required")
         if length > MAX_BODY_BYTES:
             raise ServiceValidationError(

@@ -11,7 +11,8 @@ to inline ones.
 Jobs live in the daemon's one store,
 :class:`~repro.service.repository.JobRepository` (a SQLite file with
 ``--store``, an in-memory database otherwise), which also keeps the
-:class:`JobCounts` that ``/v1/stats`` reports.
+:class:`JobCounts` that ``/v1/stats`` reports and lets a reader block
+until a job settles.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from repro.api.schema import API_SCHEMA_VERSION
 JOB_STATES = ("queued", "running", "done", "failed")
 #: States a job can never leave (and the only ones TTL eviction touches).
 TERMINAL_STATES = ("done", "failed")
+#: The longest (seconds) one ``GET /v1/jobs/<id>?wait=`` holds its reply;
+#: longer waits are clamped to it, and the client waits in slices of it.
+MAX_WAIT_S = 30.0
 
 
 def new_job_id() -> str:

@@ -32,6 +32,9 @@ Durability choices:
 - **Persistent counters.**  Throughput counters live in a ``counters``
   table so ``/v1/stats`` survives restarts along with the jobs it
   describes.
+- **Blocking reads.**  :meth:`JobRepository.wait` returns a job as soon as
+  it settles: every finish and abort goes through one settle path, which
+  notifies waiters after its commit.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ REPOSITORY_SCHEMA_VERSION = 1
 #: How long (ms) SQLite waits on a locked database before erroring — sized
 #: for multiple daemons sharing one store on one host.
 BUSY_TIMEOUT_MS = 10_000
+
+#: The longest (seconds) :meth:`JobRepository.wait` sleeps between two
+#: reads of its job.  A settle in this process wakes it at once; a job that
+#: another daemon sharing the store file settles is only seen on a re-read.
+SETTLE_RECHECK_S = 0.1
 
 _COUNTER_NAMES = ("submitted", "done", "failed", "aborted", "evicted", "coalesced")
 
@@ -105,6 +113,8 @@ class JobRepository:
         self.ttl = ttl
         self._clock = clock
         self._lock = threading.RLock()
+        # Notified after every settle; see `wait`.
+        self._settled = threading.Condition()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # isolation_level=None: autocommit, with explicit BEGIN IMMEDIATE
         # where multiple statements must land together.
@@ -250,7 +260,11 @@ class JobRepository:
                 self._conn.execute("ROLLBACK")
                 raise
             self._conn.execute("COMMIT")
-            return self.get(job_id)
+            job = self.get(job_id)
+        # Outside the store lock: a waiter holds the condition while it reads.
+        with self._settled:
+            self._settled.notify_all()
+        return job
 
     # ------------------------------------------------------------------
     # Queries
@@ -270,6 +284,22 @@ class JobRepository:
 
     def view(self, job_id: str) -> dict:
         return self.get(job_id).view()
+
+    def wait(self, job_id: str, timeout: float) -> Job:
+        """The job once it is terminal, or as it stands after ``timeout`` s.
+
+        Each read happens while this thread holds the settle condition, and
+        a settle notifies it only after its commit, so a settle either
+        lands before the read or wakes the wait: no wake-up is lost.
+        """
+        deadline = time.monotonic() + timeout
+        with self._settled:
+            while True:
+                job = self.get(job_id)
+                remaining = deadline - time.monotonic()
+                if job.terminal or remaining <= 0:
+                    return job
+                self._settled.wait(min(remaining, SETTLE_RECHECK_S))
 
     def pending(self) -> List[str]:
         """Ids of every non-terminal job, submission order."""

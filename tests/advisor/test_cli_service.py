@@ -139,9 +139,9 @@ class TestSubmitValidation:
     def test_bad_numeric_flags(self):
         for flags in (
             ["--timeout", "0"],
-            ["--poll", "-1"],
             ["--top", "0"],
             ["--sample-period", "0"],
+            ["--poll", "0.1"],  # removed in 11.0: the client waits on the daemon
         ):
             with pytest.raises(SystemExit) as excinfo:
                 cli.main(

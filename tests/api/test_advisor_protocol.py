@@ -28,11 +28,13 @@ def make_service():
         daemon.start()
         server = ServiceHTTPServer(("127.0.0.1", 0), daemon)
         threading.Thread(target=server.serve_forever, daemon=True).start()
-        made.append((daemon, server))
-        return ServiceClient(server.url, timeout=10.0)
+        client = ServiceClient(server.url, timeout=10.0)
+        made.append((daemon, server, client))
+        return client
 
     yield make
-    for daemon, server in made:
+    for daemon, server, client in made:
+        client.close()
         server.shutdown()
         server.server_close()
         daemon.shutdown(drain=False)

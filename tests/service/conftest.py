@@ -41,22 +41,28 @@ def make_daemon():
 
 @pytest.fixture
 def make_service(make_daemon):
-    """Factory for a running daemon + HTTP server + client triple."""
+    """Factory for a running daemon + HTTP server + client triple; the
+    clients and servers made here are closed afterwards."""
     servers = []
+    clients = []
 
     def make(config=None, *, auth=None, token=None,
-             rate_limit_patience=None, **kwargs):
+             rate_limit_patience=None, server_class=ServiceHTTPServer,
+             **kwargs):
         daemon = make_daemon(config, **kwargs)
-        server = ServiceHTTPServer(("127.0.0.1", 0), daemon, auth=auth)
+        server = server_class(("127.0.0.1", 0), daemon, auth=auth)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         servers.append(server)
         client_kwargs = {"timeout": 10.0, "token": token}
         if rate_limit_patience is not None:
             client_kwargs["rate_limit_patience"] = rate_limit_patience
-        return daemon, server, ServiceClient(server.url, **client_kwargs)
+        clients.append(ServiceClient(server.url, **client_kwargs))
+        return daemon, server, clients[-1]
 
     yield make
+    for client in clients:
+        client.close()
     for server in servers:
         server.shutdown()
         server.server_close()

@@ -44,7 +44,8 @@ def service(cache_dir):
     server = ServiceHTTPServer(("127.0.0.1", 0), daemon)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield ServiceClient(server.url, timeout=30.0)
+    with ServiceClient(server.url, timeout=30.0) as client:
+        yield client
     server.shutdown()
     server.server_close()
     daemon.shutdown()

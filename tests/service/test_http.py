@@ -1,17 +1,21 @@
 """The HTTP protocol and the client, over a real localhost socket."""
 
+import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.api.request import request_for_case
 from repro.api.schema import API_SCHEMA_VERSION
 from repro.api.session import AdvisingSession
-from repro.service import ServiceConfig
+from repro.service import ServiceClient, ServiceConfig, ServiceHTTPServer
+from repro.service import http as http_module
 from repro.service.errors import (
     QueueFullError,
     ServiceConnectionError,
@@ -45,6 +49,66 @@ def raw_request(url, method="GET", body=None, headers=None):
         return status, json.loads(text)
     except ValueError:
         return status, text
+
+
+def raw_exchange(url, target, method="GET", headers=None):
+    """One request on a fresh connection, headers sent verbatim and no body:
+    returns (status, body bytes)."""
+    parts = urlsplit(url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=30.0)
+    try:
+        connection.putrequest(method, target)
+        for name, value in (headers or {}).items():
+            connection.putheader(name, value)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+class CountingServer(ServiceHTTPServer):
+    """A service server that counts the TCP connections it accepts."""
+
+    def __init__(self, *args, **kwargs):
+        self.accepted = 0
+        super().__init__(*args, **kwargs)
+
+    def get_request(self):
+        self.accepted += 1
+        return super().get_request()
+
+
+@pytest.fixture
+def gated_service(make_service):
+    """A one-worker service whose jobs run only once their test opens the
+    returned gate (every gate is opened at teardown)."""
+    gates = []
+
+    def make(**kwargs):
+        daemon, server, client = make_service(start=False, workers=1, **kwargs)
+        gate = threading.Event()
+        gates.append(gate)
+        execute = daemon._execute
+
+        def gated_execute(payload, index):
+            assert gate.wait(30.0)
+            return execute(payload, index)
+
+        daemon._execute = gated_execute
+        daemon.start()
+        return daemon, server, client, gate
+
+    yield make
+    for gate in gates:
+        gate.set()
+
+
+def wait_for_state(daemon, job_id, state):
+    deadline = time.monotonic() + 10.0
+    while daemon.store.get(job_id).state != state:
+        assert time.monotonic() < deadline, state
+        time.sleep(0.01)
 
 
 class TestProtocol:
@@ -173,6 +237,18 @@ class TestFailureModes:
         status, body = raw_request(f"{server.url}/v1/advise", "POST", b"")
         assert status == 400
         assert "body is required" in body["error"]
+
+    @pytest.mark.parametrize("length", ["abc", "1e3", "1.5", "-5"])
+    def test_malformed_content_length_is_400(self, make_service, length):
+        _, server, _ = make_service()
+        status, raw = raw_exchange(
+            server.url, "/v1/advise", "POST",
+            {"Content-Type": "application/json", "Content-Length": length},
+        )
+        body = json.loads(raw)
+        assert status == 400, body
+        assert body["error_kind"] == "validation"
+        assert "Content-Length" in body["error"]
 
     def test_non_object_body_is_400(self, make_service):
         _, server, _ = make_service()
@@ -330,3 +406,269 @@ class TestConfigKnobs:
         assert json.dumps(result.report.to_dict()) == json.dumps(
             inline.report.to_dict()
         )
+
+
+class TestBlockingWait:
+    """``GET /v1/jobs/<id>?wait=<seconds>`` holds its reply until the job
+    settles or the wait runs out."""
+
+    def test_wait_returns_once_the_job_settles(self, gated_service):
+        _, _, client, gate = gated_service()
+        job_id = client.submit(hotspot_request())
+        calls = []
+        call = client._call
+
+        def counted(method, path, *args, **kwargs):
+            calls.append((method, path))
+            return call(method, path, *args, **kwargs)
+
+        client._call = counted
+        threading.Timer(0.3, gate.set).start()
+        started = time.monotonic()
+        view = client.wait(job_id, timeout=60.0)
+        elapsed = time.monotonic() - started
+        assert view.state == "done" and view.result.ok
+        assert len(calls) == 1, calls
+        assert calls[0][1].startswith(f"/v1/jobs/{job_id}?wait=")
+        assert 0.25 <= elapsed < 20.0, elapsed
+
+    def test_wait_that_runs_out_returns_the_live_view(self, gated_service):
+        _, server, client, _ = gated_service()
+        job_id = client.submit(hotspot_request())
+        started = time.monotonic()
+        status, raw = raw_exchange(server.url, f"/v1/jobs/{job_id}?wait=0.5")
+        elapsed = time.monotonic() - started
+        assert status == 200
+        assert json.loads(raw)["state"] in ("queued", "running")
+        assert 0.45 <= elapsed < 10.0, elapsed
+
+    def test_terminal_and_unknown_jobs_answer_at_once(self, make_service):
+        _, server, client = make_service()
+        job_id = client.submit(hotspot_request())
+        client.wait(job_id, timeout=60.0)
+        started = time.monotonic()
+        status, raw = raw_exchange(server.url, f"/v1/jobs/{job_id}?wait=20")
+        assert status == 200 and json.loads(raw)["state"] == "done"
+        status, raw = raw_exchange(server.url, "/v1/jobs/deadbeef?wait=20")
+        assert status == 404 and json.loads(raw)["error_kind"] == "unknown_job"
+        assert time.monotonic() - started < 5.0
+
+    @pytest.mark.parametrize("query", [
+        "wait=abc", "wait=-1", "wait=nan", "wait=inf", "wait=", "wait",
+        "wait=1&wait=2", "timeout=1", "wait=1&poll=2",
+    ])
+    def test_bad_query_is_400(self, make_service, query):
+        _, server, client = make_service()
+        job_id = client.submit(hotspot_request())
+        status, raw = raw_exchange(server.url, f"/v1/jobs/{job_id}?{query}")
+        assert status == 400, raw
+        assert json.loads(raw)["error_kind"] == "validation"
+
+    def test_wait_above_the_cap_is_clamped(self, gated_service, monkeypatch):
+        monkeypatch.setattr(http_module, "MAX_WAIT_S", 0.3)
+        _, server, client, _ = gated_service()
+        job_id = client.submit(hotspot_request())
+        started = time.monotonic()
+        status, raw = raw_exchange(server.url, f"/v1/jobs/{job_id}?wait=1000")
+        assert status == 200
+        assert json.loads(raw)["state"] in ("queued", "running")
+        assert time.monotonic() - started < 10.0
+
+    def test_plain_get_bytes_are_unchanged(self, make_service):
+        """Without ``wait`` the reply is the job view's JSON, as before the
+        parameter existed; a wait on a settled job answers the same bytes."""
+        daemon, server, client = make_service()
+        job_id = client.submit(hotspot_request())
+        client.wait(job_id, timeout=60.0)
+        expected = json.dumps(daemon.store.view(job_id)).encode("utf-8")
+        for target in (f"/v1/jobs/{job_id}", f"/v1/jobs/{job_id}?wait=0",
+                       f"/v1/jobs/{job_id}?wait=5"):
+            assert raw_exchange(server.url, target) == (200, expected), target
+
+    def test_follower_waiter_wakes_when_its_primary_settles(self, gated_service):
+        daemon, _, client, gate = gated_service()
+        primary = client.submit(hotspot_request())
+        wait_for_state(daemon, primary, "running")
+        follower = client.submit(hotspot_request())
+        assert client.job(follower).raw["coalesced_with"] == primary
+        threading.Timer(0.3, gate.set).start()
+        started = time.monotonic()
+        view = client.wait(follower, timeout=60.0)
+        assert view.state == "done" and view.raw["coalesced_with"] == primary
+        assert time.monotonic() - started < 20.0
+
+    def test_queued_waiter_wakes_on_abort(self, gated_service):
+        daemon, server, client, gate = gated_service()
+        running = client.submit(hotspot_request(sample_period=2))
+        wait_for_state(daemon, running, "running")
+        queued = client.submit(hotspot_request(sample_period=4))
+        replies = []
+        waiter = threading.Thread(target=lambda: replies.append(
+            raw_exchange(server.url, f"/v1/jobs/{queued}?wait=20")))
+        waiter.start()
+        time.sleep(0.2)
+        # The shutdown aborts the queued job, then blocks on the gated one.
+        stopper = threading.Thread(target=daemon.shutdown,
+                                   kwargs={"drain": False})
+        stopper.start()
+        waiter.join(10.0)
+        assert not waiter.is_alive()
+        status, raw = replies[0]
+        assert status == 200 and json.loads(raw)["state"] == "failed"
+        gate.set()
+        stopper.join(30.0)
+
+
+class TestConnection:
+    """One kept-alive connection per client thread."""
+
+    def test_one_thread_uses_one_connection(self, make_service):
+        _, server, client = make_service(server_class=CountingServer)
+        client.healthz()
+        client.stats()
+        result = client.advise(hotspot_request(), timeout=60.0)
+        client.job(client.submit(hotspot_request()))
+        assert result.ok
+        assert server.accepted == 1
+
+    def test_call_after_an_error_reply_uses_a_new_socket(self, make_service):
+        _, server, client = make_service(server_class=CountingServer)
+        client.healthz()
+        with pytest.raises(UnknownJobError):
+            client.job("deadbeef")  # answered with Connection: close
+        assert client.healthz()["status"] == "ok"
+        assert server.accepted == 2
+
+    def test_idle_closed_connection_is_retried_once(self, make_service):
+        class ShortIdle(http_module.ServiceRequestHandler):
+            timeout = 0.2
+
+        _, server, client = make_service(server_class=CountingServer)
+        server.RequestHandlerClass = ShortIdle
+        client.healthz()
+        time.sleep(1.0)  # the handler drops the idle connection
+        assert client.healthz()["status"] == "ok"
+        assert server.accepted == 2
+
+    def test_each_thread_has_a_connection_and_close_closes_all(self, make_service):
+        _, server, client = make_service(server_class=CountingServer)
+        threads = [threading.Thread(target=client.healthz) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert server.accepted == 2
+        client.healthz()
+        assert server.accepted == 3
+        assert all(c.sock is not None for c in client._connections)
+        client.close()
+        assert len(client._connections) == 3
+        assert all(c.sock is None for c in client._connections)
+        assert client.healthz()["status"] == "ok"  # reconnects
+        assert server.accepted == 4
+
+    def test_closed_server_hangs_up_kept_alive_connections(self, make_service):
+        """A stopped server must not keep serving an open connection: the
+        next call finds no daemon, as a call on a new socket would."""
+        _, server, client = make_service()
+        client.healthz()
+        server.shutdown()
+        server.server_close()
+        with pytest.raises(ServiceConnectionError):
+            client.healthz()
+
+    def test_short_client_timeout_waits_out_a_long_job(self, make_service):
+        daemon, server, _ = make_service(start=False, workers=1)
+        execute = daemon._execute
+
+        def slow_execute(payload, index):
+            time.sleep(2.0)
+            return execute(payload, index)
+
+        daemon._execute = slow_execute
+        daemon.start()
+        with ServiceClient(server.url, timeout=0.5) as client:
+            started = time.monotonic()
+            assert client.advise(hotspot_request(), timeout=60.0).ok
+            assert time.monotonic() - started >= 2.0
+
+    def test_sequential_calls_are_not_held_by_nagle(self, make_service):
+        """On a kept-alive connection a reply's body must not wait for the
+        client's delayed ACK of its headers (~40 ms per call)."""
+        _, _, client = make_service()
+        client.healthz()
+        started = time.monotonic()
+        for _ in range(50):
+            client.healthz()
+        assert time.monotonic() - started < 1.0
+
+
+class TestRetryPolicy:
+    """Against a hand-written listener: what the client resends, and when."""
+
+    @staticmethod
+    def read_request(connection):
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = connection.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+        return data
+
+    def serve(self, listener, scripts):
+        """Accept one connection per script and run it; count accepts."""
+        accepted = []
+
+        def run():
+            for script in scripts:
+                try:
+                    connection, _ = listener.accept()
+                except OSError:  # timed out: no further connection came
+                    return
+                accepted.append(connection)
+                with connection:
+                    script(connection)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread, accepted
+
+    def test_fresh_socket_hang_up_is_not_retried(self):
+        def hang_up(connection):
+            self.read_request(connection)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(1.0)
+            thread, accepted = self.serve(listener, [hang_up, hang_up])
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            with ServiceClient(url, timeout=10.0) as client:
+                with pytest.raises(ServiceConnectionError):
+                    client.submit(hotspot_request())
+            thread.join(10.0)
+            assert len(accepted) == 1  # the POST went out once
+
+    def test_reused_socket_is_retried_at_most_once(self):
+        body = b'{"status": "ok"}'
+        reply = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                 b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+
+        def answer_once_then_hang_up(connection):
+            self.read_request(connection)
+            connection.sendall(reply)
+            self.read_request(connection)
+
+        def hang_up(connection):
+            self.read_request(connection)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(1.0)
+            thread, accepted = self.serve(
+                listener, [answer_once_then_hang_up, hang_up, hang_up])
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            with ServiceClient(url, timeout=10.0) as client:
+                assert client.healthz() == {"status": "ok"}
+                with pytest.raises(ServiceConnectionError):
+                    client.healthz()
+            thread.join(10.0)
+            assert len(accepted) == 2  # the first socket, then one retry

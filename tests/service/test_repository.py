@@ -1,9 +1,9 @@
 """Unit tests of the job repository: the daemon's one job store.
 
-``TestContract`` and ``TestEviction`` run on both kinds of store a daemon
-opens: an in-memory database (no ``--store``) and a SQLite file.  The other
-classes cover what only a file can promise: results that survive a
-close/reopen byte-identically, crash recovery that re-queues the
+``TestContract``, ``TestWait`` and ``TestEviction`` run on both kinds of
+store a daemon opens: an in-memory database (no ``--store``) and a SQLite
+file.  The other classes cover what only a file can promise: results that
+survive a close/reopen byte-identically, crash recovery that re-queues the
 interrupted backlog, a schema guard that refuses stores written by other
 builds, and two handles sharing one store.
 """
@@ -11,12 +11,15 @@ builds, and two handles sharing one store.
 import json
 import re
 import sqlite3
+import threading
+import time
 
 import pytest
 
 from repro.api.schema import API_SCHEMA_VERSION
 from repro.service.errors import UnknownJobError
 from repro.service.jobs import JOB_STATES, TERMINAL_STATES
+from repro.service import repository as repository_module
 from repro.service.repository import (
     REPOSITORY_SCHEMA_VERSION,
     JobRepository,
@@ -157,6 +160,80 @@ class TestContract:
         settled = repo.create(PAYLOAD, "settled")
         repo.finish(settled.job_id, None, None)
         assert repo.pending() == [live.job_id]
+
+
+def settle_later(settle, *args, delay=0.2):
+    """Run ``settle(*args)`` on another thread after ``delay`` seconds."""
+    timer = threading.Timer(delay, settle, args)
+    timer.start()
+    return timer
+
+
+class TestWait:
+    """``wait`` returns a job once it settles, or as it stands at the end."""
+
+    @pytest.fixture
+    def no_recheck(self, monkeypatch):
+        # Only a settle's notification can wake a waiter now.
+        monkeypatch.setattr(repository_module, "SETTLE_RECHECK_S", 60.0)
+
+    def test_terminal_job_answers_at_once(self, repo):
+        job = repo.create(PAYLOAD, "case-a")
+        repo.finish(job.job_id, {"ok": True}, None)
+        started = time.monotonic()
+        assert repo.wait(job.job_id, 10.0).state == "done"
+        assert time.monotonic() - started < 1.0
+
+    def test_wait_runs_out_with_the_live_job(self, repo):
+        job = repo.create(PAYLOAD, "case-a")
+        started = time.monotonic()
+        assert repo.wait(job.job_id, 0.3).state == "queued"
+        assert 0.29 <= time.monotonic() - started < 5.0
+
+    def test_zero_wait_is_a_plain_read(self, repo):
+        job = repo.create(PAYLOAD, "case-a")
+        assert repo.wait(job.job_id, 0.0).view() == repo.view(job.job_id)
+
+    def test_unknown_job_raises_at_once(self, repo):
+        with pytest.raises(UnknownJobError):
+            repo.wait("nope", 10.0)
+
+    @pytest.mark.usefixtures("no_recheck")
+    def test_finish_wakes_a_waiter(self, repo):
+        job = repo.create(PAYLOAD, "case-a")
+        repo.mark_running(job.job_id)
+        timer = settle_later(repo.finish, job.job_id, {"ok": True}, None)
+        started = time.monotonic()
+        settled = repo.wait(job.job_id, 20.0)
+        timer.join()
+        assert settled.state == "done" and settled.result == {"ok": True}
+        assert time.monotonic() - started < 5.0
+
+    @pytest.mark.usefixtures("no_recheck")
+    def test_abort_wakes_a_waiter(self, repo):
+        job = repo.create(PAYLOAD, "case-a")
+        timer = settle_later(repo.abort, job.job_id, "shutting down")
+        started = time.monotonic()
+        settled = repo.wait(job.job_id, 20.0)
+        timer.join()
+        assert settled.state == "failed" and settled.error == "shutting down"
+        assert time.monotonic() - started < 5.0
+
+    def test_settle_by_another_handle_is_seen(self, store_path):
+        """A daemon sharing the store file settles without notifying this
+        process; the waiter's periodic re-read sees it."""
+        a = JobRepository(store_path, ttl=None)
+        b = JobRepository(store_path, ttl=None)
+        try:
+            job = a.create(PAYLOAD, "case-a")
+            timer = settle_later(b.finish, job.job_id, {"ok": True}, None)
+            started = time.monotonic()
+            assert a.wait(job.job_id, 20.0).state == "done"
+            timer.join()
+            assert time.monotonic() - started < 5.0
+        finally:
+            a.close()
+            b.close()
 
 
 class TestEviction:

@@ -72,37 +72,38 @@ def test_sigkill_restart_replays_results_byte_identically(tmp_path):
     process, url = start_daemon(tmp_path, store, cache_dir)
     survivor = None
     try:
-        client = ServiceClient(url, timeout=10.0)
-        done = client.submit(request_for_case(CASE_ID, arch_flag="sm_70"))
-        view = client.wait(done, timeout=120.0)
-        assert view.state == "done"
-        before = raw_job_bytes(url, done)
+        with ServiceClient(url, timeout=10.0) as client:
+            done = client.submit(request_for_case(CASE_ID, arch_flag="sm_70"))
+            view = client.wait(done, timeout=120.0)
+            assert view.state == "done"
+            before = raw_job_bytes(url, done)
 
-        # Park the single worker on a slow job, pile a backlog behind it,
-        # and pull the plug while the backlog is still queued.  Distinct
-        # sample periods so nothing coalesces: the point is the queue.
-        client.submit(request_for_case(SLOW_CASE_ID, arch_flag="sm_70"))
-        backlog = [
-            client.submit(request_for_case(
-                CASE_ID, arch_flag="sm_70", sample_period=period,
-            ))
-            for period in (3, 5, 7)
-        ]
-        assert [client.job(job_id).state for job_id in backlog] == ["queued"] * 3
-        sigkill(process)
+            # Park the single worker on a slow job, pile a backlog behind
+            # it, and pull the plug while the backlog is still queued.
+            # Distinct sample periods so nothing coalesces: the point is
+            # the queue.
+            client.submit(request_for_case(SLOW_CASE_ID, arch_flag="sm_70"))
+            backlog = [
+                client.submit(request_for_case(
+                    CASE_ID, arch_flag="sm_70", sample_period=period,
+                ))
+                for period in (3, 5, 7)
+            ]
+            assert [client.job(job_id).state for job_id in backlog] == ["queued"] * 3
+            sigkill(process)
 
         survivor, url2 = start_daemon(tmp_path, store, cache_dir)
-        client2 = ServiceClient(url2, timeout=10.0)
+        with ServiceClient(url2, timeout=10.0) as client2:
+            # 1) The completed result replays byte for byte.
+            after = raw_job_bytes(url2, done)
+            assert after == before
 
-        # 1) The completed result replays byte for byte.
-        after = raw_job_bytes(url2, done)
-        assert after == before
-
-        # 2) The interrupted backlog was recovered and runs to completion.
-        for job_id in backlog:
-            replayed = client2.wait(job_id, timeout=120.0)
-            assert replayed.state == "done", replayed.error
-        stats = client2.stats()
+            # 2) The interrupted backlog was recovered and runs to
+            # completion.
+            for job_id in backlog:
+                replayed = client2.wait(job_id, timeout=120.0)
+                assert replayed.state == "done", replayed.error
+            stats = client2.stats()
         assert stats["jobs_recovered"] >= len(backlog)
     finally:
         for p in (process, survivor):
@@ -138,14 +139,15 @@ def test_two_daemon_processes_share_one_store(tmp_path):
     b_process = None
     try:
         b_process, b_url = start_daemon(tmp_path, store, cache_dir)
-        client_a = ServiceClient(a_url, timeout=10.0)
-        job_id = client_a.submit(request_for_case(CASE_ID, arch_flag="sm_70"))
-        view = client_a.wait(job_id, timeout=120.0)
+        with ServiceClient(a_url, timeout=10.0) as client_a:
+            job_id = client_a.submit(request_for_case(CASE_ID, arch_flag="sm_70"))
+            view = client_a.wait(job_id, timeout=120.0)
         assert view.state == "done"
 
         assert raw_job_bytes(b_url, job_id) == raw_job_bytes(a_url, job_id)
         # Shared persistent counters: both daemons report the same store.
-        stats_b = ServiceClient(b_url, timeout=10.0).stats()
+        with ServiceClient(b_url, timeout=10.0) as client_b:
+            stats_b = client_b.stats()
         assert stats_b["jobs_done"] >= 1
     finally:
         for p in (a_process, b_process):
