@@ -6,8 +6,8 @@ stall.  The blamer attributes those stalls backwards:
 
 1. :mod:`repro.blame.slicing` — backward slicing over the control flow graph
    tracking regular registers, the six virtual barrier registers and
-   predicates (the search continues until the union of def predicates covers
-   the use predicate);
+   predicates (a later def hides an earlier one only once the union of the
+   later defs' predicates covers the use predicate);
 2. :mod:`repro.blame.graph` — build an instruction dependency graph whose
    nodes carry measured stalls and whose edges are def-use relations;
 3. :mod:`repro.blame.pruning` — prune "cold" edges with the three heuristics

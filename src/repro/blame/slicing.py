@@ -11,28 +11,59 @@ binary slicing (Section 4, "Backward slicing"):
   an ``LDG`` without reading its destination register) are discovered by the
   same def-use machinery.
 
-* **Predicates.**  The search along a path does not stop at the first def of
-  a resource: it continues until the union of the encountered defs'
-  predicates *covers* the predicate of the use instruction (Figure 4a — an
-  unpredicated use of ``R0`` may depend on ``@P0 LDG R0`` *and* on
-  ``@!P0 LDC R0`` earlier on the path).
+* **Predicates.**  A later def hides an earlier def of the same resource
+  only once the union of the later defs' predicates *covers* the predicate
+  of the use instruction (Figure 4a — an unpredicated use of ``R0`` may
+  depend on ``@P0 LDG R0`` *and* on ``@!P0 LDC R0`` earlier on the path).
 
 * **Scope.**  Slicing is intra-function and finds only immediate dependency
   sources; transitive dependencies are unlikely to cause the observed stalls.
+
+The slices of one function come from one forward may-analysis that
+:func:`~repro.staticcheck.dataflow.solve_dataflow` solves.  Its value at a
+program point maps each resource to a set of pairs: the offset of a def of
+the resource that reaches the point along some path, and the predicate keys
+of the later defs of that resource on the path.  A def of the resource
+
+* adds its guard's key to every pair of the resource,
+* drops each pair whose keys now cover every guard (``_``, or both ``Pn``
+  and ``!Pn``), since such a def reaches no use, and
+* adds the pair ``(itself, ∅)``.
+
+The meet is the union per resource.  A use depends on the defs of the pairs
+whose keys do not cover its own guard.  The keys are subsets of a finite set
+of predicate keys, so the lattice is finite and the solve needs no cap on
+the paths it follows.  Blocks the entry cannot reach take part as well, like
+the paths a backward search from the use would follow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.cfg.basic_block import BasicBlock
 from repro.cfg.graph import ControlFlowGraph
 from repro.isa.instruction import Instruction
 from repro.isa.registers import Predicate
+from repro.staticcheck.dataflow import FORWARD, DataflowProblem, DataflowSolution, solve_dataflow
 
 #: A sliced resource: ``("R", index)`` for a register, ``("B", index)`` for a
 #: virtual barrier register.
 Resource = Tuple[str, int]
+
+#: A def reaching a program point: its offset and the predicate keys of the
+#: later defs of its resource on the path.
+Reaching = Tuple[int, int]
+
+#: Resource -> the defs of it that reach one program point.
+SliceState = Dict[Resource, FrozenSet[Reaching]]
+
+#: Predicate keys are bits: ``Pn`` is bit ``2n``, ``!Pn`` bit ``2n + 1`` and
+#: the unconditional guard ``_`` bit 16.
+_UNCONDITIONAL = 1 << 16
+#: The ``Pn`` bits, which pick out the predicates a key set holds both ways.
+_POSITIVE = 0x5555
 
 
 @dataclass(frozen=True)
@@ -77,22 +108,24 @@ class ImmediateDependencies:
         return any(self.defs.values())
 
 
-def _predicate_union_covers(cover: FrozenSet[Tuple[int, bool]], use: Predicate) -> bool:
-    """Whether the predicate union ``cover`` contains the use predicate.
+def _predicate_key(predicate: Predicate) -> int:
+    if predicate.is_true_predicate:
+        return _UNCONDITIONAL
+    return 1 << (2 * predicate.index + predicate.negated)
 
-    ``cover`` holds ``(index, negated)`` pairs; ``(-1, False)`` denotes the
-    unconditional predicate ``_``.  Per the paper, ``P`` contains ``p'`` iff
-    ``p' in P`` or ``_ in P``, and ``{p_i} ∪ {!p_i} = {_}``.
+
+def _covers_every_guard(keys: int) -> bool:
+    """Whether the predicate union ``keys`` is ``_``: ``{p_i} ∪ {!p_i} = {_}``."""
+    return bool(keys & _UNCONDITIONAL or keys & (keys >> 1) & _POSITIVE)
+
+
+def _predicate_union_covers(keys: int, use_key: int) -> bool:
+    """Whether the predicate union ``keys`` contains the use's guard ``use_key``.
+
+    Per the paper, ``P`` contains ``p'`` iff ``p' in P`` or ``_ in P``, and
+    ``{p_i} ∪ {!p_i} = {_}``.
     """
-    if (-1, False) in cover:
-        return True
-    indices = {index for index, _negated in cover if index >= 0}
-    for index in indices:
-        if (index, False) in cover and (index, True) in cover:
-            return True
-    if use.is_true_predicate:
-        return False
-    return (use.index, use.negated) in cover
+    return bool(keys & use_key) or _covers_every_guard(keys)
 
 
 def _resources_defined(instruction: Instruction) -> Set[Resource]:
@@ -113,12 +146,72 @@ def _resources_used(instruction: Instruction) -> Set[Resource]:
     return resources
 
 
+class SliceProblem(DataflowProblem):
+    """Forward may-analysis of the defs that reach each point, with covers."""
+
+    direction = FORWARD
+
+    def __init__(self) -> None:
+        #: Block index -> (offset, guard key, resources) of each def in it.
+        self._defs: Dict[int, List[Tuple[int, int, Tuple[Resource, ...]]]] = {}
+
+    def boundary_value(self) -> SliceState:
+        return {}
+
+    def initial_value(self) -> SliceState:
+        return {}
+
+    def meet(self, values: Iterable[SliceState]) -> SliceState:
+        merged: SliceState = {}
+        for value in values:
+            for resource, reaching in value.items():
+                known = merged.get(resource)
+                merged[resource] = reaching if known is None else known | reaching
+        return merged
+
+    def transfer(self, block: BasicBlock, value: SliceState) -> SliceState:
+        return self.walk(block, value)
+
+    def walk(
+        self, block: BasicBlock, value: SliceState, stop: Optional[int] = None
+    ) -> SliceState:
+        """``value`` pushed over the defs of ``block`` before offset ``stop``."""
+        state = dict(value)
+        for offset, key, resources in self._block_defs(block):
+            if stop is not None and offset >= stop:
+                break
+            for resource in resources:
+                reaching = {(offset, 0)}
+                if key != _UNCONDITIONAL:
+                    for def_offset, keys in state.get(resource, ()):
+                        keys |= key
+                        if not _covers_every_guard(keys):
+                            reaching.add((def_offset, keys))
+                state[resource] = frozenset(reaching)
+        return state
+
+    def _block_defs(self, block: BasicBlock) -> List[Tuple[int, int, Tuple[Resource, ...]]]:
+        defs = self._defs.get(block.index)
+        if defs is None:
+            defs = self._defs[block.index] = [
+                (
+                    instruction.offset,
+                    _predicate_key(instruction.predicate),
+                    tuple(resources),
+                )
+                for instruction in block.instructions
+                if (resources := _resources_defined(instruction))
+            ]
+        return defs
+
+
 class BackwardSlicer:
     """Intra-function backward slicer over one control flow graph."""
 
-    def __init__(self, cfg: ControlFlowGraph, max_visited_blocks: int = 512):
+    def __init__(self, cfg: ControlFlowGraph):
         self.cfg = cfg
-        self.max_visited_blocks = max_visited_blocks
+        self._problem = SliceProblem()
+        self._solution: Optional[DataflowSolution] = None
         self._cache: Dict[int, ImmediateDependencies] = {}
 
     # ------------------------------------------------------------------
@@ -126,89 +219,29 @@ class BackwardSlicer:
         """Immediate dependency sources of the instruction at ``use_offset``."""
         if use_offset in self._cache:
             return self._cache[use_offset]
-        use_instruction = self.cfg.instruction_at(use_offset)
+        cfg = self.cfg
+        use_instruction = cfg.instruction_at(use_offset)
         dependencies = ImmediateDependencies(
             use_offset=use_offset, use_instruction=use_instruction
         )
+        if self._solution is None:
+            self._solution = solve_dataflow(cfg, self._problem)
+        block = cfg.block_containing(use_offset)
+        state = self._problem.walk(
+            block, self._solution.value_in(block.index), stop=use_offset
+        )
+        use_key = _predicate_key(use_instruction.predicate)
         for resource in sorted(_resources_used(use_instruction)):
-            sites = self._find_defs(use_offset, use_instruction, resource)
+            offsets = {
+                offset
+                for offset, keys in state.get(resource, ())
+                if not _predicate_union_covers(keys, use_key)
+            }
+            sites = []
+            for offset in sorted(offsets):
+                instruction = cfg.instruction_at(offset)
+                sites.append(DefSite(offset, instruction, resource, instruction.predicate))
             if sites:
                 dependencies.defs[resource] = sites
         self._cache[use_offset] = dependencies
         return dependencies
-
-    # ------------------------------------------------------------------
-    def _find_defs(
-        self, use_offset: int, use_instruction: Instruction, resource: Resource
-    ) -> List[DefSite]:
-        """Backward search for defs of ``resource`` reaching ``use_offset``."""
-        cfg = self.cfg
-        use_block = cfg.block_containing(use_offset)
-        use_predicate = use_instruction.predicate
-
-        found: Dict[int, DefSite] = {}
-        empty_cover: FrozenSet[Tuple[int, bool]] = frozenset()
-
-        def predicate_key(predicate: Predicate) -> Tuple[int, bool]:
-            if predicate.is_true_predicate:
-                return (-1, False)
-            return (predicate.index, predicate.negated)
-
-        def scan_block(
-            block_index: int, start_position: Optional[int], cover: FrozenSet[Tuple[int, bool]]
-        ) -> Tuple[FrozenSet[Tuple[int, bool]], bool]:
-            """Scan a block backwards from ``start_position`` (exclusive).
-
-            Returns the updated predicate cover and whether the search along
-            this path is complete (the cover contains the use predicate).
-            """
-            block = cfg.blocks[block_index]
-            instructions = block.instructions
-            position = (len(instructions) if start_position is None else start_position) - 1
-            current = set(cover)
-            while position >= 0:
-                candidate = instructions[position]
-                if resource in _resources_defined(candidate):
-                    found.setdefault(
-                        candidate.offset,
-                        DefSite(
-                            offset=candidate.offset,
-                            instruction=candidate,
-                            resource=resource,
-                            predicate=candidate.predicate,
-                        ),
-                    )
-                    current.add(predicate_key(candidate.predicate))
-                    if _predicate_union_covers(frozenset(current), use_predicate):
-                        return frozenset(current), True
-                position -= 1
-            return frozenset(current), False
-
-        # Position of the use inside its own block.
-        use_position = next(
-            index
-            for index, instruction in enumerate(use_block.instructions)
-            if instruction.offset == use_offset
-        )
-
-        visited: Set[Tuple[int, FrozenSet[Tuple[int, bool]]]] = set()
-        stack: List[Tuple[int, Optional[int], FrozenSet[Tuple[int, bool]]]] = [
-            (use_block.index, use_position, empty_cover)
-        ]
-        visited_blocks = 0
-
-        while stack and visited_blocks < self.max_visited_blocks:
-            block_index, start_position, cover = stack.pop()
-            state = (block_index, cover) if start_position is None else (-block_index - 1, cover)
-            if state in visited:
-                continue
-            visited.add(state)
-            visited_blocks += 1
-
-            new_cover, complete = scan_block(block_index, start_position, cover)
-            if complete:
-                continue
-            for predecessor in self.cfg.predecessors.get(block_index, []):
-                stack.append((predecessor, None, new_cover))
-
-        return sorted(found.values(), key=lambda site: site.offset)

@@ -9,8 +9,8 @@ Layers, bottom up:
 
 * :mod:`repro.staticcheck.dataflow` — the generic worklist solver
   (forward/backward) every analysis instantiates, plus post-dominators;
-* :mod:`repro.staticcheck.liveness` — register liveness, reaching
-  definitions, live-range pressure, dead writes;
+* :mod:`repro.staticcheck.liveness` — register liveness, live-range
+  pressure, dead writes;
 * :mod:`repro.staticcheck.depth` — static dependency-depth / ILP estimates;
 * :mod:`repro.staticcheck.rules` — the diagnostics (divergence taint,
   barrier hazards, access-pattern rules, unreachable code);
@@ -38,11 +38,7 @@ from repro.staticcheck.dataflow import (
 )
 from repro.staticcheck.depth import DepthAnalysis, estimate_depths
 from repro.staticcheck.engine import StaticChecker, lint_case
-from repro.staticcheck.liveness import (
-    LivenessAnalysis,
-    analyze_liveness,
-    analyze_reaching_definitions,
-)
+from repro.staticcheck.liveness import LivenessAnalysis, analyze_liveness
 from repro.staticcheck.report import (
     FunctionLint,
     StaticDiagnostic,
@@ -72,7 +68,6 @@ __all__ = [
     "StaticDiagnostic",
     "StaticReport",
     "analyze_liveness",
-    "analyze_reaching_definitions",
     "compute_post_dominators",
     "cross_check",
     "estimate_depths",

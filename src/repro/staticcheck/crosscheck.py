@@ -10,10 +10,12 @@ bit-identical whether or not a static report was ever computed.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.advisor.report import AdviceReport
 from repro.staticcheck.report import StaticReport
+
+if TYPE_CHECKING:  # the advisor imports the blamer, which imports staticcheck
+    from repro.advisor.report import AdviceReport
 
 #: How many hotspots per advice item are matched against diagnostics.
 _HOTSPOTS_CHECKED = 5

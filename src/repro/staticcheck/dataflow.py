@@ -1,7 +1,8 @@
 """Generic worklist dataflow over basic-block CFGs.
 
-The solver is the foundation of every analysis in :mod:`repro.staticcheck`:
-an analysis describes itself as a :class:`DataflowProblem` (a direction, a
+The solver is the foundation of every analysis in :mod:`repro.staticcheck`
+and of the blamer's backward slicer (:mod:`repro.blame.slicing`): an
+analysis describes itself as a :class:`DataflowProblem` (a direction, a
 meet operator and a per-block transfer function) and :func:`solve_dataflow`
 iterates it to a fixed point over the blocks of one
 :class:`~repro.cfg.graph.ControlFlowGraph`.
@@ -37,7 +38,7 @@ class DataflowProblem:
     """One dataflow analysis: direction, lattice values, transfer, meet.
 
     Values default to frozensets with union as the meet (the may-analysis
-    shape liveness and reaching definitions share); a problem with a
+    shape liveness and the divergence taint share); a problem with a
     different lattice overrides :meth:`meet` and the two initial-value hooks.
     """
 

@@ -1,19 +1,14 @@
-"""Register liveness, reaching definitions and live-range pressure.
+"""Register liveness and live-range pressure.
 
-These are the classic bit-vector analyses, instantiated over the operand
-model of :mod:`repro.isa.registers`:
+Liveness is the classic backward bit-vector analysis, instantiated over the
+operand model of :mod:`repro.isa.registers`: which general registers may
+still be read after a program point.  It feeds dead-write detection and the
+live-range register pressure the occupancy cross-check uses.
 
-* **Liveness** (backward): which general registers may still be read after a
-  program point.  Feeds dead-write detection and the live-range register
-  pressure the occupancy cross-check uses.
-* **Reaching definitions** (forward): which ``(offset, register)`` write
-  sites may produce the value a point observes.  Feeds the divergence taint
-  propagation in :mod:`repro.staticcheck.rules`.
-
-Predicated instructions need care in both: ``@P0 MOV R1, ...`` only *may*
-write ``R1``, so a predicated definition neither kills earlier definitions
-nor makes an earlier write dead.  ``RZ`` (the hardwired zero register) is
-excluded everywhere — writes to it are architectural discards.
+Predicated instructions need care: ``@P0 MOV R1, ...`` only *may* write
+``R1``, so a predicated definition does not make an earlier write dead.
+``RZ`` (the hardwired zero register) is excluded everywhere — writes to it
+are architectural discards.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.cfg.basic_block import BasicBlock
 from repro.cfg.graph import ControlFlowGraph
 from repro.isa.instruction import Instruction
-from repro.staticcheck.dataflow import BACKWARD, FORWARD, DataflowProblem, solve_dataflow
+from repro.staticcheck.dataflow import BACKWARD, DataflowProblem, solve_dataflow
 
 
 def used_register_indices(instruction: Instruction) -> FrozenSet[int]:
@@ -161,59 +156,4 @@ def analyze_liveness(cfg: ControlFlowGraph) -> LivenessAnalysis:
         max_pressure=max_pressure,
         max_pressure_offset=max_pressure_offset,
         dead_writes=dead_writes,
-    )
-
-
-# ----------------------------------------------------------------------
-# Reaching definitions
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, order=True)
-class Definition:
-    """One write site: the instruction offset and the register it writes."""
-
-    offset: int
-    register: int
-
-
-class ReachingDefinitionsProblem(DataflowProblem):
-    """Forward may-analysis: ``out = gen ∪ (in − kill)`` per block."""
-
-    direction = FORWARD
-
-    def transfer(self, block: BasicBlock, reaching: FrozenSet[Definition]) -> FrozenSet[Definition]:
-        current = set(reaching)
-        for instruction in block.instructions:
-            defs = defined_register_indices(instruction)
-            if not defs:
-                continue
-            if not may_write_only(instruction):
-                current = {
-                    definition for definition in current if definition.register not in defs
-                }
-            for register in defs:
-                current.add(Definition(offset=instruction.offset, register=register))
-        return frozenset(current)
-
-
-@dataclass
-class ReachingDefinitions:
-    """Reaching-definition sets at every block boundary."""
-
-    reach_in: Dict[int, FrozenSet[Definition]]
-    reach_out: Dict[int, FrozenSet[Definition]]
-
-    def definitions_of(self, block_index: int, register: int) -> List[Definition]:
-        """Definitions of ``register`` reaching the entry of ``block_index``."""
-        return sorted(
-            definition
-            for definition in self.reach_in[block_index]
-            if definition.register == register
-        )
-
-
-def analyze_reaching_definitions(cfg: ControlFlowGraph) -> ReachingDefinitions:
-    """Solve reaching definitions over ``cfg``."""
-    solution = solve_dataflow(cfg, ReachingDefinitionsProblem())
-    return ReachingDefinitions(
-        reach_in=dict(solution.in_values), reach_out=dict(solution.out_values)
     )

@@ -121,3 +121,68 @@ def test_instruction_without_register_uses_has_no_defs():
     slicer, program = slicer_for("MOV32I R1, 5\nEXIT")
     deps = slicer.slice_instruction(program[1].offset)
     assert not deps
+
+
+def test_def_reaches_across_a_chain_of_more_than_512_blocks():
+    """The slice has no cap on the blocks it crosses."""
+    branches = "\n".join(f"@P0 BRA L{index}\nL{index}:" for index in range(600))
+    slicer, program = slicer_for(f"LDG.E.32 R0, [R2]\n{branches}\nIADD R3, R0, R1\nEXIT")
+    assert len(slicer.cfg.blocks) > 512
+    load, use = program[0], program[-2]
+    assert use.opcode == "IADD"
+    deps = slicer.slice_instruction(use.offset)
+    assert [site.offset for site in deps.defs[("R", 0)]] == [load.offset]
+
+
+def test_defs_on_both_arms_reach_the_join():
+    slicer, program = slicer_for(
+        """
+        ISETP.LT.AND P0, R1, R2
+        @P0 BRA ELSE
+        MOV R3, 0x1
+        BRA JOIN
+        ELSE:
+        MOV R3, 0x2
+        JOIN:
+        STG.E.32 [R4], R3
+        EXIT
+        """
+    )
+    deps = slicer.slice_instruction(program[5].offset)
+    assert [site.offset for site in deps.defs[("R", 3)]] == [
+        program[2].offset,
+        program[4].offset,
+    ]
+
+
+def test_unconditional_def_in_a_later_block_hides_an_earlier_def():
+    slicer, program = slicer_for(
+        """
+        MOV R1, 0x1
+        BRA NEXT
+        NEXT:
+        MOV R1, 0x2
+        STG.E.32 [R2], R1
+        EXIT
+        """
+    )
+    deps = slicer.slice_instruction(program[3].offset)
+    assert [site.offset for site in deps.defs[("R", 1)]] == [program[2].offset]
+
+
+def test_predicated_def_in_a_later_block_does_not_hide_an_earlier_def():
+    slicer, program = slicer_for(
+        """
+        MOV R1, 0x1
+        BRA NEXT
+        NEXT:
+        @P0 MOV R1, 0x2
+        STG.E.32 [R2], R1
+        EXIT
+        """
+    )
+    deps = slicer.slice_instruction(program[3].offset)
+    assert [site.offset for site in deps.defs[("R", 1)]] == [
+        program[0].offset,
+        program[2].offset,
+    ]

@@ -1,10 +1,6 @@
-"""Register liveness, dead writes, pressure, reaching definitions."""
+"""Register liveness, dead writes and pressure."""
 
-from repro.staticcheck.liveness import (
-    Definition,
-    analyze_liveness,
-    analyze_reaching_definitions,
-)
+from repro.staticcheck.liveness import analyze_liveness
 
 
 def test_straight_line_live_in(make_cfg):
@@ -103,67 +99,3 @@ def test_pressure_counts_simultaneously_live_registers(make_cfg):
     assert analysis.max_pressure_offset is not None
     assert analysis.block_pressure[cfg.entry_index] == 4
 
-
-def test_reaching_definitions_merge_at_join(make_cfg):
-    cfg = make_cfg(
-        """
-        ISETP.LT.AND P0, R1, R2
-        @P0 BRA ELSE
-        MOV R3, 0x1
-        BRA JOIN
-        ELSE:
-        MOV R3, 0x2
-        JOIN:
-        STG.E.32 [R4], R3
-        EXIT
-        """
-    )
-    reaching = analyze_reaching_definitions(cfg)
-    join = [block.index for block in cfg.blocks if block.start_offset == 0x50]
-    assert len(join) == 1
-    assert reaching.definitions_of(join[0], 3) == [
-        Definition(offset=0x20, register=3),
-        Definition(offset=0x40, register=3),
-    ]
-
-
-def test_reaching_definitions_unconditional_write_kills(make_cfg):
-    cfg = make_cfg(
-        """
-        MOV R1, 0x1
-        BRA NEXT
-        NEXT:
-        MOV R1, 0x2
-        STG.E.32 [R2], R1
-        EXIT
-        """
-    )
-    reaching = analyze_reaching_definitions(cfg)
-    exit_block = max(block.index for block in cfg.blocks)
-    live_defs = [
-        definition
-        for definition in reaching.reach_out[exit_block]
-        if definition.register == 1
-    ]
-    assert live_defs == [Definition(offset=0x20, register=1)]
-
-
-def test_predicated_definition_does_not_kill(make_cfg):
-    cfg = make_cfg(
-        """
-        MOV R1, 0x1
-        BRA NEXT
-        NEXT:
-        @P0 MOV R1, 0x2
-        STG.E.32 [R2], R1
-        EXIT
-        """
-    )
-    reaching = analyze_reaching_definitions(cfg)
-    exit_block = max(block.index for block in cfg.blocks)
-    offsets = sorted(
-        definition.offset
-        for definition in reaching.reach_out[exit_block]
-        if definition.register == 1
-    )
-    assert offsets == [0x0, 0x20]
