@@ -21,11 +21,10 @@ pipeline simulators structure their memory stages:
    transaction rate.
 
 The model is deterministic (no randomness; state depends only on the access
-sequence) and observation-neutral: :meth:`MemoryHierarchy.backpressure` has
-a read-only probe mode, and :meth:`MemoryHierarchy.access_sectors` is only
-invoked when an instruction actually issues — so PC sampling can never
-perturb the simulated timing, the same property the rest of the simulator
-guarantees.  When a memory op issues, the simulator hands
+sequence) and observation-neutral: the PC sampler never calls it, and
+:meth:`MemoryHierarchy.access_sectors` is only invoked when an instruction
+actually issues — so PC sampling can never perturb the simulated timing,
+the same property the rest of the simulator guarantees.  When a memory op issues, the simulator hands
 :meth:`~MemoryHierarchy.access_sectors` the memoized :func:`sector_pattern`
 of its address's phase and the shift to add to it, so no per-access sector
 list is built.  The access walks those sectors once, with the L1 and L2
@@ -247,35 +246,29 @@ class TransactionBudget:
         self.throttle_reopen: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def backpressure(self, now: int, commit: bool = True) -> Optional[int]:
+    def backpressure(self, now: int) -> Optional[int]:
         """The cycle to recheck at if the pipeline cannot accept a request.
 
-        Returns ``None`` when a request can issue.  With ``commit=True`` a
-        refusal returns the exact cycle the pipeline reopens: the one at
-        which the transactions already in flight drop below :attr:`limit`,
-        i.e. the (in_flight - limit + 1)-th earliest completion.  No request
-        can issue earlier, because only an issued request adds transactions.
+        Returns ``None`` when a request can issue.  A refusal returns the
+        exact cycle the pipeline reopens: the one at which the transactions
+        already in flight drop below :attr:`limit`, i.e. the
+        (in_flight - limit + 1)-th earliest completion.  No request can
+        issue earlier, because only an issued request adds transactions.
         The cycle is memoized as :attr:`throttle_reopen` until the next
         admission; retiring the earliest completions never moves it, and a
         memo that missed a drop is early, never late, so it costs a futile
-        recheck but never changes a result.  ``commit=True`` also retires
-        completed transactions; ``commit=False`` is the PC sampler's
-        observation mode, a pure count, so sampling never perturbs the
-        budget.
+        recheck but never changes a result.  Completed transactions retire
+        first.
         """
         in_flight = self._in_flight
-        if commit:
-            while in_flight and in_flight[0] <= now:
-                heappop(in_flight)
-            excess = len(in_flight) - self.limit
-            if excess < 0:
-                return None
-            if self.throttle_reopen is None:
-                self.throttle_reopen = sorted(in_flight)[excess]
-            return self.throttle_reopen
-        if sum(1 for completion in in_flight if completion > now) >= self.limit:
-            return now + 1
-        return None
+        while in_flight and in_flight[0] <= now:
+            heappop(in_flight)
+        excess = len(in_flight) - self.limit
+        if excess < 0:
+            return None
+        if self.throttle_reopen is None:
+            self.throttle_reopen = sorted(in_flight)[excess]
+        return self.throttle_reopen
 
     # ------------------------------------------------------------------
     def admit(self, completion: int, transactions: int) -> None:

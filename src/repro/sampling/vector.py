@@ -32,10 +32,10 @@ steps on it without visiting its ops first:
   256 registers per warp, instead of per-warp dicts.
 
 The event loop scans each scheduler's warps in round-robin order and skips
-a scheduler until its earliest possible issue cycle.  The PC sampler probes
-the sampled warp without side effects, so the simulated timing
-(``wave_cycles``, issued instructions, memory statistics) is the same at
-every sample period.  Stall and issue counts keep first-sample order, which
+a scheduler until its earliest possible issue cycle.  The PC sampler reads
+the sampled warp's cached stall reason and changes no state, so the
+simulated timing (``wave_cycles``, issued instructions, memory statistics)
+is the same at every sample period.  Stall and issue counts keep first-sample order, which
 results serialize unsorted.  The speed comes from keeping the loop on plain
 ints:
 
@@ -134,12 +134,10 @@ class SimulationResult:
 # member where a PCSample or the result is built.
 _NUM_REASONS = len(_REASONS)
 _R_SELECTED = _CODE_OF[StallReason.SELECTED]
-_R_NOT_SELECTED = _CODE_OF[StallReason.NOT_SELECTED]
 _R_EXEC_DEP = _CODE_OF[StallReason.EXECUTION_DEPENDENCY]
 _R_SYNC = _CODE_OF[StallReason.SYNCHRONIZATION]
 _R_THROTTLE = _CODE_OF[StallReason.MEMORY_THROTTLE]
 _R_FETCH = _CODE_OF[StallReason.INSTRUCTION_FETCH]
-_R_IDLE = _CODE_OF[StallReason.IDLE]
 _R_OTHER = _CODE_OF[StallReason.OTHER]
 
 # ----------------------------------------------------------------------
@@ -275,53 +273,40 @@ class VectorSMSimulator:
         barrier_dirty = False
 
         # ------------------------------------------------------------------
-        def check(w: int, now: int, commit: bool = True) -> Tuple[bool, int, int]:
+        def check(w: int, now: int) -> Tuple[bool, int, int]:
             """Whether warp ``w`` can issue at ``now``; else (stall code, recheck).
 
-            ``commit=False`` is the PC sampler's observation mode: the same
-            classification runs, but nothing is mutated (no fetch-timer
-            arming, no barrier-arrival registration, no retirement of
-            transactions in flight), so sampling never perturbs the timing.
-            One routine for both modes keeps the sampler's stall reasons
-            equal to what the scheduler sees.  The scheduler scan inlines the
-            common path (no flags, register scoreboard only) and only calls
-            in here for flagged ops and sampling probes.
+            The scheduler scan inlines the common path (no flags, register
+            scoreboard only) and calls in here only for an unfinished warp
+            past its ``ready_cycle`` whose op carries a check flag.
             """
             nonlocal barrier_dirty
-            if finished[w]:
-                return False, _R_IDLE, _FAR_FUTURE
-            if now < ready_cycle[w]:
-                return False, _R_EXEC_DEP, ready_cycle[w]
             i = idx[w]
             rec = recs_of_warp[w][i]
             flags = rec[0]
 
-            if flags & _CHECK_MASK:
-                # Instruction fetch stall charged to this op.
-                if flags & _F_FETCH and fetch_done_idx[w] != i:
-                    ready_at = fetch_ready[w]
-                    if ready_at is None:
-                        ready_at = now + rec[10]
-                        if commit:
-                            fetch_ready[w] = ready_at
-                    if now < ready_at:
-                        return False, _R_FETCH, ready_at
-                    if commit:
-                        fetch_done_idx[w] = i
-                        fetch_ready[w] = None
+            # Instruction fetch stall charged to this op.
+            if flags & _F_FETCH and fetch_done_idx[w] != i:
+                ready_at = fetch_ready[w]
+                if ready_at is None:
+                    ready_at = fetch_ready[w] = now + rec[10]
+                if now < ready_at:
+                    return False, _R_FETCH, ready_at
+                fetch_done_idx[w] = i
+                fetch_ready[w] = None
 
-                # Barrier wait mask (variable-latency dependencies).
-                if flags & _F_WAIT:
-                    latest = -1
-                    latest_reason = _R_EXEC_DEP
-                    clears = barrier_clear[w]
-                    for bar in rec[1]:
-                        clear = clears[bar]
-                        if clear > latest:
-                            latest = clear
-                            latest_reason = barrier_reason[w][bar]
-                    if now < latest:
-                        return False, latest_reason, latest
+            # Barrier wait mask (variable-latency dependencies).
+            if flags & _F_WAIT:
+                latest = -1
+                latest_reason = _R_EXEC_DEP
+                clears = barrier_clear[w]
+                for bar in rec[1]:
+                    clear = clears[bar]
+                    if clear > latest:
+                        latest = clear
+                        latest_reason = barrier_reason[w][bar]
+                if now < latest:
+                    return False, latest_reason, latest
 
             # Register scoreboard (fixed-latency dependencies).
             latest = 0
@@ -333,21 +318,19 @@ class VectorSMSimulator:
             if now < latest:
                 return False, _R_EXEC_DEP, latest
 
-            if flags & _CHECK_MASK:
-                # Block-wide synchronization.
-                if flags & _F_BAR:
-                    if not sync_released[w]:
-                        if commit and not sync_arrived[w]:
-                            sync_arrived[w] = True
-                            barrier_arrived[block_of_warp[w]].add(w)
-                            barrier_dirty = True
-                        return False, _R_SYNC, _FAR_FUTURE
+            # Block-wide synchronization.
+            if flags & _F_BAR and not sync_released[w]:
+                if not sync_arrived[w]:
+                    sync_arrived[w] = True
+                    barrier_arrived[block_of_warp[w]].add(w)
+                    barrier_dirty = True
+                return False, _R_SYNC, _FAR_FUTURE
 
-                # Memory throttle.
-                if flags & _F_THROTTLE:
-                    recheck = budget.backpressure(now, commit=commit)
-                    if recheck is not None:
-                        return False, _R_THROTTLE, recheck
+            # Memory throttle.
+            if flags & _F_THROTTLE:
+                recheck = budget.backpressure(now)
+                if recheck is not None:
+                    return False, _R_THROTTLE, recheck
 
             return True, _R_SELECTED, now
 
@@ -455,12 +438,11 @@ class VectorSMSimulator:
                 latency_samples += 1
                 site = recs_of_warp[sampled][idx[sampled]][16]
                 reason = last_reason[sampled]
-                if reason == _R_SELECTED or reason == _R_IDLE or reason == _R_OTHER:
-                    # Stale cached reason: probe in observation mode so
-                    # sampling never perturbs execution.
-                    _ready, reason, _recheck = check(sampled, now, commit=False)
-                    if reason == _R_SELECTED or reason == _R_IDLE:
-                        reason = _R_NOT_SELECTED
+                if reason == _R_SELECTED:
+                    # The warp's last scan issued it, and it is still
+                    # inside that op's stall: now < ready_cycle (proof in
+                    # docs/SIMULATOR.md, "Observation neutrality").
+                    reason = _R_EXEC_DEP
                 stall_codes[site * _NUM_REASONS + reason] += 1
 
             if keep_samples:

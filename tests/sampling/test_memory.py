@@ -129,35 +129,28 @@ class TestHierarchyTiming:
     def test_mshr_backpressure_reports_a_recheck_cycle(self):
         hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4))
         hierarchy.access_sectors(_sectors(address=0, stride_bytes=128), 0)  # 32 misses
-        recheck = hierarchy.backpressure(1, commit=True)
+        recheck = hierarchy.backpressure(1)
         assert recheck is not None and recheck > 1
         # Once every miss completes the pipeline accepts requests again.
-        assert hierarchy.backpressure(recheck + 10_000, commit=True) is None
+        assert hierarchy.backpressure(recheck + 10_000) is None
 
     def test_refusal_returns_the_exact_reopen_cycle(self):
         """The returned cycle is when in-flight misses drop below the MSHR
         count, not the earliest completion (31 misses still in flight)."""
         hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4))
         hierarchy.access_sectors(_sectors(address=0, stride_bytes=128), 0)  # 32 misses
-        reopen = hierarchy.backpressure(1, commit=True)
-        assert hierarchy.backpressure(reopen - 1, commit=True) == reopen
-        assert hierarchy.backpressure(reopen, commit=True) is None
+        reopen = hierarchy.backpressure(1)
+        assert hierarchy.backpressure(reopen - 1) == reopen
+        assert hierarchy.backpressure(reopen) is None
 
     def test_an_allocation_drops_the_reopen_memo(self):
         hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4))
         hierarchy.access_sectors(_sectors(address=0, stride_bytes=128), 0)
-        reopen = hierarchy.backpressure(1, commit=True)
+        reopen = hierarchy.backpressure(1)
         hierarchy.access_sectors(_sectors(address=1 << 20, stride_bytes=128), reopen)
         assert hierarchy.throttle_reopen is None
-        later = hierarchy.backpressure(reopen, commit=True)
+        later = hierarchy.backpressure(reopen)
         assert later > reopen and hierarchy.throttle_reopen == later
-
-    def test_observation_probe_does_not_mutate_mshrs(self):
-        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=4))
-        hierarchy.access_sectors(_sectors(address=0, stride_bytes=128), 0)
-        before = list(hierarchy._in_flight)
-        assert hierarchy.backpressure(10**9, commit=False) is None
-        assert hierarchy._in_flight == before  # commit=True would have drained
 
 
 class _ReferenceLRU:
@@ -374,22 +367,14 @@ class TestTransactionBudget:
         assert budget.throttle_reopen is None
         assert budget.backpressure(1) == 10
 
-    def test_observation_probe_does_not_retire_transactions(self):
-        budget = TransactionBudget(limit=2)
-        budget.admit(10, 3)
-        before = list(budget._in_flight)
-        assert budget.backpressure(5, commit=False) == 6
-        assert budget.backpressure(10**9, commit=False) is None
-        assert budget._in_flight == before and budget.throttle_reopen is None
-
 
 def _count_refusals(monkeypatch, budget_class, memory_model, case):
     """Backpressure refusals and admissions while profiling ``case``."""
     counts = {"refused": 0, "accepted": 0}
     backpressure = budget_class.backpressure
 
-    def counting(self, now, commit=True):
-        recheck = backpressure(self, now, commit)
+    def counting(self, now):
+        recheck = backpressure(self, now)
         counts["refused" if recheck is not None else "accepted"] += 1
         return recheck
 
