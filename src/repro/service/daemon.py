@@ -462,8 +462,8 @@ class AdvisingDaemon:
         }
 
     def stats(self) -> dict:
-        # A stats read is a store access, so it evicts first like every
-        # other: an idle daemon must not count expired jobs as stored.
+        # A stats read evicts first, like a submission: an idle daemon must
+        # not count expired jobs as stored.
         self.store.evict()
         counts = self.store.counts
         with self._stats_lock:

@@ -101,8 +101,10 @@ class JobRepository:
     ``path`` is a database file, or ``":memory:"`` for a store that lives
     and dies with this object.  ``ttl`` bounds how long a *terminal* job's
     result stays queryable (``None`` disables eviction); queued and running
-    jobs are never evicted.  Eviction is piggybacked on every store access;
-    :meth:`evict` also runs it on demand.
+    jobs are never evicted.  Eviction is piggybacked on every :meth:`create`
+    (and the daemon's stats read); :meth:`evict` also runs it on demand.
+    Reads take no write lock: :meth:`get` reads a terminal job past its
+    retention window as unknown, and the next eviction deletes the row.
     """
 
     def __init__(self, path: Union[str, Path], ttl: Optional[float] = 900.0,
@@ -270,13 +272,14 @@ class JobRepository:
     # Queries
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Job:
+        cutoff = float("-inf") if self.ttl is None else self._clock() - self.ttl
         with self._lock:
-            self.evict()
             row = self._conn.execute(
                 "SELECT job_id, idx, payload, label, state, result, error,"
                 " coalesced_with, submitted_at, started_at, finished_at"
-                " FROM jobs WHERE job_id = ?",
-                (job_id,),
+                " FROM jobs WHERE job_id = ?"
+                " AND (finished_at IS NULL OR finished_at > ?)",
+                (job_id, cutoff),
             ).fetchone()
         if row is None:
             raise self._unknown(job_id)

@@ -289,7 +289,7 @@ class TestEviction:
         assert repo.get(running).state == "running"
 
     def test_evict_searches_the_finish_index(self, make_repo):
-        # The cost of eviction, which runs on every store access, must not
+        # The cost of eviction, which runs on every submission, must not
         # grow with the number of settled rows (each carries its result).
         repo = make_repo(ttl=10.0, clock=FakeClock())
         statements = []
@@ -317,6 +317,26 @@ class TestEviction:
         clock.advance(11.0)
         with pytest.raises(UnknownJobError, match="retention"):
             repo.get(done.job_id)
+
+    def test_get_issues_no_write(self, make_repo):
+        """A read hides an expired job without deleting it, so it never
+        takes SQLite's write lock."""
+        clock = FakeClock()
+        repo = make_repo(ttl=10.0, clock=clock)
+        done = repo.create(PAYLOAD, "done")
+        repo.finish(done.job_id, {"ok": True}, None)
+        queued = repo.create(PAYLOAD, "queued")
+        clock.advance(11.0)
+        statements = []
+        repo._conn.set_trace_callback(statements.append)
+        try:
+            assert repo.get(queued.job_id).state == "queued"
+            with pytest.raises(UnknownJobError, match="retention"):
+                repo.get(done.job_id)
+        finally:
+            repo._conn.set_trace_callback(None)
+        assert len(statements) == 2
+        assert all(sql.startswith("SELECT") for sql in statements), statements
 
     def test_eviction_piggybacks_on_create(self, make_repo):
         clock = FakeClock()
