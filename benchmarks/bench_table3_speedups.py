@@ -4,7 +4,9 @@
 the table.  By default a representative subset covering every optimizer is
 evaluated (the full 26-row sweep takes a few minutes; enable it with
 ``--full-table3``).  The reproduced rows are printed next to the paper's
-achieved/estimated numbers; see EXPERIMENTS.md for the recorded comparison.
+achieved/estimated numbers.  ``python -m repro.evaluation.table3`` prints
+the full comparison, and docs/EVALUATION.md describes the sweeps that
+record it.
 """
 
 from __future__ import annotations

@@ -47,7 +47,8 @@ class BenchmarkCase:
     #: Builders for the baseline and hand-optimized variants.
     baseline: SetupBuilder
     optimized: SetupBuilder
-    #: Paper-reported numbers (for EXPERIMENTS.md comparisons only).
+    #: Paper-reported numbers, printed next to the reproduction's by
+    #: ``python -m repro.evaluation.table3`` (see docs/EVALUATION.md).
     paper_original_time: str = ""
     paper_achieved_speedup: float = 1.0
     paper_estimated_speedup: float = 1.0
