@@ -33,8 +33,8 @@ of the later defs of that resource on the path.  A def of the resource
 The meet is the union per resource.  A use depends on the defs of the pairs
 whose keys do not cover its own guard.  The keys are subsets of a finite set
 of predicate keys, so the lattice is finite and the solve needs no cap on
-the paths it follows.  Blocks the entry cannot reach take part as well, like
-the paths a backward search from the use would follow.
+the paths it follows.  Blocks the entry cannot reach take part too, so a
+def in one still reaches the uses it flows to.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ Reaching = Tuple[int, int]
 
 #: Resource -> the defs of it that reach one program point.
 SliceState = Dict[Resource, FrozenSet[Reaching]]
+
+#: Resource -> (offset, the defs of the resource that reach the point after
+#: it) for each def of the resource in one block, in block order.
+BlockHistory = Dict[Resource, List[Tuple[int, FrozenSet[Reaching]]]]
 
 #: Predicate keys are bits: ``Pn`` is bit ``2n``, ``!Pn`` bit ``2n + 1`` and
 #: the unconditional guard ``_`` bit 16.
@@ -173,13 +177,12 @@ class SliceProblem(DataflowProblem):
         return self.walk(block, value)
 
     def walk(
-        self, block: BasicBlock, value: SliceState, stop: Optional[int] = None
+        self, block: BasicBlock, value: SliceState, history: Optional[BlockHistory] = None
     ) -> SliceState:
-        """``value`` pushed over the defs of ``block`` before offset ``stop``."""
+        """``value`` pushed over the defs of ``block``; ``history``, if
+        given, collects the value of each resource after each of its defs."""
         state = dict(value)
         for offset, key, resources in self._block_defs(block):
-            if stop is not None and offset >= stop:
-                break
             for resource in resources:
                 reaching = {(offset, 0)}
                 if key != _UNCONDITIONAL:
@@ -187,7 +190,9 @@ class SliceProblem(DataflowProblem):
                         keys |= key
                         if not _covers_every_guard(keys):
                             reaching.add((def_offset, keys))
-                state[resource] = frozenset(reaching)
+                state[resource] = frozen = frozenset(reaching)
+                if history is not None:
+                    history.setdefault(resource, []).append((offset, frozen))
         return state
 
     def _block_defs(self, block: BasicBlock) -> List[Tuple[int, int, Tuple[Resource, ...]]]:
@@ -212,6 +217,7 @@ class BackwardSlicer:
         self.cfg = cfg
         self._problem = SliceProblem()
         self._solution: Optional[DataflowSolution] = None
+        self._histories: Dict[int, BlockHistory] = {}
         self._cache: Dict[int, ImmediateDependencies] = {}
 
     # ------------------------------------------------------------------
@@ -224,17 +230,12 @@ class BackwardSlicer:
         dependencies = ImmediateDependencies(
             use_offset=use_offset, use_instruction=use_instruction
         )
-        if self._solution is None:
-            self._solution = solve_dataflow(cfg, self._problem)
         block = cfg.block_containing(use_offset)
-        state = self._problem.walk(
-            block, self._solution.value_in(block.index), stop=use_offset
-        )
         use_key = _predicate_key(use_instruction.predicate)
         for resource in sorted(_resources_used(use_instruction)):
             offsets = {
                 offset
-                for offset, keys in state.get(resource, ())
+                for offset, keys in self._reaching(block, use_offset, resource)
                 if not _predicate_union_covers(keys, use_key)
             }
             sites = []
@@ -245,3 +246,21 @@ class BackwardSlicer:
                 dependencies.defs[resource] = sites
         self._cache[use_offset] = dependencies
         return dependencies
+
+    def _reaching(
+        self, block: BasicBlock, use_offset: int, resource: Resource
+    ) -> FrozenSet[Reaching]:
+        """The defs of ``resource`` that reach ``use_offset`` in ``block``."""
+        if self._solution is None:
+            self._solution = solve_dataflow(self.cfg, self._problem)
+        entry = self._solution.value_in(block.index)
+        history = self._histories.get(block.index)
+        if history is None:
+            history = self._histories[block.index] = {}
+            self._problem.walk(block, entry, history)
+        reaching = entry.get(resource, frozenset())
+        for offset, after in history.get(resource, ()):
+            if offset >= use_offset:
+                break
+            reaching = after
+        return reaching

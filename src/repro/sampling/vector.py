@@ -35,9 +35,9 @@ The event loop scans each scheduler's warps in round-robin order and skips
 a scheduler until its earliest possible issue cycle.  The PC sampler reads
 the sampled warp's cached stall reason and changes no state, so the
 simulated timing (``wave_cycles``, issued instructions, memory statistics)
-is the same at every sample period.  Stall and issue counts keep first-sample order, which
-results serialize unsorted.  The speed comes from keeping the loop on plain
-ints:
+is the same at every sample period.  Stall and issue counts keep
+first-sample order, which results serialize unsorted.  The speed comes
+from keeping the loop on plain ints:
 
 * one tuple index replaces every chain of attribute dispatches, all per-op
   ``max()``/latency work is hoisted out of the loop, and an issued
