@@ -21,14 +21,15 @@ pipeline simulators structure their memory stages:
    transaction rate.
 
 The model is deterministic (no randomness; state depends only on the access
-sequence) and observation-neutral: the PC sampler never calls it, and
+sequence) and observation-neutral: the PC sampler never calls into it, and
 :meth:`MemoryHierarchy.access_sectors` is only invoked when an instruction
 actually issues — so PC sampling can never perturb the simulated timing,
-the same property the rest of the simulator guarantees.  When a memory op issues, the simulator hands
-:meth:`~MemoryHierarchy.access_sectors` the memoized :func:`sector_pattern`
-of its address's phase and the shift to add to it, so no per-access sector
-list is built.  The access walks those sectors once, with the L1 and L2
-LRU lookups inline: one call per warp-level request, no call per sector.
+the same property the rest of the simulator guarantees.  When a memory op
+issues, the simulator hands :meth:`~MemoryHierarchy.access_sectors` the
+memoized :func:`sector_pattern` of its address's phase and the shift to
+add to it, so no per-access sector list is built.  The access walks those
+sectors once, with the L1 and L2 LRU lookups inline: one call per
+warp-level request, no call per sector.
 
 Both models throttle through one contract, :class:`TransactionBudget`: the
 flat model's budget is one, and the hierarchy extends it with its L1 MSHRs

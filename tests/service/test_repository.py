@@ -335,7 +335,7 @@ class TestEviction:
                 repo.get(done.job_id)
         finally:
             repo._conn.set_trace_callback(None)
-        assert len(statements) == 2
+        assert len(statements) == 2, statements
         assert all(sql.startswith("SELECT") for sql in statements), statements
 
     def test_eviction_piggybacks_on_create(self, make_repo):
