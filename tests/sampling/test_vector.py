@@ -2,10 +2,11 @@
 
 ``golden/sm_digests.json`` holds the sha256 of every field of each pinned
 run's :class:`~repro.sampling.vector.SimulationResult`
-(:func:`facts_digest`).  The digests were recorded from the object-model
-reference core that versions before 8.0 kept beside this one, while the
-two still agreed bit for bit.  Regenerate them after an intended change,
-and review the diff::
+(:func:`facts_digest`).  The toy-kernel digests were recorded from the
+object-model reference core that versions before 8.0 kept beside this
+one, while the two still agreed bit for bit.  The ``registry/`` digests
+pin every raw sample of a few registry baselines (12.0's core).
+Regenerate them after an intended change, and review the diff::
 
     PYTHONPATH=src python tests/sampling/test_vector.py
 """
@@ -20,9 +21,11 @@ import pytest
 
 from repro.arch.machine import VoltaV100
 from repro.sampling.memory import coalesce, sector_pattern
+from repro.sampling.profiler import Profiler
 from repro.sampling.trace import generate_warp_trace
 from repro.sampling.vector import VectorSMSimulator, _scan_orders
 from repro.structure.program import build_program_structure
+from repro.workloads.registry import case_by_name
 
 GOLDEN = Path(__file__).parent / "golden" / "sm_digests.json"
 
@@ -61,6 +64,35 @@ def _pinned_runs() -> dict:
 PINNED_RUNS = _pinned_runs()
 SAMPLE_PERIOD_RUNS = [name for name in PINNED_RUNS if name.count("/") == 1]
 CAPPED_RUNS = [name for name in PINNED_RUNS if "/cap=" in name]
+
+
+def _registry_runs() -> dict:
+    """``{run name: (case id, profiler keywords)}`` of every pinned registry run.
+
+    The toy kernel has no ``BAR``, no fetch stall and a single block size,
+    so these baselines pin the raw samples of the paths it cannot reach:
+    nw's 2 warps leave two schedulers idle and meet at ``BAR``; lud's 8
+    warps meet at 128 of them; myocyte is the registry's only kernel with
+    fetch-stall records.
+    """
+    runs = {}
+    for case in ("rodinia/nw:warp_balance", "rodinia/lud:code_reorder"):
+        for model in ("flat", "hierarchy"):
+            runs[f"registry/{case}/{model}/period=1"] = (
+                case, {"sample_period": 1, "memory_model": model}
+            )
+    case = "rodinia/myocyte:function_splitting"
+    runs[f"registry/{case}/flat/period=7"] = (case, {"sample_period": 7})
+    # Cut off partway through (lud runs ~15,000-17,000 cycles).
+    case = "rodinia/lud:code_reorder"
+    for model in ("flat", "hierarchy"):
+        runs[f"registry/{case}/{model}/period=3/cap=5000"] = (
+            case, {"sample_period": 3, "memory_model": model, "max_cycles": 5000}
+        )
+    return runs
+
+
+REGISTRY_RUNS = _registry_runs()
 
 
 def build_traces(cubin, kernel, workload, num_warps, warps_per_block=4):
@@ -115,6 +147,16 @@ def run_pinned(name, toy_cubin, toy_workload):
     return result, traces
 
 
+def run_registry(name):
+    """One pinned registry run, simulated as the single-wave scope does, with
+    raw samples kept."""
+    case_id, kwargs = REGISTRY_RUNS[name]
+    setup = case_by_name(case_id).build_baseline()
+    return Profiler(keep_samples=True, **kwargs).profile(
+        setup.cubin, setup.kernel, setup.config, setup.workload
+    ).simulation
+
+
 @pytest.fixture(scope="module")
 def pinned():
     return json.loads(GOLDEN.read_text())
@@ -143,7 +185,20 @@ class TestPinnedResults:
         assert result.issued_instructions == sum(len(trace) for trace in traces)
 
     def test_every_run_is_pinned(self, pinned):
-        assert sorted(pinned) == sorted(PINNED_RUNS)
+        assert sorted(pinned) == sorted([*PINNED_RUNS, *REGISTRY_RUNS])
+
+
+class TestRegistryRawSamples:
+    """Every raw sample of registry baselines matches its recorded digest."""
+
+    @pytest.mark.parametrize("name", list(REGISTRY_RUNS))
+    def test_raw_samples(self, pinned, name):
+        result = run_registry(name)
+        assert result.samples
+        assert facts_digest(result) == pinned[name]
+        max_cycles = REGISTRY_RUNS[name][1].get("max_cycles")
+        if max_cycles is not None:
+            assert result.wave_cycles == max_cycles
 
 
 class TestCycleCap:
@@ -220,6 +275,7 @@ def write_golden() -> None:
     digests = {
         name: facts_digest(run_pinned(name, cubin, workload)[0]) for name in PINNED_RUNS
     }
+    digests.update((name, facts_digest(run_registry(name))) for name in REGISTRY_RUNS)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")
