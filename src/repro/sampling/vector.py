@@ -26,13 +26,14 @@ steps on it without visiting its ops first:
   it, so no sector list is built.  Ops with no dynamic
   state (the common fixed-latency ALU op) share one record per
   instruction.
-* **Warp state** — PC indices, ready/blocked cycles, fetch timers, barrier
+* **Warp state** — PC indices, blocked-until cycles, fetch timers, barrier
   membership and finished flags live in flat per-warp arrays; the
   fixed-latency scoreboard is a dense table of ready-cycles, one row of
   256 registers per warp, instead of per-warp dicts.
 
-The event loop scans each scheduler's warps in round-robin order and skips
-a scheduler until its earliest possible issue cycle.  The PC sampler reads
+The event loop visits only the schedulers due at the current cycle (whose
+earliest possible issue cycle has come) and scans each one's warps in
+round-robin order.  The PC sampler reads
 the sampled warp's cached stall reason and changes no state, so the
 simulated timing (``wave_cycles``, issued instructions, memory statistics)
 is the same at every sample period.  Stall and issue counts keep
@@ -229,8 +230,10 @@ class VectorSMSimulator:
         # ---- flat warp-state arrays ------------------------------------
         op_count = [len(records) for records in recs_of_warp]
         idx = [0] * num_warps
-        ready_cycle = [0] * num_warps
-        blocked_until = [0] * num_warps
+        #: The cycle before which warp ``w`` cannot issue: the end of its
+        #: last op's stall, or a failed check's recheck cycle.  A finished
+        #: warp is blocked forever.
+        blocked_until = [0 if count else _FAR_FUTURE for count in op_count]
         finished = [count == 0 for count in op_count]
         fetch_ready: List[Optional[int]] = [None] * num_warps
         fetch_done_idx = [-1] * num_warps
@@ -277,8 +280,8 @@ class VectorSMSimulator:
             """Whether warp ``w`` can issue at ``now``; else (stall code, recheck).
 
             The scheduler scan inlines the common path (no flags, register
-            scoreboard only) and calls in here only for an unfinished warp
-            past its ``ready_cycle`` whose op carries a check flag.
+            scoreboard only) and calls in here only for a warp past its
+            ``blocked_until`` whose op carries a check flag.
             """
             nonlocal barrier_dirty
             i = idx[w]
@@ -387,9 +390,11 @@ class VectorSMSimulator:
 
             issued_instructions += 1
             idx[w] = i + 1
-            ready_cycle[w] = now + stall_inc
-            blocked_until[w] = ready_cycle[w]
-            if i + 1 >= op_count[w]:
+            if i + 1 < op_count[w]:
+                blocked_until[w] = now + stall_inc
+            else:
+                # Blocked forever, so the scan needs no ``finished`` test.
+                blocked_until[w] = _FAR_FUTURE
                 finished[w] = True
                 unfinished -= 1
                 # A barrier waiting only on this warp is now releasable.
@@ -440,7 +445,7 @@ class VectorSMSimulator:
                 reason = last_reason[sampled]
                 if reason == _R_SELECTED:
                     # The warp's last scan issued it, and it is still
-                    # inside that op's stall: now < ready_cycle (proof in
+                    # inside that op's stall: now < blocked_until (proof in
                     # docs/SIMULATOR.md, "Observation neutrality").
                     reason = _R_EXEC_DEP
                 stall_codes[site * _NUM_REASONS + reason] += 1
@@ -462,17 +467,30 @@ class VectorSMSimulator:
 
         # ------------------------------------------------------------------
         # Main loop, event-driven per scheduler.  ``sched_next[s]`` is the
-        # earliest cycle scheduler ``s`` could issue; until then it is skipped
-        # with one comparison.  The horizon is exact for warp-local events
-        # (scoreboards, fetch timers, control stalls); a block barrier
-        # release resets it in ``release_barriers``.
+        # earliest cycle scheduler ``s`` could issue.  The horizon is exact
+        # for warp-local events (scoreboards, fetch timers, control stalls);
+        # a block barrier release resets it in ``release_barriers``.
+        # ``due`` holds the schedulers due at ``cycle``, in index order, and
+        # ``others_next`` the earliest horizon of the rest.  A scheduler due
+        # alone stays due alone while ``cycle < others_next``: either it
+        # issued (horizon ``cycle + 1``) or the skip-ahead stopped at its own
+        # horizon, and only a barrier release moves another scheduler's
+        # horizon.  So both are recomputed only past ``others_next``, after
+        # a cycle with several due schedulers, or after a release.
         # The ready test for unflagged ops (the common case) is inlined:
         # one flag word test plus a walk of the op's used registers.  So is
-        # the issue of a plain fixed-latency op that is not its warp's last.
+        # the issue of an op that only writes the scoreboard and is not its
+        # warp's last.
         # ------------------------------------------------------------------
         sched_next = [0] * num_schedulers
+        due = list(range(num_schedulers))
+        several = num_schedulers > 1
+        others_next = _FAR_FUTURE
         sample_period = self.sample_period
         max_cycles = self.max_cycles
+        #: ``issue()`` ignores the wait-mask and fetch bits: an op whose
+        #: other bits are exactly ``_F_FIXED`` only writes the scoreboard.
+        issue_bits = _F_BAR | _F_THROTTLE | _F_WRITE_BAR | _F_READ_BAR | _F_FIXED
 
         while unfinished > 0 and cycle < max_cycles:
             any_issued = False
@@ -483,53 +501,44 @@ class VectorSMSimulator:
                 sampled_scheduler = -1
             issued_site = -1
 
-            for scheduler in range(num_schedulers):
-                if cycle < sched_next[scheduler]:
-                    continue
+            for scheduler in due:
                 chosen_next = -1
                 min_next = _FAR_FUTURE
                 for next_slot, w in rotations[scheduler][last_issued_slot[scheduler]]:
-                    if finished[w]:
-                        continue
                     until = blocked_until[w]
                     if cycle < until:
                         if until < min_next:
                             min_next = until
                         continue
                     # Inline of check(w, cycle) for the unflagged fast path.
-                    if cycle < ready_cycle[w]:
-                        ready = False
-                        reason = _R_EXEC_DEP
-                        recheck = ready_cycle[w]
-                    else:
-                        rec = recs_of_warp[w][idx[w]]
-                        if rec[0] & _CHECK_MASK:
-                            reopen = budget.throttle_reopen
-                            if (last_reason[w] == _R_THROTTLE and reopen is not None
-                                    and cycle < reopen):
-                                # Still throttled: the checks before the
-                                # throttle passed at this op, and they change
-                                # only when ``w`` itself issues.
-                                ready = False
-                                reason = _R_THROTTLE
-                                recheck = reopen
-                            else:
-                                ready, reason, recheck = check(w, cycle)
+                    rec = recs_of_warp[w][idx[w]]
+                    if rec[0] & _CHECK_MASK:
+                        reopen = budget.throttle_reopen
+                        if (last_reason[w] == _R_THROTTLE and reopen is not None
+                                and cycle < reopen):
+                            # Still throttled: the checks before the
+                            # throttle passed at this op, and they change
+                            # only when ``w`` itself issues.
+                            ready = False
+                            reason = _R_THROTTLE
+                            recheck = reopen
                         else:
-                            latest = 0
-                            regs = reg_ready[w]
-                            for r in rec[2]:
-                                t = regs[r]
-                                if t > latest:
-                                    latest = t
-                            if cycle < latest:
-                                ready = False
-                                reason = _R_EXEC_DEP
-                                recheck = latest
-                            else:
-                                ready = True
-                                reason = _R_SELECTED
-                                recheck = cycle
+                            ready, reason, recheck = check(w, cycle)
+                    else:
+                        latest = 0
+                        regs = reg_ready[w]
+                        for r in rec[2]:
+                            t = regs[r]
+                            if t > latest:
+                                latest = t
+                        if cycle < latest:
+                            ready = False
+                            reason = _R_EXEC_DEP
+                            recheck = latest
+                        else:
+                            ready = True
+                            reason = _R_SELECTED
+                            recheck = cycle
                     last_reason[w] = reason
                     if ready:
                         chosen_next = next_slot
@@ -542,17 +551,16 @@ class VectorSMSimulator:
                     if scheduler == sampled_scheduler:
                         issued_site = rec[16]
                     i = idx[w]
-                    if rec[0] == _F_FIXED and i + 1 < op_count[w]:
-                        # Inline of issue(w, cycle) for a plain fixed-latency op.
+                    if rec[0] & issue_bits == _F_FIXED and i + 1 < op_count[w]:
+                        # Inline of issue(w, cycle) for an op that only
+                        # writes the scoreboard.
                         regs = reg_ready[w]
                         done = cycle + rec[6]
                         for r in rec[7]:
                             regs[r] = done
                         issued_instructions += 1
                         idx[w] = i + 1
-                        ready_at = cycle + rec[5]
-                        ready_cycle[w] = ready_at
-                        blocked_until[w] = ready_at
+                        blocked_until[w] = cycle + rec[5]
                     else:
                         issue(w, cycle)
                     last_issued_slot[scheduler] = chosen_next
@@ -586,6 +594,16 @@ class VectorSMSimulator:
                     sample_index += 1
                     next_sample_cycle += sample_period
                 cycle = target
+
+            if cycle >= others_next or several or released:
+                due = []
+                others_next = _FAR_FUTURE
+                for scheduler, horizon in enumerate(sched_next):
+                    if horizon <= cycle:
+                        due.append(scheduler)
+                    elif horizon < others_next:
+                        others_next = horizon
+                several = len(due) > 1
 
         # Counters back to (function, offset) keys and StallReason members,
         # in first-sample order.
