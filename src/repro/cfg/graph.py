@@ -40,6 +40,7 @@ class ControlFlowGraph:
     # Populated lazily.
     _block_of_offset: Optional[Dict[int, int]] = field(default=None, repr=False)
     _instruction_of_offset: Optional[Dict[int, Instruction]] = field(default=None, repr=False)
+    _position_of_offset: Optional[Dict[int, int]] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -73,15 +74,19 @@ class ControlFlowGraph:
         return result
 
     def _ensure_offset_maps(self) -> None:
-        if self._block_of_offset is None or self._instruction_of_offset is None:
+        if (self._block_of_offset is None or self._instruction_of_offset is None
+                or self._position_of_offset is None):
             block_map: Dict[int, int] = {}
             instruction_map: Dict[int, Instruction] = {}
+            position_map: Dict[int, int] = {}
             for block in self.blocks:
-                for instruction in block.instructions:
+                for position, instruction in enumerate(block.instructions):
                     block_map[instruction.offset] = block.index
                     instruction_map[instruction.offset] = instruction
+                    position_map[instruction.offset] = position
             self._block_of_offset = block_map
             self._instruction_of_offset = instruction_map
+            self._position_of_offset = position_map
 
     # ------------------------------------------------------------------
     # Graph queries
@@ -156,8 +161,8 @@ class ControlFlowGraph:
         source_block = self.blocks[self._block_of_offset[source_offset]]
         dest_block = self.blocks[self._block_of_offset[dest_offset]]
 
-        source_position = _position_in_block(source_block, source_offset)
-        dest_position = _position_in_block(dest_block, dest_offset)
+        source_position = self._position_of_offset[source_offset]
+        dest_position = self._position_of_offset[dest_offset]
 
         if source_block.index == dest_block.index and source_position < dest_position:
             within = dest_position - source_position - 1
@@ -251,13 +256,6 @@ class ControlFlowGraph:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-
-def _position_in_block(block: BasicBlock, offset: int) -> int:
-    for position, instruction in enumerate(block.instructions):
-        if instruction.offset == offset:
-            return position
-    raise KeyError(f"offset {offset:#x} not in block {block.index}")
 
 
 def build_cfg(instructions: Sequence[Instruction]) -> ControlFlowGraph:
