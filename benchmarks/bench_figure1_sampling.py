@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.evaluation.figure1 import sampling_model_demo
+from repro.evaluation.figure1 import format_figure1, sampling_model_demo
 
 
 def test_figure1_sampling_model(benchmark):
@@ -10,14 +10,7 @@ def test_figure1_sampling_model(benchmark):
                               iterations=1, rounds=3)
 
     print()
-    print(f"sample period          : {demo['sample_period']} cycles")
-    print(f"total samples          : {demo['total_samples']}")
-    print(f"active samples         : {demo['active_samples']}")
-    print(f"latency samples        : {demo['latency_samples']}")
-    print(f"stall ratio            : {demo['stall_ratio']:.2f}")
-    print(f"active ratio           : {demo['active_ratio']:.2f}")
-    print(f"warps per scheduler    : {demo['warps_per_scheduler']}")
-    print(f"stall reasons          : {demo['stalls_by_reason']}")
+    print(format_figure1(demo))
 
     assert demo["total_samples"] == demo["active_samples"] + demo["latency_samples"]
     assert 0.0 < demo["stall_ratio"] < 1.0

@@ -2,23 +2,8 @@
 
 from __future__ import annotations
 
-from repro.evaluation.figure7 import evaluate_figure7, format_figure7
+from repro.evaluation.figure7 import FIGURE7_CASES, evaluate_figure7, format_figure7
 from repro.workloads.registry import case_by_name
-
-#: Benchmarks shown in Figure 7 (one per Rodinia kernel we model), including
-#: the two outliers the paper discusses (bfs and nw).
-FIGURE7_CASES = [
-    "rodinia/backprop:warp_balance",
-    "rodinia/bfs:loop_unrolling",
-    "rodinia/b+tree:code_reorder",
-    "rodinia/hotspot:strength_reduction",
-    "rodinia/kmeans:loop_unrolling",
-    "rodinia/lud:code_reorder",
-    "rodinia/nw:warp_balance",
-    "rodinia/pathfinder:code_reorder",
-    "rodinia/heartwall:loop_unrolling",
-    "rodinia/sradv1:warp_balance",
-]
 
 
 def test_figure7_single_dependency_coverage(benchmark):

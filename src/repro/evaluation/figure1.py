@@ -7,11 +7,13 @@ cycles; each sample is *active* if the scheduler issued that cycle and
 the quantities the figure reasons about: the total/active/latency sample
 counts, the stall and active ratios, and the per-reason breakdown — the same
 estimate of the kernel stall ratio described in Section 2.1.
+
+``python -m repro.evaluation.figure1`` prints them for sample period 8.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.api.request import AdvisingRequest
 from repro.api.session import AdvisingSession
@@ -96,3 +98,36 @@ def sampling_model_demo(
         "simulation_scope": profile.statistics.simulation_scope,
         "memory_model": profile.statistics.memory_model,
     }
+
+
+def format_figure1(demo: Dict[str, object]) -> str:
+    """Render :func:`sampling_model_demo`'s statistics, one per line."""
+    return "\n".join([
+        f"sample period          : {demo['sample_period']} cycles",
+        f"total samples          : {demo['total_samples']}",
+        f"active samples         : {demo['active_samples']}",
+        f"latency samples        : {demo['latency_samples']}",
+        f"stall ratio            : {demo['stall_ratio']:.2f}",
+        f"active ratio           : {demo['active_ratio']:.2f}",
+        f"warps per scheduler    : {demo['warps_per_scheduler']}",
+        f"stall reasons          : {demo['stalls_by_reason']}",
+    ])
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """``python -m repro.evaluation.figure1``: print the demo's statistics."""
+    import argparse
+
+    from repro.evaluation.exitcodes import EXIT_OK
+
+    argparse.ArgumentParser(
+        prog="python -m repro.evaluation.figure1",
+        description="Run the Figure 1 PC-sampling demo at sample period 8 "
+        "and print its sample statistics.",
+    ).parse_args(argv)
+    print(format_figure1(sampling_model_demo(sample_period=8)))
+    return EXIT_OK
+
+
+if __name__ == "__main__":  # pragma: no cover
+    raise SystemExit(main())

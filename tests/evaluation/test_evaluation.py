@@ -10,8 +10,10 @@ import pytest
 
 from repro.api.session import AdvisingSession
 from repro.evaluation import table3 as table3_module
-from repro.evaluation.figure1 import sampling_model_demo
-from repro.evaluation.figure7 import evaluate_figure7, format_figure7
+from repro.evaluation import figure1 as figure1_module
+from repro.evaluation import figure7 as figure7_module
+from repro.evaluation.figure1 import format_figure1, sampling_model_demo
+from repro.evaluation.figure7 import FIGURE7_CASES, evaluate_figure7, format_figure7
 from repro.evaluation.metrics import (
     ERROR_FLOOR,
     ROW_FIELDS,
@@ -266,6 +268,14 @@ class TestFigure7:
         text = format_figure7(rows)
         assert "rodinia/kmeans" in text and "mean" in text
 
+    def test_main_prints_the_figure7_table(self, capsys):
+        assert figure7_module.main([]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] == ["Benchmark", "Kernel"]
+        benchmarks = [name.split(":")[0] for name in FIGURE7_CASES]
+        assert [line.split()[0] for line in lines[2:-2]] == benchmarks
+        assert lines[-1].startswith("mean")
+
 
 class TestFigure1:
     def test_sampling_demo_quantities(self):
@@ -275,6 +285,13 @@ class TestFigure1:
         assert demo["stall_ratio"] + demo["active_ratio"] == pytest.approx(1.0)
         assert demo["stalls_by_reason"]
         assert demo["simulation_scope"] == "single_wave"
+
+    def test_main_prints_the_demo_statistics(self, capsys):
+        assert figure1_module.main([]) == 0
+        text = capsys.readouterr().out
+        assert text == format_figure1(sampling_model_demo(sample_period=8)) + "\n"
+        assert text.startswith("sample period          : 8 cycles\n")
+        assert len(text.splitlines()) == 8
 
     def test_sampling_demo_runs_under_the_whole_gpu_scope(self):
         demo = sampling_model_demo(sample_period=32, simulation_scope="whole_gpu")
