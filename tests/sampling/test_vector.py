@@ -69,8 +69,8 @@ CAPPED_RUNS = [name for name in PINNED_RUNS if "/cap=" in name]
 def _registry_runs() -> dict:
     """``{run name: (case id, profiler keywords)}`` of every pinned registry run.
 
-    The toy kernel has no ``BAR``, no fetch stall and a single block size,
-    so these baselines pin the raw samples of the paths it cannot reach:
+    The toy runs step one small kernel with no fetch stall, so these pin
+    the raw samples of registry kernels as the profiler simulates them:
     nw's 2 warps leave two schedulers idle and meet at ``BAR``; lud's 8
     warps meet at 128 of them; myocyte is the registry's only kernel with
     fetch-stall records.
