@@ -14,14 +14,21 @@ CUBIN:
   from which callee), used to build inline stacks;
 * resource usage (registers per thread, static shared memory) needed for
   occupancy analysis.
+
+A binary is frozen from top to bottom: :class:`Cubin` holds a read-only
+mapping of frozen :class:`Function` objects, whose instruction and inline
+range sequences are tuples of frozen values.  Build the function mapping
+first (:class:`~repro.cubin.builder.CubinBuilder` does) and construct the
+``Cubin`` once.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Tuple
 
 from repro.isa.encoder import decode_program, encode_program
 from repro.isa.instruction import Instruction
@@ -59,13 +66,13 @@ class InlineRange:
         return self.start_offset <= offset <= self.end_offset
 
 
-@dataclass
+@dataclass(frozen=True)
 class Function:
-    """One function in a CUBIN."""
+    """One function in a CUBIN (frozen; sequences are stored as tuples)."""
 
     name: str
     visibility: FunctionVisibility
-    instructions: List[Instruction]
+    instructions: Tuple[Instruction, ...]
     #: Registers used per thread (drives occupancy and spill analysis).
     registers_per_thread: int = 32
     #: Static shared memory used per block, in bytes.
@@ -73,7 +80,7 @@ class Function:
     #: Inline information, outermost ranges only (nested inlining is encoded
     #: by the order of ranges: later ranges that sit inside earlier ones are
     #: deeper frames).
-    inline_ranges: List[InlineRange] = field(default_factory=list)
+    inline_ranges: Tuple[InlineRange, ...] = ()
     #: Source file most of this function maps to.
     source_file: Optional[str] = None
     #: Raw disassembly text this function was ingested from, when it came
@@ -82,6 +89,10 @@ class Function:
     #: fixed-width encoder, so serialization falls back to this text and
     #: deserialization re-ingests it.
     source_listing: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        object.__setattr__(self, "inline_ranges", tuple(self.inline_ranges))
 
     @property
     def is_kernel(self) -> bool:
@@ -130,19 +141,20 @@ class Function:
         return len(self.instructions)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cubin:
-    """A GPU binary: several functions compiled for one architecture."""
+    """A GPU binary: several functions compiled for one architecture.
+
+    Frozen, with ``functions`` a read-only copy of the mapping it is given.
+    """
 
     arch_flag: str
-    functions: Dict[str, Function] = field(default_factory=dict)
+    functions: Mapping[str, Function] = field(default_factory=dict)
     #: Name of the module/translation unit (for reports only).
     module_name: str = "module.cubin"
 
-    def add_function(self, function: Function) -> None:
-        if function.name in self.functions:
-            raise ValueError(f"duplicate function {function.name!r} in {self.module_name}")
-        self.functions[function.name] = function
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "functions", MappingProxyType(dict(self.functions)))
 
     def kernels(self) -> List[Function]:
         """All global (kernel) functions."""
@@ -211,7 +223,7 @@ class Cubin:
         """Reconstruct a binary from :meth:`to_dict` output."""
         from dataclasses import replace
 
-        cubin = cls(arch_flag=payload["arch_flag"], module_name=payload.get("module_name", "module.cubin"))
+        functions = {}
         for name, data in payload["functions"].items():
             source_listing = data.get("sass")
             if source_listing is not None:
@@ -237,7 +249,7 @@ class Cubin:
                 if instruction.offset in targets:
                     updates["target"] = targets[instruction.offset]
                 restored.append(replace(instruction, **updates) if updates else instruction)
-            function = Function(
+            functions[name] = Function(
                 name=name,
                 visibility=FunctionVisibility(data["visibility"]),
                 instructions=restored,
@@ -245,12 +257,15 @@ class Cubin:
                 shared_memory_bytes=data.get("shared_memory_bytes", 0),
                 source_file=data.get("source_file"),
                 source_listing=source_listing,
-                inline_ranges=[
+                inline_ranges=tuple(
                     InlineRange(r[0], r[1], r[2], r[3]) for r in data.get("inline_ranges", [])
-                ],
+                ),
             )
-            cubin.add_function(function)
-        return cubin
+        return cls(
+            arch_flag=payload["arch_flag"],
+            functions=functions,
+            module_name=payload.get("module_name", "module.cubin"),
+        )
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)

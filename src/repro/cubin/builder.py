@@ -367,10 +367,10 @@ class KernelBuilder:
         return Function(
             name=self.name,
             visibility=self.visibility,
-            instructions=instructions,
+            instructions=tuple(instructions),
             registers_per_thread=registers,
             shared_memory_bytes=self.shared_memory_bytes,
-            inline_ranges=list(self._inline_ranges),
+            inline_ranges=tuple(self._inline_ranges),
             source_file=self.source_file,
         )
 
@@ -507,7 +507,11 @@ class CubinBuilder:
         return KernelBuilder(name, visibility=FunctionVisibility.DEVICE, **kwargs)
 
     def build(self) -> Cubin:
-        cubin = Cubin(arch_flag=self.arch_flag, module_name=self.module_name)
+        """The binary of the added functions; a repeated name raises
+        :class:`ValueError`."""
+        functions = {}
         for function in self._functions:
-            cubin.add_function(function)
-        return cubin
+            if function.name in functions:
+                raise ValueError(f"duplicate function {function.name!r} in {self.module_name}")
+            functions[function.name] = function
+        return Cubin(arch_flag=self.arch_flag, functions=functions, module_name=self.module_name)

@@ -54,7 +54,7 @@ def retarget(cubin: Cubin, arch_flag: str) -> Cubin:
     if cubin.arch_flag == arch_flag:
         return cubin
     get_architecture(arch_flag)
-    return replace(cubin, arch_flag=arch_flag, functions=dict(cubin.functions))
+    return replace(cubin, arch_flag=arch_flag)
 
 
 class ProfileStage:

@@ -13,37 +13,46 @@ out of the control flow graph:
   uncoalesced (more transactions per access, higher latency), and constant
   memory hit behaviour,
 * a deterministic seed so traces — and therefore profiles — are reproducible.
+
+A spec is frozen: its mapping fields are read-only copies and
+``uncoalesced_lines`` is a ``frozenset``, so one spec can be shared by every
+run of a setup.  Derive a variant with :meth:`WorkloadSpec.copy` or
+:func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple, Union
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import FrozenSet, Mapping, Optional, Tuple, Union
 
 #: A trip count is a plain integer, or a tuple of integers that gives warp
 #: ``w`` the count ``counts[w % len(counts)]``.
 TripCount = Union[int, Tuple[int, ...]]
 
+#: The fields :meth:`WorkloadSpec.__post_init__` stores as read-only copies.
+_MAPPING_FIELDS = ("loop_trip_counts", "branch_taken", "call_targets", "access_strides")
 
-@dataclass
+
+@dataclass(frozen=True)
 class WorkloadSpec:
     """Dynamic behaviour of one kernel for trace generation."""
 
     name: str = "default"
     #: Trip count of each loop, keyed by the loop header's source line.
-    loop_trip_counts: Dict[int, TripCount] = field(default_factory=dict)
+    loop_trip_counts: Mapping[int, TripCount] = field(default_factory=dict)
     #: Trip count used for loops without an explicit entry.
     default_trip_count: int = 4
     #: Probability that a data-dependent forward branch is taken, keyed by
     #: the branch instruction's source line.
-    branch_taken: Dict[int, float] = field(default_factory=dict)
+    branch_taken: Mapping[int, float] = field(default_factory=dict)
     #: Default taken probability for unlisted forward branches.
     default_branch_taken: float = 0.5
     #: Callee function name for each ``CAL`` site, keyed by source line.
-    call_targets: Dict[int, str] = field(default_factory=dict)
+    call_targets: Mapping[int, str] = field(default_factory=dict)
     #: Source lines whose global-memory accesses are uncoalesced.
-    uncoalesced_lines: Set[int] = field(default_factory=set)
+    uncoalesced_lines: FrozenSet[int] = frozenset()
     #: Memory transactions per access for uncoalesced lines.
     uncoalesced_transactions: int = 8
     #: Total bytes the kernel's global accesses cycle through.  Working sets
@@ -53,7 +62,7 @@ class WorkloadSpec:
     #: Per-thread access stride in bytes, keyed by the access's source line
     #: (4 = unit-stride floats, fully coalesced; 32+ = one sector per
     #: thread, fully uncoalesced).
-    access_strides: Dict[int, int] = field(default_factory=dict)
+    access_strides: Mapping[int, int] = field(default_factory=dict)
     #: Stride used for global accesses without an explicit entry.
     default_access_stride_bytes: int = 4
     #: Multiplier applied to global/local memory latencies.
@@ -68,6 +77,13 @@ class WorkloadSpec:
     #: Hard cap on the dynamic trace length per warp (protects against
     #: accidentally unbounded loops in workload definitions).
     max_trace_ops: int = 20000
+
+    def __post_init__(self) -> None:
+        # Copies, so the caller's dicts and sets cannot change a spec that
+        # setups share.
+        for name in _MAPPING_FIELDS:
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "uncoalesced_lines", frozenset(self.uncoalesced_lines))
 
     # ------------------------------------------------------------------
     # Queries used by the trace generator
@@ -183,7 +199,7 @@ class WorkloadSpec:
             call_targets={
                 int(line): name for line, name in (payload.get("call_targets") or {}).items()
             },
-            uncoalesced_lines=set(payload.get("uncoalesced_lines") or ()),
+            uncoalesced_lines=frozenset(payload.get("uncoalesced_lines") or ()),
             uncoalesced_transactions=payload.get("uncoalesced_transactions", 8),
             working_set_bytes=payload.get("working_set_bytes", 32 * 1024 * 1024),
             access_strides={
@@ -202,24 +218,5 @@ class WorkloadSpec:
     # Derivation helpers used by optimization transforms
     # ------------------------------------------------------------------
     def copy(self, **overrides) -> "WorkloadSpec":
-        """A shallow copy with selected fields replaced."""
-        data = dict(
-            name=self.name,
-            loop_trip_counts=dict(self.loop_trip_counts),
-            default_trip_count=self.default_trip_count,
-            branch_taken=dict(self.branch_taken),
-            default_branch_taken=self.default_branch_taken,
-            call_targets=dict(self.call_targets),
-            uncoalesced_lines=set(self.uncoalesced_lines),
-            uncoalesced_transactions=self.uncoalesced_transactions,
-            working_set_bytes=self.working_set_bytes,
-            access_strides=dict(self.access_strides),
-            default_access_stride_bytes=self.default_access_stride_bytes,
-            memory_latency_scale=self.memory_latency_scale,
-            constant_latency_scale=self.constant_latency_scale,
-            shared_latency_scale=self.shared_latency_scale,
-            seed=self.seed,
-            max_trace_ops=self.max_trace_ops,
-        )
-        data.update(overrides)
-        return WorkloadSpec(**data)
+        """A copy with selected fields replaced."""
+        return replace(self, **overrides)

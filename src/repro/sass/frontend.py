@@ -136,19 +136,38 @@ def ingest_listing(
 
     Raises :class:`ValueError` only when the listing contains no
     instructions at all; everything else degrades per the decoder rules.
+    A fat binary's dump repeats each function under every ``code for
+    sm_XX`` header: the first definition of a name is kept, each later one
+    is skipped with a warning, and once a function is kept a later
+    architecture line cannot relabel the binary (it warns instead).  The
+    report lists only the functions the binary holds.
     """
     dialect = detect_dialect(text)
     report = IngestReport(source_name=source_name, dialect=dialect, arch_flag=default_arch)
-    cubin = Cubin(arch_flag=default_arch, module_name=source_name)
+    functions: Dict[str, Function] = {}
 
     current: Optional[_PendingFunction] = None
     implicit_counter = 0
 
+    def set_arch(arch_flag: str, lineno: int) -> None:
+        if functions and arch_flag != report.arch_flag:
+            report.warnings.append(
+                f"{source_name}:{lineno}: ignored {arch_flag}: the binary already "
+                f"holds {report.arch_flag} functions"
+            )
+        else:
+            report.arch_flag = arch_flag
+
     def close_current() -> None:
         nonlocal current
         if current is not None:
-            if current.decoded:
-                cubin.add_function(_finalize(current, source_name, report))
+            if current.name in functions:
+                report.warnings.append(
+                    f"{source_name}: skipped a repeated definition of function "
+                    f"{current.name!r}; the first is kept"
+                )
+            elif current.decoded:
+                functions[current.name] = _finalize(current, source_name, report)
             elif current.total == 0:
                 report.warnings.append(
                     f"{source_name}: function {current.name!r} has no instructions"
@@ -177,7 +196,7 @@ def ingest_listing(
         code_for = _CODE_FOR_RE.match(bare)
         if code_for:
             close_current()
-            report.arch_flag = cubin.arch_flag = _arch_from_sm(code_for.group("arch")[3:])
+            set_arch(_arch_from_sm(code_for.group("arch")[3:]), lineno)
             continue
         function_marker = _FUNCTION_RE.match(bare)
         if function_marker:
@@ -198,7 +217,7 @@ def ingest_listing(
         if bare.startswith(".headerflags"):
             sm = _HEADERFLAGS_SM_RE.search(bare)
             if sm:
-                report.arch_flag = cubin.arch_flag = _arch_from_sm(sm.group("sm"))
+                set_arch(_arch_from_sm(sm.group("sm")), lineno)
             continue
         if bare.startswith("."):
             label_match = _LABEL_RE.match(bare)
@@ -248,9 +267,9 @@ def ingest_listing(
 
     close_current()
 
-    if not cubin.functions:
+    if not functions:
         raise ValueError(f"{source_name}: no instructions found in listing")
-    return cubin, report
+    return Cubin(arch_flag=report.arch_flag, functions=functions, module_name=source_name), report
 
 
 def ingest_file(path, default_arch: str = "sm_70") -> Tuple[Cubin, IngestReport]:

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.cubin.binary import Cubin
 from repro.sampling.sample import LaunchConfig
 from repro.sampling.workload import WorkloadSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelSetup:
-    """Everything needed to profile one kernel launch."""
+    """Everything needed to profile one kernel launch.
+
+    Frozen, like everything it holds (binary, launch configuration and
+    workload spec), so one setup can serve any number of runs.
+    """
 
     cubin: Cubin
     kernel: str
@@ -26,9 +30,7 @@ class KernelSetup:
         )
 
 
-#: A builder producing a fresh :class:`KernelSetup` on every call (setups are
-#: mutable through their workload specs, so sharing instances across runs is
-#: avoided).
+#: A builder producing a fresh :class:`KernelSetup` on every call.
 SetupBuilder = Callable[[], KernelSetup]
 
 

@@ -114,8 +114,7 @@ class TestEquation1:
             """
         )
         function = Function("k", FunctionVisibility.GLOBAL, program)
-        cubin = Cubin(arch_flag="sm_70")
-        cubin.add_function(function)
+        cubin = Cubin(arch_flag="sm_70", functions={"k": function})
         structure = build_program_structure(cubin)
 
         by_opcode = {i.opcode: i for i in program}

@@ -96,8 +96,7 @@ class TestPruning:
             """
         )
         function = Function("k", FunctionVisibility.GLOBAL, program)
-        cubin = Cubin(arch_flag="sm_70")
-        cubin.add_function(function)
+        cubin = Cubin(arch_flag="sm_70", functions={"k": function})
         structure = build_program_structure(cubin)
 
         graph = DependencyGraph()

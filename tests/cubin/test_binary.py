@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cubin.binary import Cubin, FunctionVisibility
+from repro.cubin.builder import CubinBuilder
 from repro.cubin.disasm import disassemble_cubin, disassemble_function, render_listing
 
 
@@ -16,8 +17,10 @@ class TestCubin:
             toy_cubin.function("missing")
 
     def test_duplicate_function_rejected(self, toy_cubin):
-        with pytest.raises(ValueError):
-            toy_cubin.add_function(toy_cubin.function("toy_kernel"))
+        function = toy_cubin.function("toy_kernel")
+        builder = CubinBuilder().add_function(function).add_function(function)
+        with pytest.raises(ValueError, match="duplicate function 'toy_kernel'"):
+            builder.build()
 
     def test_code_size(self, toy_cubin):
         function = toy_cubin.function("toy_kernel")

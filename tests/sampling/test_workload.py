@@ -64,8 +64,8 @@ def test_rng_is_deterministic_per_warp():
 
 def test_copy_overrides_without_mutating_original():
     spec = WorkloadSpec(loop_trip_counts={10: 7})
-    copy = spec.copy(memory_latency_scale=2.0)
-    copy.loop_trip_counts[10] = 99
+    copy = spec.copy(memory_latency_scale=2.0, loop_trip_counts={10: 99})
     assert spec.loop_trip_counts[10] == 7
+    assert copy.loop_trip_counts[10] == 99
     assert copy.memory_latency_scale == 2.0
     assert spec.memory_latency_scale == 1.0

@@ -151,6 +151,51 @@ class TestDegradation:
         assert payload["functions"][0]["name"] == "my_kernel"
 
 
+#: ``cuobjdump -sass`` of a fat binary: the kernel again, compiled for sm_80.
+FAT_BINARY = CUOBJDUMP + """\
+\tcode for sm_80
+\t\tFunction : my_kernel
+\t.headerflags\t@"EF_CUDA_SM80 EF_CUDA_PTX_SM(EF_CUDA_SM80)"
+        /*0000*/                   MOV R1, c[0x0][0x28] ;
+        /*0010*/                   S2R R0, SR_TID.X ;
+        /*0020*/                   EXIT ;
+"""
+
+
+class TestFatBinary:
+    """A function repeated under several ``code for`` headers."""
+
+    def test_the_first_definition_is_kept(self):
+        cubin, report = ingest_listing(FAT_BINARY, source_name="fat.sass")
+        single, _report = ingest_listing(CUOBJDUMP, source_name="fat.sass")
+        assert cubin.arch_flag == report.arch_flag == "sm_70"
+        assert list(cubin.functions) == ["my_kernel"]
+        assert cubin.function("my_kernel") == single.function("my_kernel")
+
+    def test_the_report_lists_only_the_kept_function(self):
+        _cubin, report = ingest_listing(FAT_BINARY, source_name="fat.sass")
+        assert [ingest.name for ingest in report.functions] == ["my_kernel"]
+        assert report.total == 9
+
+    def test_the_skipped_definition_and_arch_lines_warn(self):
+        _cubin, report = ingest_listing(FAT_BINARY, source_name="fat.sass")
+        assert any(
+            "repeated definition of function 'my_kernel'" in warning
+            for warning in report.warnings
+        )
+        assert [w for w in report.warnings if "ignored sm_80" in w] == [
+            "fat.sass:14: ignored sm_80: the binary already holds sm_70 functions",
+            "fat.sass:16: ignored sm_80: the binary already holds sm_70 functions",
+        ]
+
+    def test_a_repeated_arch_line_does_not_warn(self):
+        text = CUOBJDUMP + CUOBJDUMP.replace("my_kernel", "other_kernel")
+        cubin, report = ingest_listing(text)
+        assert list(cubin.functions) == ["my_kernel", "other_kernel"]
+        assert cubin.arch_flag == "sm_70"
+        assert not report.warnings
+
+
 class TestRoundTrip:
     def test_cubin_serializes_through_raw_listing(self):
         cubin, _report = ingest_listing(CUOBJDUMP, source_name="k.sass")
