@@ -64,6 +64,21 @@ from repro.sampling.workload import WorkloadSpec
 CACHE_SCHEMA_VERSION = 7
 
 
+def _cubin_token(cubin: Cubin) -> str:
+    """The binary's key token, ``json.dumps(cubin.to_dict(), sort_keys=True)``.
+
+    A :class:`Cubin` is frozen, so the token is encoded once per object and
+    memoized in its instance ``__dict__`` (as
+    :func:`~repro.sampling.trace.instruction_meta` memoizes on an
+    instruction): it lives as long as the binary, and a
+    :func:`dataclasses.replace` copy encodes its own.
+    """
+    token = cubin.__dict__.get("_cache_token")
+    if token is None:
+        token = cubin.__dict__["_cache_token"] = json.dumps(cubin.to_dict(), sort_keys=True)
+    return token
+
+
 def profile_cache_key(
     cubin: Cubin,
     kernel_name: str,
@@ -90,7 +105,7 @@ def profile_cache_key(
     hasher = hashlib.sha256()
     for token in (
         f"v{CACHE_SCHEMA_VERSION}",
-        json.dumps(cubin.to_dict(), sort_keys=True),
+        _cubin_token(cubin),
         kernel_name,
         f"grid={config.grid_blocks};tpb={config.threads_per_block};"
         f"smem={config.shared_memory_bytes}",

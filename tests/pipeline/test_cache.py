@@ -109,6 +109,28 @@ class TestCacheKey:
         relabeled = replace(toy_cubin, module_name="other_module")
         assert profile_cache_key(**{**key_inputs, "cubin": relabeled}) != baseline
 
+    def test_a_cubin_is_encoded_once_per_object(self, key_inputs, toy_cubin, monkeypatch):
+        from dataclasses import replace
+
+        from repro.cubin.binary import Cubin
+
+        encodings = []
+        to_dict = Cubin.to_dict
+
+        def counted(cubin):
+            encodings.append(cubin)
+            return to_dict(cubin)
+
+        monkeypatch.setattr(Cubin, "to_dict", counted)
+        twin = replace(toy_cubin)
+        first = profile_cache_key(**{**key_inputs, "cubin": twin})
+        assert profile_cache_key(**{**key_inputs, "cubin": twin, "sample_period": 4}) != first
+        assert profile_cache_key(**{**key_inputs, "cubin": twin}) == first
+        assert encodings == [twin]
+        # A copy is a new object: it encodes its own token, to the same key.
+        assert profile_cache_key(**{**key_inputs, "cubin": replace(twin)}) == first
+        assert len(encodings) == 2
+
 
 class TestProfileCache:
     def test_round_trip(self, tmp_path, toy_profiled):

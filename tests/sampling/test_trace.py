@@ -25,8 +25,7 @@ from repro.sampling.vector import VectorSMSimulator
 from repro.sampling.workload import WorkloadSpec
 from repro.structure.program import build_program_structure
 from repro.workloads.apps import quicksilver
-from repro.workloads.registry import case_by_name
-from repro.workloads.rodinia import myocyte
+from repro.workloads.rodinia import myocyte, nw
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +168,9 @@ class TestMemosLiveOnTheirObjects:
 
     @pytest.mark.parametrize("scope", ["single_wave", "whole_gpu"])
     def test_a_finished_advise_leaves_nothing_pinned(self, scope):
-        setup = case_by_name("rodinia/nw:warp_balance").build_baseline()
+        # The module builder, not the registry case: a case keeps its setup
+        # for the process, and this test is about what an advise pins.
+        setup = nw.baseline()
         instruction = weakref.ref(setup.cubin.function(setup.kernel).instructions[0])
         request = AdvisingRequest(
             source="binary", cubin=setup.cubin, kernel=setup.kernel,
