@@ -257,9 +257,9 @@ class Cubin:
                 shared_memory_bytes=data.get("shared_memory_bytes", 0),
                 source_file=data.get("source_file"),
                 source_listing=source_listing,
-                inline_ranges=tuple(
+                inline_ranges=[
                     InlineRange(r[0], r[1], r[2], r[3]) for r in data.get("inline_ranges", [])
-                ),
+                ],
             )
         return cls(
             arch_flag=payload["arch_flag"],

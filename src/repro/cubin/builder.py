@@ -367,10 +367,10 @@ class KernelBuilder:
         return Function(
             name=self.name,
             visibility=self.visibility,
-            instructions=tuple(instructions),
+            instructions=instructions,
             registers_per_thread=registers,
             shared_memory_bytes=self.shared_memory_bytes,
-            inline_ranges=tuple(self._inline_ranges),
+            inline_ranges=self._inline_ranges,
             source_file=self.source_file,
         )
 

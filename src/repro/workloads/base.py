@@ -30,9 +30,9 @@ class KernelSetup:
         )
 
 
-#: A builder producing a fresh :class:`KernelSetup` on every call (the
-#: workload modules' ``baseline()`` and ``optimized()``).  A
-#: :class:`BenchmarkCase` calls each of its builders once.
+#: A builder producing a fresh :class:`KernelSetup` on every call, such as a
+#: workload module's ``baseline()``.  A :class:`BenchmarkCase` calls each of
+#: its two builders once.
 SetupBuilder = Callable[[], KernelSetup]
 
 
