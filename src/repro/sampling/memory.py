@@ -46,8 +46,8 @@ request count, the only counters an access updates.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
 from repro.arch.machine import MemoryHierarchyParameters
@@ -239,7 +239,7 @@ class TransactionBudget:
 
     def __init__(self, limit: int):
         self.limit = limit
-        #: Completion cycles of the transactions in flight (a heap).
+        #: Completion cycles of the transactions in flight, sorted.
         self._in_flight: List[int] = []
         #: The cycle the last refusal of :meth:`backpressure` returned: when
         #: the transactions in flight then drop below :attr:`limit`.
@@ -259,24 +259,26 @@ class TransactionBudget:
         admission; retiring the earliest completions never moves it, and a
         memo that missed a drop is early, never late, so it costs a futile
         recheck but never changes a result.  Completed transactions retire
-        first.
+        first, all of them in one slice off the front of the sorted
+        completions, so the reopen cycle is an index into what is left.
         """
         in_flight = self._in_flight
-        while in_flight and in_flight[0] <= now:
-            heappop(in_flight)
+        if in_flight and in_flight[0] <= now:
+            del in_flight[:bisect_right(in_flight, now)]
         excess = len(in_flight) - self.limit
         if excess < 0:
             return None
         if self.throttle_reopen is None:
-            self.throttle_reopen = sorted(in_flight)[excess]
+            self.throttle_reopen = in_flight[excess]
         return self.throttle_reopen
 
     # ------------------------------------------------------------------
     def admit(self, completion: int, transactions: int) -> None:
         """Put ``transactions`` transactions completing at ``completion``
         in flight (the flat model's issue of a throttled access)."""
-        for _ in range(transactions):
-            heappush(self._in_flight, completion)
+        in_flight = self._in_flight
+        at = bisect_right(in_flight, completion)
+        in_flight[at:at] = [completion] * transactions
         self.throttle_reopen = None
 
 
@@ -408,7 +410,7 @@ class MemoryHierarchy(TransactionBudget):
                     busy = issued
                 busy += transfer
                 done = busy + dram_latency
-            heappush(in_flight, done)
+            insort(in_flight, done)
             if done > completion:
                 completion = done
         if last_hit >= 0:

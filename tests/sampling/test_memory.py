@@ -1,6 +1,7 @@
 """Tests for the memory-hierarchy model (coalescing, L1/L2/DRAM, MSHRs)."""
 
-from collections import OrderedDict
+import random
+from collections import Counter, OrderedDict
 
 import pytest
 
@@ -366,6 +367,85 @@ class TestTransactionBudget:
         budget.admit(5, 1)
         assert budget.throttle_reopen is None
         assert budget.backpressure(1) == 10
+
+
+class TestInFlightBookkeeping:
+    """Seeded random admissions, accesses and probes, checked after every
+    step against a plain list of the completions still in flight.
+
+    ``backpressure(now)`` retires every completion at or before ``now`` and
+    refuses while ``limit`` or more remain, answering the
+    (live - limit + 1)-th earliest.  A third of the probes land exactly on
+    a completion cycle, where a completion equal to ``now`` must retire.
+    """
+
+    STEPS = 300
+
+    @staticmethod
+    def _next_cycle(rng, now, live):
+        if live and rng.random() < 0.3:
+            return max(now, rng.choice(live))
+        return now + rng.choice((0, 1, 2, 5, 17, 60))
+
+    @staticmethod
+    def _probe(budget, live, now):
+        live[:] = [completion for completion in live if completion > now]
+        excess = len(live) - budget.limit
+        expected = None if excess < 0 else sorted(live)[excess]
+        assert budget.backpressure(now) == expected
+        assert budget._in_flight == sorted(live)
+        if expected is not None:
+            assert budget.throttle_reopen == expected
+        else:
+            # A memo that outlived its refusal is early, never late.
+            assert budget.throttle_reopen is None or budget.throttle_reopen <= now
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_budget_admissions(self, seed):
+        rng = random.Random(seed)
+        budget = TransactionBudget(limit=rng.randint(1, 6))
+        live, now = [], 0
+        for _ in range(self.STEPS):
+            now = self._next_cycle(rng, now, live)
+            if rng.random() < 0.4:
+                completion = now + rng.randint(1, 40)
+                transactions = rng.randint(1, 4)
+                budget.admit(completion, transactions)
+                live += [completion] * transactions
+                assert budget.throttle_reopen is None
+                assert budget._in_flight == sorted(live)
+            else:
+                self._probe(budget, live, now)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_hierarchy_accesses(self, seed):
+        """The completions an access adds are its L1 misses: ``live`` takes
+        the ones the hierarchy's list gained, which must be one per new
+        miss, after ``now`` and no later than the access completes."""
+        rng = random.Random(seed)
+        hierarchy = MemoryHierarchy(_params(l1_mshr_entries=rng.randint(1, 6)))
+        live, now = [], 0
+        for _ in range(self.STEPS):
+            now = self._next_cycle(rng, now, live)
+            if rng.random() < 0.4:
+                misses = hierarchy.l1.misses
+                memo = hierarchy.throttle_reopen
+                sectors = _sectors(
+                    address=rng.randrange(0, 8192, 4), stride_bytes=rng.choice((4, 8, 36, 128))
+                )
+                completion = hierarchy.access_sectors(sectors, now)
+                added = Counter(hierarchy._in_flight)
+                added.subtract(live)
+                assert min(added.values(), default=0) >= 0
+                added = list(added.elements())
+                assert len(added) == hierarchy.l1.misses - misses
+                assert all(now < done <= completion for done in added)
+                live += added
+                assert hierarchy._in_flight == sorted(live)
+                assert hierarchy.throttle_reopen == (None if added else memo)
+            else:
+                self._probe(hierarchy, live, now)
+        assert hierarchy.statistics.l1_hits and hierarchy.statistics.l1_misses
 
 
 def _count_refusals(monkeypatch, budget_class, memory_model, case):
