@@ -49,8 +49,10 @@ from keeping the loop on plain ints:
   ``(function, offset)`` keys are looked up once per call, when the result
   is assembled;
 * the scheduler scan walks a precomputed ``(next_slot, warp)`` order per
-  start slot, tests one flag word and walks the register scoreboard inline
-  on the common path, and issues a plain fixed-latency op inline too.
+  start slot and tests one flag word.  It checks an op inline when the op
+  has no check flag (the register scoreboard alone) or only the wait mask
+  (its barriers, then the scoreboard), and issues a plain fixed-latency op
+  inline too.
 
 Under either memory model the scan also skips the check of a warp that is
 still throttled: it sleeps until the memoized
@@ -279,9 +281,12 @@ class VectorSMSimulator:
         def check(w: int, now: int) -> Tuple[bool, int, int]:
             """Whether warp ``w`` can issue at ``now``; else (stall code, recheck).
 
-            The scheduler scan inlines the common path (no flags, register
-            scoreboard only) and calls in here only for a warp past its
-            ``blocked_until`` whose op carries a check flag.
+            The scheduler scan inlines the check of an op with no check flag
+            or with the wait mask alone, and calls in here only for a warp
+            past its ``blocked_until`` whose op carries a fetch stall, BAR or
+            the throttle.  An op that combines the wait mask with one of
+            those takes the wait-mask branch below, which the inline copy
+            must match.
             """
             nonlocal barrier_dirty
             i = idx[w]
@@ -479,6 +484,7 @@ class VectorSMSimulator:
         # a cycle with several due schedulers, or after a release.
         # The ready test for unflagged ops (the common case) is inlined:
         # one flag word test plus a walk of the op's used registers.  So is
+        # the test for an op whose only check flag is the wait mask, and
         # the issue of an op that only writes the scoreboard and is not its
         # warp's last.
         # ------------------------------------------------------------------
@@ -510,21 +516,10 @@ class VectorSMSimulator:
                         if until < min_next:
                             min_next = until
                         continue
-                    # Inline of check(w, cycle) for the unflagged fast path.
                     rec = recs_of_warp[w][idx[w]]
-                    if rec[0] & _CHECK_MASK:
-                        reopen = budget.throttle_reopen
-                        if (last_reason[w] == _R_THROTTLE and reopen is not None
-                                and cycle < reopen):
-                            # Still throttled: the checks before the
-                            # throttle passed at this op, and they change
-                            # only when ``w`` itself issues.
-                            ready = False
-                            reason = _R_THROTTLE
-                            recheck = reopen
-                        else:
-                            ready, reason, recheck = check(w, cycle)
-                    else:
+                    check_flags = rec[0] & _CHECK_MASK
+                    if not check_flags:
+                        # Inline of check(w, cycle) for the unflagged fast path.
                         latest = 0
                         regs = reg_ready[w]
                         for r in rec[2]:
@@ -539,6 +534,48 @@ class VectorSMSimulator:
                             ready = True
                             reason = _R_SELECTED
                             recheck = cycle
+                    elif check_flags == _F_WAIT:
+                        # Inline of check(w, cycle) when the wait mask is the
+                        # only check flag: the latest-clearing barrier (the
+                        # first of a tie, in mask order), then the scoreboard.
+                        latest = -1
+                        clears = barrier_clear[w]
+                        for bar in rec[1]:
+                            t = clears[bar]
+                            if t > latest:
+                                latest = t
+                                latest_bar = bar
+                        if cycle < latest:
+                            ready = False
+                            reason = barrier_reason[w][latest_bar]
+                            recheck = latest
+                        else:
+                            latest = 0
+                            regs = reg_ready[w]
+                            for r in rec[2]:
+                                t = regs[r]
+                                if t > latest:
+                                    latest = t
+                            if cycle < latest:
+                                ready = False
+                                reason = _R_EXEC_DEP
+                                recheck = latest
+                            else:
+                                ready = True
+                                reason = _R_SELECTED
+                                recheck = cycle
+                    else:
+                        reopen = budget.throttle_reopen
+                        if (last_reason[w] == _R_THROTTLE and reopen is not None
+                                and cycle < reopen):
+                            # Still throttled: the checks before the
+                            # throttle passed at this op, and they change
+                            # only when ``w`` itself issues.
+                            ready = False
+                            reason = _R_THROTTLE
+                            recheck = reopen
+                        else:
+                            ready, reason, recheck = check(w, cycle)
                     last_reason[w] = reason
                     if ready:
                         chosen_next = next_slot

@@ -22,7 +22,15 @@ import pytest
 from repro.arch.machine import VoltaV100
 from repro.sampling.memory import coalesce, sector_pattern
 from repro.sampling.profiler import Profiler
-from repro.sampling.trace import generate_warp_trace
+from repro.sampling.stall_reasons import StallReason
+from repro.sampling.trace import (
+    _CODE_OF,
+    _F_FIXED,
+    _F_THROTTLE,
+    _F_WAIT,
+    _F_WRITE_BAR,
+    generate_warp_trace,
+)
 from repro.sampling.vector import VectorSMSimulator, _scan_orders
 from repro.structure.program import build_program_structure
 from repro.workloads.registry import case_by_name
@@ -232,6 +240,67 @@ class TestObservationNeutrality:
                 (result.wave_cycles, result.issued_instructions, memory)
             )
         assert facts[0] == facts[1] == facts[2]
+
+
+#: The hand-built kernel's site table: one site per op.
+WAIT_SITES = tuple(("wait_kernel", offset) for offset in (0, 16, 32, 48, 64))
+
+
+def _record(site, flags, wait=(), used=(), write_barrier=None, fixed_latency=0,
+            defined=(), reason=StallReason.EXECUTION_DEPENDENCY, mem_inc=0):
+    """A packed record (layout in docs/SIMULATOR.md) with a one-cycle stall,
+    no fetch stall and no memory access."""
+    return (flags, wait, used, write_barrier, None, 1, fixed_latency, defined,
+            _CODE_OF[reason], WAIT_SITES[site][1], 0, mem_inc, 0, 0, 0, 0,
+            site, WAIT_SITES)
+
+
+class TestWaitMask:
+    """The wait-mask semantics that the scan's inline path (the wait mask is
+    the op's only check flag) and ``check()`` (the op also carries the
+    throttle flag) must share, pinned on a hand-built trace.
+
+    Ops 0 and 1 set barriers 0 and 1 (clearing at ``clears``, with
+    MEMORY_DEPENDENCY and TEXTURE), op 2 sets R5 ready at cycle 15, op 3
+    waits on ``mask`` and reads R5, and op 4 keeps the warp live (a
+    finished warp is not sampled).  One warp on one scheduler, sampled
+    every cycle, so every sample from cycle 3 on reports op 3's state.
+    """
+
+    @pytest.mark.parametrize("extra_flag", [0, _F_THROTTLE], ids=["inline", "check"])
+    @pytest.mark.parametrize("clears, mask, reason", [
+        ((10, 10), (0, 1), StallReason.MEMORY_DEPENDENCY),
+        ((10, 10), (1, 0), StallReason.TEXTURE),
+        ((12, 8), (1, 0), StallReason.MEMORY_DEPENDENCY),
+        ((8, 12), (0, 1), StallReason.TEXTURE),
+    ])
+    def test_barrier_then_scoreboard_then_issue(self, clears, mask, reason, extra_flag):
+        trace = [
+            _record(0, _F_WRITE_BAR, write_barrier=0, mem_inc=clears[0],
+                    reason=StallReason.MEMORY_DEPENDENCY),
+            _record(1, _F_WRITE_BAR, write_barrier=1, mem_inc=clears[1] - 1,
+                    reason=StallReason.TEXTURE),
+            _record(2, _F_FIXED, fixed_latency=13, defined=(5,)),
+            _record(3, _F_WAIT | _F_FIXED | extra_flag, wait=mask, used=(5,),
+                    fixed_latency=4, defined=(6,)),
+            _record(4, _F_FIXED),
+        ]
+        architecture = dataclasses.replace(VoltaV100, schedulers_per_sm=1)
+        result = VectorSMSimulator(architecture, sample_period=1, keep_samples=True).simulate(
+            "wait_kernel", [trace], [0]
+        )
+        cleared = max(clears)
+        expected = [(cycle, site, StallReason.SELECTED, True) for cycle, site in enumerate((0, 16, 32))]
+        expected += [(cycle, 48, reason, False) for cycle in range(3, cleared)]
+        expected += [
+            (cycle, 48, StallReason.EXECUTION_DEPENDENCY, False) for cycle in range(cleared, 15)
+        ]
+        expected.append((15, 48, StallReason.SELECTED, True))
+        assert [
+            (sample.cycle, sample.offset, sample.reason, sample.is_active)
+            for sample in result.samples
+        ] == expected
+        assert (result.wave_cycles, result.issued_instructions) == (17, 5)
 
 
 class TestSectorPattern:
