@@ -258,7 +258,8 @@ def _record(site, flags, wait=(), used=(), write_barrier=None, fixed_latency=0,
 class TestWaitMask:
     """The wait-mask semantics that the scan's inline path (the wait mask is
     the op's only check flag) and ``check()`` (the op also carries the
-    throttle flag) must share, pinned on a hand-built trace.
+    throttle flag, which the flat budget never refuses here) must share,
+    pinned on a hand-built trace.
 
     Ops 0 and 1 set barriers 0 and 1 (clearing at ``clears``, with
     MEMORY_DEPENDENCY and TEXTURE), op 2 sets R5 ready at cycle 15, op 3
@@ -269,10 +270,10 @@ class TestWaitMask:
 
     @pytest.mark.parametrize("extra_flag", [0, _F_THROTTLE], ids=["inline", "check"])
     @pytest.mark.parametrize("clears, mask, reason", [
-        ((10, 10), (0, 1), StallReason.MEMORY_DEPENDENCY),
-        ((10, 10), (1, 0), StallReason.TEXTURE),
-        ((12, 8), (1, 0), StallReason.MEMORY_DEPENDENCY),
-        ((8, 12), (0, 1), StallReason.TEXTURE),
+        pytest.param((10, 10), (0, 1), StallReason.MEMORY_DEPENDENCY, id="tie-mask-0-1"),
+        pytest.param((10, 10), (1, 0), StallReason.TEXTURE, id="tie-mask-1-0"),
+        pytest.param((12, 8), (1, 0), StallReason.MEMORY_DEPENDENCY, id="bar0-later"),
+        pytest.param((8, 12), (0, 1), StallReason.TEXTURE, id="bar1-later"),
     ])
     def test_barrier_then_scoreboard_then_issue(self, clears, mask, reason, extra_flag):
         trace = [
@@ -289,13 +290,13 @@ class TestWaitMask:
         result = VectorSMSimulator(architecture, sample_period=1, keep_samples=True).simulate(
             "wait_kernel", [trace], [0]
         )
-        cleared = max(clears)
-        expected = [(cycle, site, StallReason.SELECTED, True) for cycle, site in enumerate((0, 16, 32))]
+        selected, cleared = StallReason.SELECTED, max(clears)
+        expected = [(0, 0, selected, True), (1, 16, selected, True), (2, 32, selected, True)]
         expected += [(cycle, 48, reason, False) for cycle in range(3, cleared)]
         expected += [
             (cycle, 48, StallReason.EXECUTION_DEPENDENCY, False) for cycle in range(cleared, 15)
         ]
-        expected.append((15, 48, StallReason.SELECTED, True))
+        expected.append((15, 48, selected, True))
         assert [
             (sample.cycle, sample.offset, sample.reason, sample.is_active)
             for sample in result.samples
