@@ -40,11 +40,7 @@ from repro.evaluation.fleet.plan import (
     SweepConfiguration,
     build_plan,
 )
-from repro.evaluation.fleet.report import (
-    bench_reference_entry,
-    load_bench_history,
-    render_report,
-)
+from repro.evaluation.fleet.report import load_bench_history, render_report
 from repro.evaluation.fleet.runner import ShardRunner
 
 PROG = "python -m repro.evaluation.fleet"
@@ -217,19 +213,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             continue
         sweeps.append((path.stem, artifact))
 
-    history = []
-    if args.bench_history:
-        history = load_bench_history(args.bench_history)
-    if not history and args.bench:
-        try:
-            reference = json.loads(Path(args.bench).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"skipping bench reference {args.bench}: {exc}", file=sys.stderr)
-        else:
-            entry = bench_reference_entry(reference)
-            if entry is not None:
-                history = [entry]
-
+    history = load_bench_history(args.bench_history) if args.bench_history else []
     page = render_report(sweeps, history, generated=args.generated)
     Path(args.out).write_text(page, encoding="utf-8")
     print(
@@ -319,11 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep artifact (repeatable, oldest first)")
     report.add_argument("--sweep-dir", default=None, metavar="DIR",
                         help="directory of sweep artifacts, read in name order")
-    report.add_argument("--bench", default=None, metavar="PATH",
-                        help="committed BENCH_simulator.json (single-point "
-                        "fallback when no history exists)")
     report.add_argument("--bench-history", default=None, metavar="PATH",
-                        help="BENCH_history.jsonl appended by the regression gate")
+                        help="perfbench history: one JSON line per nightly run")
     report.add_argument("--generated", default="", metavar="STAMP",
                         help="free-form timestamp shown in the page header")
     report.add_argument("--out", default="fleet-report.html", metavar="PATH")

@@ -1,12 +1,11 @@
 """The static HTML trend dashboard (stdlib only).
 
 :func:`render_report` turns a history of merged sweep artifacts plus the
-benchmark trajectory (``BENCH_history.jsonl`` appended by the regression
-gate, with the committed ``BENCH_simulator.json`` as a single-point
-fallback) into one self-contained HTML page: stat tiles for the latest
-sweep, an error-geomean trend line per configuration, a simulator
-throughput trajectory per pinned benchmark block, the latest sweep's
-per-configuration table, and the failure ledger.
+perfbench history (one line per nightly run, see :func:`load_bench_history`)
+into one self-contained HTML page: stat tiles for the latest sweep, an
+error-geomean trend line per configuration, the calibrated perfbench pass
+time per workload, the latest sweep's per-configuration table, and the
+failure ledger.
 
 Design notes (deliberate, please keep):
 
@@ -241,68 +240,67 @@ def sweep_error_series(
     return series, labels
 
 
-def bench_throughput_series(
+def _pass_s(result: dict) -> Optional[float]:
+    """A correct run's calibrated ``pass_s``, else None (a gap)."""
+    metric = result["metrics"].get("pass_s")
+    if result.get("correct") is not True or not isinstance(metric, dict):
+        return None
+    value = metric.get("value")
+    return float(value) if isinstance(value, (int, float)) else None
+
+
+def bench_pass_series(
     history: Sequence[dict],
 ) -> Tuple[Dict[str, List[Optional[float]]], List[str]]:
-    """Per-pinned-block cycles/s series over the benchmark history."""
-    labels = []
-    rows = []
-    for index, entry in enumerate(history):
-        stamp = entry.get("recorded") or f"run {index}"
-        labels.append(str(stamp)[:10])
-        blocks = {}
-        for block in entry.get("blocks", []):
-            key = (
-                f"{block.get('simulation_scope', 'single_wave')}"
-                f"+{block.get('memory_model', 'flat')}"
-                f" {block.get('simulator_backend', 'object')}"
-            )
-            blocks[key] = block.get("cycles_per_second")
-        rows.append(blocks)
-    keys = sorted({key for row in rows for key in row})
-    series = {key: [row.get(key) for row in rows] for key in keys}
+    """Calibrated perfbench ``pass_s`` per workload over the history."""
+    labels = [entry["recorded"][:10] for entry in history]
+    names = sorted({name for entry in history for name in entry["workloads"]})
+    series = {
+        name: [
+            _pass_s(entry["workloads"][name]) if name in entry["workloads"] else None
+            for entry in history
+        ]
+        for name in names
+    }
     return series, labels
 
 
+def _is_history_line(entry: object) -> bool:
+    if not isinstance(entry, dict):
+        return False
+    workloads = entry.get("workloads")
+    return (
+        isinstance(entry.get("recorded"), str)
+        and isinstance(entry.get("commit"), str)
+        and isinstance(workloads, dict)
+        and bool(workloads)
+        and all(
+            isinstance(result, dict) and isinstance(result.get("metrics"), dict)
+            for result in workloads.values()
+        )
+    )
+
+
 def load_bench_history(path: Union[str, Path]) -> List[dict]:
-    """Parse a ``BENCH_history.jsonl``; corrupt lines are skipped."""
+    """Parse the perfbench history; lines of another shape are skipped.
+
+    Each line is one JSON object: ``recorded`` (the run's UTC time),
+    ``commit``, and ``workloads``, which maps every workload to the result
+    line perfbench printed for it.
+    """
     entries = []
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError:
         return entries
     for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
         try:
             entry = json.loads(line)
         except ValueError:
             continue
-        if isinstance(entry, dict) and entry.get("blocks"):
+        if _is_history_line(entry):
             entries.append(entry)
     return entries
-
-
-def bench_reference_entry(reference: dict) -> Optional[dict]:
-    """A single history-shaped entry from a committed BENCH_*.json."""
-    if reference.get("benchmark") != "simulator_smoke":
-        return None
-    blocks = reference.get("measurements")
-    if not isinstance(blocks, list):
-        blocks = [reference]
-    return {
-        "recorded": "pinned",
-        "blocks": [
-            {
-                "simulation_scope": block.get("simulation_scope", "single_wave"),
-                "memory_model": block.get("memory_model", "flat"),
-                "simulator_backend": block.get("simulator_backend", "object"),
-                "cycles_per_second": block.get("cycles_per_second"),
-            }
-            for block in blocks
-        ],
-    }
 
 
 # ----------------------------------------------------------------------
@@ -477,10 +475,10 @@ def render_report(
     generated: str = "",
 ) -> str:
     """The full dashboard page.  ``sweeps`` is (label, artifact), oldest
-    first; ``bench_history`` is parsed ``BENCH_history.jsonl`` entries."""
+    first; ``bench_history`` is :func:`load_bench_history`'s entries."""
     latest = sweeps[-1][1] if sweeps else None
     error_series, error_labels = sweep_error_series(sweeps)
-    bench_series, bench_labels = bench_throughput_series(bench_history)
+    bench_series, bench_labels = bench_pass_series(bench_history)
 
     charts = []
     if sweeps:
@@ -496,11 +494,11 @@ def render_report(
     if bench_history:
         charts.append(
             _line_chart(
-                "Simulator throughput trajectory (pinned benchmark blocks)",
+                "perfbench pass time by workload (calibrated)",
                 bench_series,
                 bench_labels,
-                "cycles/s",
-                "throughput",
+                "s",
+                "pass-time",
             )
         )
 
@@ -513,7 +511,7 @@ def render_report(
         f"<style>{_style()}</style></head><body><main>"
         "<h1>Fleet evaluation dashboard</h1>"
         '<p class="sub">Error geomeans per configuration across sweep '
-        "history, simulator throughput trajectory, and the latest failure "
+        "history, perfbench pass time per workload, and the latest failure "
         f"ledger{stamp}.</p>"
         f"{_stat_tiles(latest, len(sweeps))}"
         f'{"".join(charts)}'
@@ -527,8 +525,7 @@ def render_report(
 
 
 __all__ = [
-    "bench_reference_entry",
-    "bench_throughput_series",
+    "bench_pass_series",
     "load_bench_history",
     "render_report",
     "sweep_error_series",

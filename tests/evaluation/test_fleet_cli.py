@@ -90,13 +90,18 @@ class TestKillAndResume:
         ).read_bytes()
 
     def test_report_over_the_merged_artifact(self, sweep):
+        history = {"recorded": "2026-10-19T03:23:00Z", "commit": "bb6d7ba",
+                   "workloads": {"flat": {"correct": True, "attempted": 72, "failed": 0,
+                                          "metrics": {"pass_s": {"value": 0.4, "unit": "s"}}}}}
+        (sweep / "perfbench_history.jsonl").write_text(json.dumps(history) + "\n")
         result = fleet(["report", "--artifact", "killed.json",
-                        "--bench", str(REPO / "BENCH_simulator.json"),
+                        "--bench-history", "perfbench_history.jsonl",
                         "--out", "report.html"], sweep)
         assert result.returncode == EXIT_OK, result.stderr
+        assert "1 benchmark point(s)" in result.stderr
         page = (sweep / "report.html").read_text()
         assert "Fleet evaluation dashboard" in page
-        assert "<svg" in page
+        assert page.count("<svg") == 2  # error trend + perfbench pass time
 
 
 class TestExitCodes:

@@ -1,8 +1,9 @@
 """The stdlib HTML dashboard: content, series shaping, empty states."""
 
+import json
+
 from repro.evaluation.fleet.report import (
-    bench_reference_entry,
-    bench_throughput_series,
+    bench_pass_series,
     load_bench_history,
     render_report,
     sweep_error_series,
@@ -41,6 +42,21 @@ def artifact(error=0.07, failures=0, complete=True, key="single_wave+flat+sm_70+
     }
 
 
+def perfbench_line(pass_s=0.4, correct=True):
+    """One workload's result line as perfbench prints it."""
+    return {
+        "correct": correct,
+        "attempted": 72,
+        "failed": 0 if correct else 1,
+        "metrics": {"pass_s": {"value": pass_s, "unit": "s"},
+                    "latency_ms": {"value": 14.5, "unit": "ms"}},
+    }
+
+
+def history_line(recorded="2026-10-19T03:23:00Z", **workloads):
+    return {"recorded": recorded, "commit": "bb6d7ba", "workloads": workloads}
+
+
 class TestSeriesShaping:
     def test_error_series_tracks_configurations_across_sweeps(self):
         sweeps = [
@@ -60,57 +76,51 @@ class TestSeriesShaping:
         assert series["single_wave+flat+sm_70+p8"][1] is None
         assert series["whole_gpu+hierarchy+sm_70+p8"][0] is None
 
-    def test_bench_series_keys_by_block_identity(self):
+    def test_bench_series_plots_pass_s_per_workload(self):
         history = [
-            {
-                "recorded": "2026-08-07T03:23:00Z",
-                "blocks": [
-                    {"simulation_scope": "single_wave", "memory_model": "flat",
-                     "simulator_backend": "vector", "cycles_per_second": 120000},
-                    {"simulation_scope": "whole_gpu", "memory_model": "hierarchy",
-                     "simulator_backend": "object", "cycles_per_second": 9000},
-                ],
-            }
+            history_line("2026-10-18T03:23:00Z", flat=perfbench_line(0.41),
+                         whole_gpu=perfbench_line(0.99)),
+            history_line("2026-10-19T03:23:00Z", flat=perfbench_line(0.43)),
         ]
-        series, labels = bench_throughput_series(history)
-        assert labels == ["2026-08-07"]
-        assert series["single_wave+flat vector"] == [120000]
-        assert series["whole_gpu+hierarchy object"] == [9000]
+        series, labels = bench_pass_series(history)
+        assert labels == ["2026-10-18", "2026-10-19"]
+        assert series == {"flat": [0.41, 0.43], "whole_gpu": [0.99, None]}
 
-    def test_history_loader_skips_corrupt_lines(self, tmp_path):
-        path = tmp_path / "BENCH_history.jsonl"
-        path.write_text(
-            '{"recorded": "a", "blocks": [{"cycles_per_second": 1}]}\n'
-            "not json at all\n"
-            '{"no_blocks": true}\n'
-            '{"recorded": "b", "blocks": [{"cycles_per_second": 2}]}\n'
-        )
-        entries = load_bench_history(path)
-        assert [e["recorded"] for e in entries] == ["a", "b"]
+    def test_an_incorrect_run_is_a_gap(self):
+        history = [history_line(flat=perfbench_line(0.2, correct=False))]
+        series, _ = bench_pass_series(history)
+        assert series == {"flat": [None]}
+
+    def test_history_loader_skips_lines_of_another_shape(self, tmp_path):
+        path = tmp_path / "perfbench_history.jsonl"
+        good = [history_line("a", flat=perfbench_line()),
+                history_line("b", service=perfbench_line())]
+        path.write_text("\n".join([
+            json.dumps(good[0]),
+            "not json at all",
+            "",
+            # The retired simulator-smoke history format.
+            '{"recorded": "x", "gate": "ok", "blocks": [{"cycles_per_second": 1}]}',
+            json.dumps({"recorded": "y", "commit": "c", "workloads": {}}),
+            json.dumps({"recorded": "z", "workloads": {"flat": perfbench_line()}}),
+            json.dumps({"recorded": "w", "commit": "c", "workloads": {"flat": "0.4"}}),
+            json.dumps(good[1]),
+        ]) + "\n")
+        assert load_bench_history(path) == good
         assert load_bench_history(tmp_path / "missing.jsonl") == []
-
-    def test_reference_fallback_is_one_pinned_entry(self):
-        entry = bench_reference_entry(
-            {"benchmark": "simulator_smoke",
-             "measurements": [{"simulator_backend": "vector",
-                               "cycles_per_second": 5}]}
-        )
-        assert entry["recorded"] == "pinned"
-        assert entry["blocks"][0]["cycles_per_second"] == 5
-        assert bench_reference_entry({"benchmark": "other"}) is None
 
 
 class TestPage:
     def test_full_page_contents(self):
         page = render_report(
             [("night-1", artifact(failures=1, complete=False))],
-            bench_history=[{"recorded": "pinned",
-                            "blocks": [{"cycles_per_second": 100000}]}],
+            bench_history=[history_line(flat=perfbench_line())],
             generated="run 42",
         )
         assert page.startswith("<!DOCTYPE html>")
         assert "Fleet evaluation dashboard" in page
-        assert page.count("<svg") == 2  # error trend + throughput trajectory
+        assert page.count("<svg") == 2  # error trend + perfbench pass time
+        assert "perfbench pass time by workload" in page
         assert "prefers-color-scheme: dark" in page
         assert "run 42" in page
         # Failure ledger and incomplete-coverage tile are visible.
