@@ -11,6 +11,5 @@
 
 Import the submodules directly.  The package re-exports nothing, so
 ``python -m repro.evaluation.table3`` runs a module that is not already
-imported.  The ``benchmarks/`` directory wraps these entry points with
-pytest-benchmark, and ``examples/`` uses them directly.
+imported.  ``examples/`` uses these entry points directly.
 """

@@ -61,6 +61,8 @@ class TestStallEliminationMatching:
             ("rodinia/backprop:warp_balance", OptimizerCategory.STALL_ELIMINATION),
             ("rodinia/cfd:fast_math", OptimizerCategory.STALL_ELIMINATION),
             ("Quicksilver:register_reuse", OptimizerCategory.STALL_ELIMINATION),
+            ("rodinia/myocyte:function_splitting", OptimizerCategory.STALL_ELIMINATION),
+            ("ExaTENSOR:memory_transaction_reduction", OptimizerCategory.STALL_ELIMINATION),
         ],
     )
     def test_expected_optimizer_matches_with_speedup(self, session, case_name, category):
@@ -157,6 +159,8 @@ class TestAdviceRanking:
             ("rodinia/particlefilter:block_increase", 2),
             ("ExaTENSOR:memory_transaction_reduction", 3),
             ("Quicksilver:register_reuse", 3),
+            ("rodinia/b+tree:code_reorder", 3),
+            ("Quicksilver:function_inlining", 3),
         ],
     )
     def test_expected_optimizer_in_top_suggestions(self, session, case_name, max_rank):
@@ -164,3 +168,4 @@ class TestAdviceRanking:
         case, report = report_for(session, case_name)
         applicable = [item.optimizer for item in report.advice if item.applicable]
         assert case.optimizer_name in applicable[:max_rank]
+        assert report.advice_for(case.optimizer_name).estimated_speedup >= 1.0

@@ -41,6 +41,18 @@ def test_exatensor_case_study_sequence():
     assert second.optimizer_rank is not None
 
 
+def test_exatensor_figure8_report(session):
+    """Figure 8 (Section 7.1): the ExaTENSOR report advises Strength
+    Reduction against integer division, with def/use hotspots and their
+    distances in cuda2.cu."""
+    report = session.report_for(request_for_case("ExaTENSOR:strength_reduction"))
+    text = render_report(report, top=3)
+    for element in ("GPUStrengthReductionOptimizer", "Avoid integer division",
+                    "estimate speedup", "distance", "ExaTENSOR/cuda2.cu"):
+        assert element in text
+    assert report.advice_for("GPUStrengthReductionOptimizer").hotspots
+
+
 def test_every_advice_report_is_renderable(session):
     for name in ("rodinia/nw:warp_balance", "PeleC:block_increase",
                  "Minimod:fast_math"):

@@ -46,8 +46,6 @@ CHANGE_ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 5
 #: perfbench ``--seconds``: the run length at the reference CPU speed.
 SECONDS = 6
-#: Pair ``i`` runs both sides with seed ``FIRST_SEED + i``.
-FIRST_SEED = 1
 
 #: ``runner(root, workload, seed)`` -> (exit status, stdout) of one run.
 Runner = Callable[[Path, str, int], Tuple[int, str]]
@@ -99,7 +97,7 @@ def gate(base: Path, change: Path, benchmark: dict, runner: Runner,
     names = [metric["name"] for metric in metrics]
     values: Dict[Tuple[str, str, str], List[float]] = {}
     for pair in range(PAIRS):
-        seed = FIRST_SEED + pair
+        seed = pair + 1
         sides = [("base", base), ("change", change)]
         if pair % 2:
             sides.reverse()
