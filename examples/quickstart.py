@@ -11,7 +11,7 @@ Run with:  python examples/quickstart.py
 
 from repro import AdvisingRequest, AdvisingSession, LaunchConfig, WorkloadSpec, render_report
 from repro.cubin.builder import CubinBuilder, imm, p
-from repro.isa.parser import parse_instruction
+from repro.sass import parse_instruction
 
 
 def build_kernel():

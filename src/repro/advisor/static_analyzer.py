@@ -58,7 +58,7 @@ class StaticAnalyzer:
         self.default_architecture = default_architecture or VoltaV100
         self.strict = strict
 
-    def analyze(self, cubin: Cubin, from_bytes: bool = False) -> StaticAnalysis:
+    def analyze(self, cubin: Cubin) -> StaticAnalysis:
         """Recover structure, architecture features and disassembly."""
         architecture_fallback: Optional[str] = None
         try:
@@ -75,7 +75,7 @@ class StaticAnalyzer:
                 stacklevel=2,
             )
         structure = build_program_structure(cubin)
-        disassembly = disassemble_cubin(cubin, from_bytes=from_bytes)
+        disassembly = disassemble_cubin(cubin)
         return StaticAnalysis(
             cubin=cubin,
             structure=structure,

@@ -340,7 +340,10 @@ class KernelBuilder:
         return self.emit("MEMBAR", modifiers=("GPU",))
 
     def call(self, callee: str) -> Instruction:
-        """Emit a call; the callee is recorded symbolically in the sources."""
+        """Emit a call, rendered ``CAL SR_GRIDID`` with no target.
+
+        ``callee`` is not recorded anywhere in the instruction.
+        """
         return self.emit("CAL", sources=[SpecialRegister(f"SR_GRIDID")], target=None)
 
     def nop(self) -> Instruction:

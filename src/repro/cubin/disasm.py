@@ -1,10 +1,10 @@
 """Disassembler (nvdisasm substitute).
 
 GPA runs ``nvdisasm`` over CUBINs to decode instructions and dump raw control
-flow graphs.  Our disassembler performs the same role on the fixed-width
-encoding: it decodes a function's code section back to instructions, renders
-an nvdisasm-like listing (with control-code brackets), and produces the raw
-CFG that the static analyzer then refines.
+flow graphs.  Our disassembler performs the same role on a binary's
+functions: it renders an nvdisasm-like listing (with control-code brackets)
+and produces the raw CFG that the static analyzer then refines.
+:func:`repro.isa.encoder.decode_program` decodes an encoded code section.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 
 from repro.cfg.graph import ControlFlowGraph, build_cfg
 from repro.cubin.binary import Cubin, Function
-from repro.isa.encoder import decode_program
 
 
 @dataclass
@@ -40,19 +39,14 @@ def render_listing(function: Function, with_control: bool = True) -> str:
     return "\n".join(lines)
 
 
-def disassemble_function(function: Function, from_bytes: bool = False) -> DisassembledFunction:
-    """Disassemble one function, optionally round-tripping through its encoding.
+def disassemble_function(function: Function) -> DisassembledFunction:
+    """Disassemble one function from its in-memory instruction list.
 
-    With ``from_bytes=True`` the instructions are re-decoded from the encoded
-    code section (exercising the 128-bit encoder/decoder); otherwise the
-    in-memory instruction list is used, which preserves information the
-    compact encoding cannot represent exactly (long line numbers, more than
-    two modifiers).
+    The list keeps what the compact 128-bit encoding cannot represent
+    exactly (long line numbers, more than two modifiers);
+    :func:`~repro.isa.encoder.decode_program` reads the encoded code section.
     """
-    if from_bytes:
-        instructions = decode_program(function.encode())
-    else:
-        instructions = list(function.instructions)
+    instructions = list(function.instructions)
     cfg = build_cfg(instructions)
     listing = render_listing(function)
     return DisassembledFunction(
@@ -60,9 +54,6 @@ def disassemble_function(function: Function, from_bytes: bool = False) -> Disass
     )
 
 
-def disassemble_cubin(cubin: Cubin, from_bytes: bool = False) -> Dict[str, DisassembledFunction]:
+def disassemble_cubin(cubin: Cubin) -> Dict[str, DisassembledFunction]:
     """Disassemble every function in a binary."""
-    return {
-        name: disassemble_function(function, from_bytes=from_bytes)
-        for name, function in cubin.functions.items()
-    }
+    return {name: disassemble_function(function) for name, function in cubin.functions.items()}

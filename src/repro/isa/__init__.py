@@ -41,7 +41,6 @@ from repro.isa.opcodes import (
     opcode_is_known,
 )
 from repro.isa.instruction import ControlCode, Instruction
-from repro.isa.parser import ParseError, parse_instruction, parse_program
 from repro.isa.encoder import decode_instruction, encode_instruction, INSTRUCTION_BYTES
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "MemorySpace",
     "OpcodeInfo",
     "OPCODES",
-    "ParseError",
     "Predicate",
     "RegisterOperand",
     "SpecialRegister",
@@ -70,6 +68,4 @@ __all__ = [
     "lookup_opcode",
     "lookup_opcode_tolerant",
     "opcode_is_known",
-    "parse_instruction",
-    "parse_program",
 ]

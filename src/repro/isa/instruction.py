@@ -23,6 +23,7 @@ dependencies flow through the same def-use analysis as register operands.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import FrozenSet, Optional, Tuple
@@ -44,6 +45,10 @@ INSTRUCTION_SIZE = 16
 
 #: Maximum stall-cycle value encodable in a control code (4 bits).
 MAX_STALL_CYCLES = 15
+
+_CONTROL_RE = re.compile(
+    r"\[B(?P<wait>[0-5\-]+):W(?P<write>[0-5\-]):R(?P<read>[0-5\-]):S(?P<stall>\d+):(?P<yield>[Y\-])\]"
+)
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,25 @@ class ControlCode:
         rbar = str(self.read_barrier) if self.read_barrier is not None else "-"
         yield_marker = "Y" if self.yield_flag else "-"
         return f"[B{wait}:W{wbar}:R{rbar}:S{self.stall_cycles}:{yield_marker}]"
+
+    @classmethod
+    def parse(cls, text: str) -> "ControlCode":
+        """Read back the bracket notation :meth:`render` writes.
+
+        Raises :class:`ValueError` for any other text or an out-of-range
+        field.
+        """
+        match = _CONTROL_RE.fullmatch(text.strip())
+        if match is None:
+            raise ValueError(f"cannot parse control code: {text!r}")
+        write, read = match.group("write"), match.group("read")
+        return cls(
+            stall_cycles=int(match.group("stall")),
+            yield_flag=match.group("yield") == "Y",
+            write_barrier=None if write == "-" else int(write),
+            read_barrier=None if read == "-" else int(read),
+            wait_mask=frozenset(int(bit) for bit in match.group("wait") if bit != "-"),
+        )
 
 
 @dataclass(frozen=True)

@@ -22,17 +22,24 @@ Degradation rules (the frontend's "never crash" contract):
 * a ``@UP<n>`` uniform guard maps onto the per-thread predicate of the same
   index — a uniform guard is warp-invariant, so treating it as one more
   may-write guard only errs toward conservatism.
+
+:func:`parse_instruction` and :func:`parse_program` are the strict mode of
+the same grammar, for hand-written programs: where ingestion would degrade
+(no opcode token, an opcode outside the catalog, an operand outside the
+grammar, a symbolic target missing from the labels) they raise
+:class:`ParseError`, and they read a trailing control bracket back into the
+instruction's :class:`~repro.isa.instruction.ControlCode`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.encoder import MODIFIERS
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import opcode_is_known
+from repro.isa.instruction import INSTRUCTION_SIZE, ControlCode, Instruction
+from repro.isa.opcodes import OPCODES
 from repro.isa.registers import (
     ALWAYS,
     MemoryOperand,
@@ -75,30 +82,24 @@ CARRY_PREDICATE_OPCODES = frozenset(
 #: Opcodes whose (first) operand is a branch/call target.
 BRANCH_TARGET_OPCODES = frozenset({"BRA", "BRX", "JMP", "CAL", "CALL", "SSY", "BSSY"})
 
-MEMORY_SPACE_BY_OPCODE = {
-    "LDG": MemorySpace.GLOBAL, "STG": MemorySpace.GLOBAL,
-    "ATOM": MemorySpace.GLOBAL, "ATOMG": MemorySpace.GLOBAL,
-    "RED": MemorySpace.GLOBAL, "LDGSTS": MemorySpace.GLOBAL,
-    "LDL": MemorySpace.LOCAL, "STL": MemorySpace.LOCAL,
-    "LDS": MemorySpace.SHARED, "STS": MemorySpace.SHARED,
-    "ATOMS": MemorySpace.SHARED, "LDSM": MemorySpace.SHARED,
-    "LDC": MemorySpace.CONSTANT, "ULDC": MemorySpace.CONSTANT,
-    "LD": MemorySpace.GENERIC, "ST": MemorySpace.GENERIC,
-    "TEX": MemorySpace.TEXTURE, "TLD": MemorySpace.TEXTURE,
-}
-
 _KNOWN_MODIFIERS = frozenset(MODIFIERS)
 
 _OFFSET_COMMENT_RE = re.compile(r"/\*\s*(?P<offset>[0-9a-fA-F]+)\s*\*/")
 _HEX_COMMENT_RE = re.compile(r"/\*\s*0x[0-9a-fA-F]+\s*\*/")
 _COMMENT_RE = re.compile(r"/\*.*?\*/")
+#: Scheduling brackets in nvdisasm's field orders; the first also matches the
+#: ``[B13:W0:R-:S1:Y]`` form :meth:`~repro.isa.instruction.ControlCode.render` writes.
 _CONTROL_BRACKET_RE = re.compile(
     r"\[(?:B[0-6\-]+:){1,2}[RW][0-9\-]:[RW][0-9\-]:S\d+:?[Y\-]?\]"
-    r"|\[B[0-5\-]+:W[0-5\-]:R[0-5\-]:S\d+:[Y\-]\]"
     r"|\[B[0-6\-]+:R[0-9\-]:W[0-9\-]:[Y\-]:S\d+\]"
 )
 _SYMBOLIC_TARGET_RE = re.compile(r"^`?\(?\s*(?P<name>[.$A-Za-z_][.$A-Za-z0-9_]*)\s*\)?$")
 _ABSOLUTE_TARGET_RE = re.compile(r"^-?(?:0x[0-9a-fA-F]+|\d+)$")
+#: Target candidates that name a register, a predicate or a special
+#: register (``CAL SR_GRIDID``): operands, never labels.
+_OPERAND_NOT_TARGET_RE = re.compile(r"(?:RZ|R\d+|URZ|UR\d+|!?U?P[T\d]|SR_[.\w]*)")
+#: A ``NAME:`` label, alone on its line or before an instruction.
+LABEL_RE = re.compile(r"^(?P<label>[.$A-Za-z_][.$A-Za-z0-9_]*):\s*(?P<rest>.*)$")
 
 
 @dataclass
@@ -110,6 +111,8 @@ class StrippedLine:
     offset: Optional[int] = None
     #: Whether the line was *only* comments/hex (an encoding continuation).
     empty: bool = False
+    #: The control bracket the line carried (``[B13:W0:R-:S1:Y]``), if any.
+    control: Optional[str] = None
 
 
 def strip_line(raw: str) -> StrippedLine:
@@ -123,12 +126,18 @@ def strip_line(raw: str) -> StrippedLine:
     text = _HEX_COMMENT_RE.sub(" ", text)
     text = _COMMENT_RE.sub(" ", text)
     text = re.sub(r"//.*", " ", text)
+    control = _CONTROL_BRACKET_RE.search(text)
     text = _CONTROL_BRACKET_RE.sub(" ", text)
     # Hopper-style scheduling tokens ride after the operands.
     text = re.sub(r"[&?][A-Za-z0-9_.]+", " ", text)
     text = text.replace(";", " ").strip()
     text = re.sub(r"\s+", " ", text)
-    return StrippedLine(text=text, offset=offset, empty=not text)
+    return StrippedLine(
+        text=text,
+        offset=offset,
+        empty=not text,
+        control=control.group(0) if control else None,
+    )
 
 
 @dataclass
@@ -205,11 +214,12 @@ def decode_instruction(
     if not re.fullmatch(r"[A-Z][A-Z0-9_]*", opcode):
         return None
 
-    unknown = not opcode_is_known(opcode)
+    info = OPCODES.get(opcode)
+    unknown = info is None
     unknown_modifiers = tuple(
         modifier for modifier in modifiers if modifier not in _KNOWN_MODIFIERS
     )
-    space = MEMORY_SPACE_BY_OPCODE.get(opcode)
+    space = info.memory_space if info and info.memory_space else MemorySpace.GLOBAL
     operand_tokens = _split_operands(operand_text) if operand_text.strip() else []
 
     target: Optional[int] = None
@@ -226,14 +236,14 @@ def decode_instruction(
         if absolute:
             target = int(candidate, 16) if "0x" in candidate.lower() else int(candidate)
             operand_tokens = operand_tokens[:-1]
-        elif symbolic and not re.fullmatch(r"(?:RZ|R\d+|URZ|UR\d+|!?U?P[T\d])", candidate):
+        elif symbolic and not _OPERAND_NOT_TARGET_RE.fullmatch(candidate):
             symbolic_target = symbolic.group("name").lstrip("`(").rstrip(")")
             operand_tokens = operand_tokens[:-1]
 
     operands: List[object] = []
     for token in operand_tokens:
         try:
-            operands.append(parse_operand(token, space or MemorySpace.GLOBAL))
+            operands.append(parse_operand(token, space))
         except OperandError:
             failures.append(token)
             fallback_sources.extend(extract_registers(token))
@@ -300,3 +310,128 @@ def decode_instruction(
         unknown_modifiers=unknown_modifiers,
         operand_failures=tuple(failures),
     )
+
+
+class ParseError(ValueError):
+    """Raised when strict parsing meets text that ingestion would degrade.
+
+    Carries best-effort source context so failures on multi-line listings
+    are actionable: ``source_name`` (file or listing name), ``line`` /
+    ``column`` (1-based position in that source) and ``token`` (the
+    offending token, when one is identifiable).  The rendered message is
+    prefixed ``name:line:column:`` when context is available.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        source_name: Optional[str] = None,
+        line: Optional[int] = None,
+        column: Optional[int] = None,
+        token: Optional[str] = None,
+    ) -> None:
+        self.bare_message = message
+        self.source_name = source_name
+        self.line = line
+        self.column = column
+        self.token = token
+        super().__init__(self._format())
+
+    def _format(self) -> str:
+        if self.source_name is None and self.line is None:
+            return self.bare_message
+        location = self.source_name if self.source_name is not None else "<asm>"
+        if self.line is not None:
+            location += f":{self.line}"
+            if self.column is not None:
+                location += f":{self.column}"
+        return f"{location}: {self.bare_message}"
+
+
+def parse_instruction(
+    text: str,
+    offset: int = 0,
+    labels: Optional[Dict[str, int]] = None,
+    line: Optional[int] = None,
+    source_name: Optional[str] = None,
+    listing_line: Optional[int] = None,
+) -> Instruction:
+    """Parse one instruction strictly, such as ``render(with_control=True)`` text.
+
+    The text is decoded like an ingested line (a leading ``/*0040*/`` sets
+    the offset), and a trailing control bracket is read by
+    :meth:`~repro.isa.instruction.ControlCode.parse`.  ``labels`` maps label
+    names to offsets for symbolic branch targets.  Every degradation of
+    :func:`decode_instruction` raises :class:`ParseError` instead; unknown
+    modifiers are accepted.  ``source_name`` and ``listing_line`` name where
+    the text came from and are attached to the error, with a best-effort
+    column.  ``line`` is different: it is the *source-code* line the
+    instruction maps to (the line-table annotation).
+    """
+
+    def error(message: str, token: Optional[str] = None) -> ParseError:
+        position = text.find(token) if token else -1
+        return ParseError(
+            message,
+            source_name=source_name,
+            line=listing_line,
+            column=position + 1 if position >= 0 else None,
+            token=token,
+        )
+
+    stripped = strip_line(text)
+    decoded = decode_instruction(
+        stripped.text, offset=offset if stripped.offset is None else stripped.offset
+    )
+    if decoded is None:
+        raise error(f"unrecognized instruction text {text.strip()!r}")
+    instruction = decoded.instruction
+    if decoded.unknown_opcode:
+        raise error(f"unknown opcode: {instruction.opcode!r}", instruction.opcode)
+    if decoded.operand_failures:
+        token = decoded.operand_failures[0]
+        raise error(f"cannot parse operand: {token!r}", token)
+    target = instruction.target
+    if decoded.symbolic_target is not None:
+        target = (labels or {}).get(decoded.symbolic_target)
+        if target is None:
+            raise error(
+                f"unresolved branch target {decoded.symbolic_target!r}",
+                decoded.symbolic_target,
+            )
+    control = ControlCode()
+    if stripped.control is not None:
+        try:
+            control = ControlCode.parse(stripped.control)
+        except ValueError as exc:
+            raise error(str(exc), stripped.control) from None
+    return replace(instruction, control=control, target=target, line=line)
+
+
+def parse_program(text: str, source_name: Optional[str] = None) -> List[Instruction]:
+    """Parse a multi-line assembly listing strictly into a list of instructions.
+
+    Supports blank lines, ``#`` / ``//`` comments (full-line or trailing),
+    labels (``NAME:`` on their own line or ``NAME: INSTR`` inline) and
+    symbolic branch targets.  Instructions are laid out at consecutive
+    16-byte offsets starting from 0.  ``source_name`` names the listing in
+    any :class:`ParseError`, which also carries the 1-based line (and
+    best-effort column) of the failure.
+    """
+    labels: Dict[str, int] = {}
+    bodies: List[Tuple[str, int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#")[0].split("//")[0].strip()
+        label = LABEL_RE.match(body)
+        if label:
+            labels[label.group("label")] = INSTRUCTION_SIZE * len(bodies)
+            body = label.group("rest").strip()
+        if body and body != ";":
+            bodies.append((body, INSTRUCTION_SIZE * len(bodies), lineno))
+    return [
+        parse_instruction(
+            body, offset=offset, labels=labels, source_name=source_name, listing_line=lineno
+        )
+        for body, offset, lineno in bodies
+    ]

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cubin.binary import Cubin, Function, FunctionVisibility
 from repro.isa.instruction import INSTRUCTION_SIZE
-from repro.sass.decoder import DecodedInstruction, decode_instruction, strip_line
+from repro.sass.decoder import LABEL_RE, DecodedInstruction, decode_instruction, strip_line
 from repro.sass.report import FunctionIngest, IngestReport
 
 _CODE_FOR_RE = re.compile(r"^\s*code for (?P<arch>sm_\d+)\s*$")
@@ -43,7 +43,6 @@ _FUNCTION_RE = re.compile(r"^\s*Function\s*:\s*(?P<name>\S+)\s*$")
 _SECTION_RE = re.compile(r"^\s*\.section\s+\.text\.(?P<name>[^,\s]+)")
 _SECTIONINFO_RE = re.compile(r"SHI_REGISTERS\s*=\s*(?P<count>\d+)")
 _HEADERFLAGS_SM_RE = re.compile(r"EF_CUDA_SM(?P<sm>\d+)")
-_LABEL_RE = re.compile(r"^(?P<label>[.$A-Za-z_][.$A-Za-z0-9_]*):\s*(?P<rest>.*)$")
 
 #: Tool framing around cuobjdump output that carries no code.
 _NOISE_PREFIXES = (
@@ -220,7 +219,7 @@ def ingest_listing(
                 set_arch(_arch_from_sm(sm.group("sm")), lineno)
             continue
         if bare.startswith("."):
-            label_match = _LABEL_RE.match(bare)
+            label_match = LABEL_RE.match(bare)
             if label_match and not label_match.group("rest").strip():
                 # ``.L_x_0:`` / ``.text.<name>:`` label lines.
                 label = label_match.group("label")
@@ -238,7 +237,7 @@ def ingest_listing(
         if line.empty:
             continue
         text_body = line.text
-        label_match = _LABEL_RE.match(text_body)
+        label_match = LABEL_RE.match(text_body)
         if label_match:
             label = label_match.group("label")
             rest = label_match.group("rest").strip()

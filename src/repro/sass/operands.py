@@ -1,11 +1,11 @@
 """Operand grammar for real SASS disassembly.
 
 Real ``nvdisasm`` / ``cuobjdump -sass`` operand text is richer than the
-in-repo assembly syntax of :mod:`repro.isa.parser`: negation/absolute-value
-decorations (``-R4``, ``|R4|``, ``~R2``), register reuse hints
-(``R4.reuse``), width/type suffixes on registers inside addresses
-(``[R2.64+0x10]``), constant-bank reads (``c[0x0][0x160]``), uniform
-datapath registers (``UR4``, ``UPT``), descriptor-based addressing
+text :meth:`~repro.isa.instruction.Instruction.render` writes:
+negation/absolute-value decorations (``-R4``, ``|R4|``, ``~R2``), register
+reuse hints (``R4.reuse``), width/type suffixes on registers inside
+addresses (``[R2.64+0x10]``), constant-bank reads (``c[0x0][0x160]``),
+uniform datapath registers (``UR4``, ``UPT``), descriptor-based addressing
 (``desc[UR4][R2.64]``) and hex-encoded float literals (``0f3F800000``).
 
 ``parse_operand`` lowers each token into the operand model of

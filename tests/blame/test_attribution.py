@@ -8,8 +8,8 @@ from repro.blame.classification import classify_source
 from repro.blame.coverage import single_dependency_coverage
 from repro.blame.graph import build_dependency_graph
 from repro.blame.pruning import prune_cold_edges
-from repro.isa.parser import parse_instruction
 from repro.sampling.stall_reasons import DetailedStallReason, StallReason
+from repro.sass import parse_instruction
 
 
 class TestClassification:
@@ -89,7 +89,7 @@ class TestEquation1:
         from repro.blame.graph import DependencyEdge, DependencyGraph, DependencyNode
         from repro.cfg.graph import build_cfg
         from repro.cubin.binary import Cubin, Function, FunctionVisibility
-        from repro.isa.parser import parse_program
+        from repro.sass import parse_program
         from repro.sampling.sample import KernelProfile, LaunchConfig, LaunchStatistics
         from repro.structure.program import build_program_structure
 

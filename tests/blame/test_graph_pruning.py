@@ -5,8 +5,8 @@ import pytest
 from repro.arch.machine import VoltaV100
 from repro.blame.graph import build_dependency_graph
 from repro.blame.pruning import edge_supports_reason, prune_cold_edges
-from repro.isa.parser import parse_instruction
 from repro.sampling.stall_reasons import StallReason
+from repro.sass import parse_instruction
 
 
 class TestDependencyGraph:
@@ -83,7 +83,7 @@ class TestPruning:
         from repro.blame.graph import DependencyEdge, DependencyGraph, DependencyNode
         from repro.cfg.graph import build_cfg
         from repro.cubin.binary import Cubin, Function, FunctionVisibility
-        from repro.isa.parser import parse_program
+        from repro.sass import parse_program
         from repro.structure.program import build_program_structure
 
         program = parse_program(

@@ -3,7 +3,7 @@
 from repro.blame.slicing import BackwardSlicer
 from repro.cfg.graph import build_cfg
 from repro.cubin.builder import assign_control_codes
-from repro.isa.parser import parse_program
+from repro.sass import parse_program
 
 
 def slicer_for(text, assign=False):

@@ -10,7 +10,7 @@ not just on the tidy compiler output the registry cases model.
 from repro.cfg.dominators import compute_dominator_tree
 from repro.cfg.graph import build_cfg
 from repro.cfg.loops import find_loops
-from repro.isa.parser import parse_program
+from repro.sass import parse_program
 
 
 def build(text):

@@ -2,7 +2,7 @@
 
 from repro.cfg.dominators import compute_dominator_tree
 from repro.cfg.graph import build_cfg
-from repro.isa.parser import parse_program
+from repro.sass import parse_program
 
 
 def build(text):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cfg.graph import build_cfg
-from repro.isa.parser import parse_program
+from repro.sass import parse_program
 
 
 def simple_loop():

@@ -2,7 +2,7 @@
 
 from repro.cfg.graph import build_cfg
 from repro.cfg.loops import find_loops
-from repro.isa.parser import parse_program
+from repro.sass import parse_program
 
 
 def single_loop_cfg():

@@ -5,6 +5,7 @@ import pytest
 from repro.cubin.binary import Cubin, FunctionVisibility
 from repro.cubin.builder import CubinBuilder
 from repro.cubin.disasm import disassemble_cubin, disassemble_function, render_listing
+from repro.isa.encoder import decode_program
 
 
 class TestCubin:
@@ -57,9 +58,10 @@ class TestDisassembler:
         assert result.name == "toy_kernel"
 
     def test_disassemble_from_encoded_bytes(self, toy_cubin):
-        from_memory = disassemble_function(toy_cubin.function("toy_kernel"))
-        from_bytes = disassemble_function(toy_cubin.function("toy_kernel"), from_bytes=True)
-        assert [i.opcode for i in from_bytes.instructions] == [
+        function = toy_cubin.function("toy_kernel")
+        from_memory = disassemble_function(function)
+        from_bytes = decode_program(function.encode())
+        assert [i.opcode for i in from_bytes] == [
             i.opcode for i in from_memory.instructions
         ]
 

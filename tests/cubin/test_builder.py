@@ -4,7 +4,7 @@ import pytest
 
 from repro.cubin.builder import CubinBuilder, KernelBuilder, assign_control_codes, imm, p
 from repro.cubin.binary import FunctionVisibility
-from repro.isa.parser import parse_program
+from repro.sass import parse_program
 
 
 class TestKernelBuilder:

@@ -12,8 +12,8 @@ from repro.isa.encoder import (
     encode_program,
 )
 from repro.isa.instruction import ControlCode, Instruction
-from repro.isa.parser import parse_instruction
 from repro.isa.registers import ImmediateOperand, Predicate, RegisterOperand
+from repro.sass import parse_instruction
 
 
 SAMPLE_TEXTS = [

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.isa.parser import ParseError, parse_instruction, parse_program
 from repro.isa.registers import (
     ImmediateOperand,
     MemoryOperand,
@@ -10,6 +9,7 @@ from repro.isa.registers import (
     Predicate,
     RegisterOperand,
 )
+from repro.sass import ParseError, parse_instruction, parse_program
 
 
 class TestParseInstruction:
@@ -146,14 +146,6 @@ class TestParseErrorContext:
         error = excinfo.value
         assert "WATNOW" in error.bare_message
         assert not error.bare_message.startswith("x.asm")
-
-    def test_with_context_fills_only_missing_fields(self):
-        error = ParseError("boom", token="T")
-        enriched = error.with_context(source_name="f.asm", line=3, column=9, token="X")
-        assert enriched.source_name == "f.asm"
-        assert enriched.line == 3
-        assert enriched.column == 9
-        assert enriched.token == "T"  # existing context wins
 
     def test_parse_error_is_a_value_error(self):
         assert issubclass(ParseError, ValueError)

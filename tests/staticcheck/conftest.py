@@ -10,7 +10,7 @@ import pytest
 
 from repro.cfg.graph import build_cfg
 from repro.cubin.binary import Cubin, Function, FunctionVisibility
-from repro.isa.parser import parse_program
+from repro.sass import parse_program
 
 
 @pytest.fixture

@@ -7,9 +7,9 @@ near-identical uniform twins proving the rules stay quiet without it.
 """
 
 from repro.cfg.graph import build_cfg
-from repro.isa.parser import parse_program
 from repro.sampling.sample import LaunchConfig
 from repro.sampling.workload import WorkloadSpec
+from repro.sass import parse_program
 from repro.staticcheck.engine import StaticChecker
 from repro.staticcheck.rules import find_divergent_branches
 
