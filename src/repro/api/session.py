@@ -13,8 +13,8 @@ period, the profile cache, the worker count — and executes declarative
   :class:`~repro.api.result.AdvisingResult` objects *as they complete*,
   fanned across a :class:`~concurrent.futures.ProcessPoolExecutor` when the
   session has ``jobs > 1`` and every request can be serialized.  Requests
-  and results cross the pool boundary in their ``to_dict`` wire form — the
-  same envelope a service daemon or a remote worker would speak.
+  cross the pool boundary in their ``to_dict`` wire form, and results as the
+  JSON text of theirs — the same envelope a service daemon stores and serves.
 
 The session is the one advising front door: the CLI, the evaluation
 harnesses and the service daemon are thin adapters over it.  This module
@@ -26,6 +26,7 @@ a wire-form request on a per-process session built from six primitives
 
 from __future__ import annotations
 
+import json
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -374,7 +375,9 @@ class AdvisingSession:
                 request = requests[index]
                 label = request.describe()
                 try:
-                    result = AdvisingResult.from_dict(future.result()["result"])
+                    result = AdvisingResult.from_dict(
+                        json.loads(future.result()["result"])
+                    )
                 except Exception:
                     # Pool-level failure: the worker process died or the
                     # payload could not cross the boundary.
@@ -465,13 +468,23 @@ def _worker_session(config: dict) -> AdvisingSession:
 
 
 def _advise_with_session(session: AdvisingSession, payload: dict, index: int) -> dict:
-    """Run one wire-form request on a session; report cache traffic deltas."""
+    """Run one wire-form request on a session; report cache traffic deltas.
+
+    The result is encoded here, once: ``"result"`` is the JSON text of its
+    wire form, which the daemon stores and serves as is, and ``"error"`` is
+    its captured error, so the daemon never decodes the text to settle.
+    """
     cache = session.cache
     hits, misses = (cache.hits, cache.misses) if cache is not None else (0, 0)
     result = session.advise(AdvisingRequest.from_dict(payload), index=index)
     if cache is not None:
         hits, misses = cache.hits - hits, cache.misses - misses
-    return {"result": result.to_dict(), "cache_hits": hits, "cache_misses": misses}
+    return {
+        "result": json.dumps(result.to_dict()),
+        "error": result.error,
+        "cache_hits": hits,
+        "cache_misses": misses,
+    }
 
 
 def _pool_advise(config: dict, payload: dict, index: int) -> dict:

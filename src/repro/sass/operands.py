@@ -58,7 +58,9 @@ _CONSTANT_RE = re.compile(
 _HEX_FLOAT_RE = re.compile(r"^0[fF](?P<bits>[0-9a-fA-F]{8})$")
 _HEX_DOUBLE_RE = re.compile(r"^0[dD](?P<bits>[0-9a-fA-F]{16})$")
 _INT_RE = re.compile(r"^[-+]?(?:0x[0-9a-fA-F]+|\d+)$")
-_FLOAT_RE = re.compile(r"^[-+]?\d+\.\d*(?:[eE][-+]?\d+)?$")
+#: A decimal point, an exponent or both: ``ImmediateOperand`` renders a
+#: float in Python's repr, which writes ``1e-05`` with no point.
+_FLOAT_RE = re.compile(r"^[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)$")
 _DESC_RE = re.compile(r"^desc\[(?P<uniform>URZ|UR\d+)\]\s*(?P<inner>\[.*\])$")
 _REGISTER_ANYWHERE_RE = re.compile(r"\bR(\d+)\b")
 

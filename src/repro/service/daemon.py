@@ -18,8 +18,10 @@ process's cached :class:`~repro.api.session.AdvisingSession`, built from the
 daemon's primitives.  Because that is the same worker, the same
 serialization and the same deterministic simulator, a daemon result's
 report is **bit-identical** to an inline ``AdvisingSession.advise`` report
-for the same request.  The daemon keeps its own ``ProcessPoolExecutor``
-because it outlives any one batch and replaces the pool when a worker dies.
+for the same request.  The worker encodes the result's JSON text once; the
+daemon stores that text and serves it verbatim.  The daemon keeps its own
+``ProcessPoolExecutor`` because it outlives any one batch and replaces the
+pool when a worker dies.
 
 Failure handling mirrors the session's: advising failures are captured
 into the result (the job ends ``failed`` with the traceback), and a worker
@@ -36,6 +38,7 @@ anything.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import traceback
@@ -401,8 +404,9 @@ class AdvisingDaemon:
             except ServiceError:  # pragma: no cover - evicted under us
                 continue
 
-    def _adapted_result(self, result: Optional[dict], follower: Job) -> Optional[dict]:
-        """The primary's result re-addressed to a coalesced follower.
+    def _adapted_result(self, result: Optional[dict], follower: Job) -> Optional[str]:
+        """The JSON text of the primary's result re-addressed to a
+        coalesced follower.
 
         Identical simulation, different envelope address: the follower keeps
         its own ``index``/``label`` and its own request wire form (which can
@@ -415,14 +419,16 @@ class AdvisingDaemon:
         adapted["index"] = follower.index
         adapted["label"] = follower.label
         adapted["request"] = follower.payload
-        return adapted
+        return json.dumps(adapted)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def job_view(self, job_id: str, wait: float = 0.0) -> dict:
-        """A job's view, once it settles or after ``wait`` seconds."""
-        return self.store.wait(job_id, wait).view()
+    def job_view_json(self, job_id: str, wait: float = 0.0) -> str:
+        """A job's view as JSON text (:meth:`Job.view_json
+        <repro.service.jobs.Job.view_json>`), once it settles or after
+        ``wait`` seconds."""
+        return self.store.wait(job_id, wait).view_json()
 
     def lint(self, payload: dict) -> dict:
         """Run the static lint for one ``advising_request`` envelope.
@@ -546,18 +552,20 @@ class AdvisingDaemon:
             if isinstance(exc, BrokenProcessPool):
                 self._replace_pool(executor)
             return
-        result = outcome["result"]
         with self._stats_lock:
             self._cache_hits += outcome["cache_hits"]
             self._cache_misses += outcome["cache_misses"]
-        self._finish_group(job, result, result.get("error"))
+        self._finish_group(job, outcome["result"], outcome["error"])
 
-    def _finish_group(self, job: Job, result: Optional[dict],
+    def _finish_group(self, job: Job, result_json: Optional[str],
                       error: Optional[str]) -> None:
         """Settle a finished primary, then fan its result out to every
         submission that coalesced onto it (each under its own address)."""
         followers = self._pop_followers(job.job_id)
-        self.store.finish(job.job_id, result, error)
+        self.store.finish(job.job_id, result_json, error)
+        if not followers:
+            return
+        result = None if result_json is None else json.loads(result_json)
         for follower_id in followers:
             try:
                 follower = self.store.get(follower_id)
@@ -582,8 +590,9 @@ class AdvisingDaemon:
         with self._session_lock:
             return _advise_with_session(self._session, payload, index)
 
-    def _failed_result(self, job: Job, error: str) -> Optional[dict]:
-        """A synthesized failed result, like the session's pool path makes.
+    def _failed_result(self, job: Job, error: str) -> Optional[str]:
+        """The JSON text of a synthesized failed result, like the session's
+        pool path makes.
 
         Mirrors :meth:`AdvisingSession._stream_pool
         <repro.api.session.AdvisingSession._stream_pool>`: a worker-process
@@ -592,13 +601,13 @@ class AdvisingDaemon:
         """
         try:
             request = AdvisingRequest.from_dict(job.payload)
-            return AdvisingResult(
+            return json.dumps(AdvisingResult(
                 request=request,
                 index=job.index,
                 label=job.label,
                 **reported_knobs(request, self.config),
                 error=error,
-            ).to_dict()
+            ).to_dict())
         except Exception:  # pragma: no cover - payload was validated at submit
             return None
 

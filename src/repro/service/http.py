@@ -159,7 +159,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 wait = self._wait_seconds(query)
                 if not job_id or "/" in job_id:
                     raise UnknownJobError(f"unknown job id {job_id!r}")
-                self._reply(200, daemon.job_view(job_id, wait))
+                self._send(200, daemon.job_view_json(job_id, wait))
             else:
                 self._reply(404, {"error": f"unknown path {self.path!r}"})
         except Exception as exc:
@@ -263,7 +263,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _reply(self, status: int, payload: dict,
                headers: Optional[Dict[str, str]] = None) -> None:
-        data = json.dumps(payload).encode("utf-8")
+        self._send(status, json.dumps(payload), headers)
+
+    def _send(self, status: int, text: str,
+              headers: Optional[Dict[str, str]] = None) -> None:
+        """Reply with ``text``, a JSON document already encoded."""
+        data = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))

@@ -6,7 +6,8 @@ state machine ``queued -> running -> done | failed``, and ends with the
 serialized :class:`~repro.api.result.AdvisingResult` — the same envelope an
 inline :meth:`AdvisingSession.advise <repro.api.session.AdvisingSession
 .advise>` call would dump, which is what makes daemon results bit-identical
-to inline ones.
+to inline ones.  The envelope stays the JSON text the pool worker encoded:
+the store writes it and :meth:`Job.view_json` serves it without decoding.
 
 Jobs live in the daemon's one store,
 :class:`~repro.service.repository.JobRepository` (a SQLite file with
@@ -17,9 +18,10 @@ until a job settles.
 
 from __future__ import annotations
 
+import json
 import uuid
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.api.schema import API_SCHEMA_VERSION
 
@@ -49,10 +51,11 @@ class Job:
     payload: dict
     label: str
     state: str = "queued"
-    #: The ``advising_result`` envelope once terminal (present for failed
-    #: jobs too: execution failures are captured into the result, mirroring
-    #: the session's error capture).
-    result: Optional[dict] = None
+    #: The JSON text of the ``advising_result`` envelope once terminal, as
+    #: the worker encoded it (present for failed jobs too: execution
+    #: failures are captured into the result, mirroring the session's error
+    #: capture).
+    result_json: Optional[str] = None
     #: The captured error text when the job failed, ``None`` otherwise.
     error: Optional[str] = None
     submitted_at: float = 0.0
@@ -66,16 +69,39 @@ class Job:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
+    @property
+    def result(self) -> Optional[dict]:
+        """The ``advising_result`` envelope, decoded from :attr:`result_json`."""
+        return None if self.result_json is None else json.loads(self.result_json)
+
     def view(self) -> dict:
         """The JSON shape ``GET /v1/jobs/<id>`` answers with."""
-        return {
+        head, tail = self._members()
+        return {**head, "result": self.result, **tail}
+
+    def view_json(self) -> str:
+        """``json.dumps(self.view())``, with :attr:`result_json` placed
+        verbatim instead of decoded and encoded again.
+
+        The members around ``result`` are encoded on their own and joined
+        with the default separators, so no text inside them (a label that
+        reads ``"result": null``, say) can move the splice.
+        """
+        head, tail = self._members()
+        result = "null" if self.result_json is None else self.result_json
+        return f'{json.dumps(head)[:-1]}, "result": {result}, {json.dumps(tail)[1:]}'
+
+    def _members(self) -> Tuple[dict, dict]:
+        """The view's members before and after ``result``, in order."""
+        head = {
             "kind": "job",
             "schema_version": API_SCHEMA_VERSION,
             "job_id": self.job_id,
             "state": self.state,
             "index": self.index,
             "label": self.label,
-            "result": self.result,
+        }
+        tail = {
             "error": self.error,
             "coalesced_with": self.coalesced_with,
             "waited_seconds": (
@@ -88,6 +114,7 @@ class Job:
                 else None
             ),
         }
+        return head, tail
 
 
 @dataclass

@@ -6,10 +6,10 @@ SQLite database.  A daemon started with ``--store PATH`` opens a file, so a
 daemon that is killed and restarted keeps serving the results it already
 computed; a daemon without one opens ``":memory:"``, whose jobs die with the
 process.  Both speak the same contract, eviction included.  Replay is
-*byte-identical*: result envelopes are stored as the JSON text of the exact
-dict the worker produced, and JSON object order round-trips, so a
-``GET /v1/jobs/<id>`` after a restart serializes the same bytes it would
-have before the crash.
+*byte-identical*: a result envelope is stored as the JSON text the worker
+encoded, and ``GET /v1/jobs/<id>`` serves that text verbatim
+(:meth:`~repro.service.jobs.Job.view_json`), so a reply after a restart
+carries the same bytes it would have before the crash.
 
 Durability choices:
 
@@ -35,6 +35,9 @@ Durability choices:
 - **Blocking reads.**  :meth:`JobRepository.wait` returns a job as soon as
   it settles: every finish and abort goes through one settle path, which
   notifies waiters after its commit.
+- **One write transaction per call.**  A submission deletes the expired
+  rows and inserts its job in the same ``BEGIN IMMEDIATE``; a settle writes
+  its row and counter and reads nothing back.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ import json
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import Callable, Iterator, List, Optional, Union
 
 from repro.api.schema import API_SCHEMA_VERSION
 from repro.service.errors import ServiceError, UnknownJobError
@@ -101,8 +105,9 @@ class JobRepository:
     ``path`` is a database file, or ``":memory:"`` for a store that lives
     and dies with this object.  ``ttl`` bounds how long a *terminal* job's
     result stays queryable (``None`` disables eviction); queued and running
-    jobs are never evicted.  Eviction is piggybacked on every :meth:`create`
-    (and the daemon's stats read); :meth:`evict` also runs it on demand.
+    jobs are never evicted.  Eviction runs inside every :meth:`create`'s
+    transaction; :meth:`evict` (which the daemon's stats read calls) runs
+    it on demand.
     Reads take no write lock: :meth:`get` reads a terminal job past its
     retention window as unknown, and the next eviction deletes the row.
     """
@@ -137,19 +142,14 @@ class JobRepository:
             # executescript() commits implicitly, so DDL runs outside the
             # meta/counters transaction (IF NOT EXISTS makes it idempotent).
             self._conn.executescript(_SCHEMA)
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._check_meta("repository_schema", REPOSITORY_SCHEMA_VERSION)
-                self._check_meta("api_schema", API_SCHEMA_VERSION)
-                for name in _COUNTER_NAMES:
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO counters(name, value) VALUES (?, 0)",
-                        (name,),
-                    )
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._conn.execute("COMMIT")
+        with self._transaction():
+            self._check_meta("repository_schema", REPOSITORY_SCHEMA_VERSION)
+            self._check_meta("api_schema", API_SCHEMA_VERSION)
+            for name in _COUNTER_NAMES:
+                self._conn.execute(
+                    "INSERT OR IGNORE INTO counters(name, value) VALUES (?, 0)",
+                    (name,),
+                )
 
     def _check_meta(self, key: str, expected: int) -> None:
         row = self._conn.execute(
@@ -174,36 +174,24 @@ class JobRepository:
             job_id=new_job_id(), index=index, payload=payload, label=label,
             submitted_at=self._clock(),
         )
-        self.evict()
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute(
-                    "INSERT INTO jobs(job_id, idx, payload, label, state,"
-                    " submitted_at) VALUES (?, ?, ?, ?, ?, ?)",
-                    (job.job_id, job.index, json.dumps(payload), job.label,
-                     job.state, job.submitted_at),
-                )
-                self._bump("submitted", 1)
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._conn.execute("COMMIT")
+        with self._transaction():
+            self._delete_expired()
+            self._conn.execute(
+                "INSERT INTO jobs(job_id, idx, payload, label, state,"
+                " submitted_at) VALUES (?, ?, ?, ?, ?, ?)",
+                (job.job_id, job.index, json.dumps(payload), job.label,
+                 job.state, job.submitted_at),
+            )
+            self._bump("submitted", 1)
         return job
 
     def discard(self, job_id: str) -> None:
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                cursor = self._conn.execute(
-                    "DELETE FROM jobs WHERE job_id = ?", (job_id,)
-                )
-                if cursor.rowcount:
-                    self._bump("submitted", -1)
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._conn.execute("COMMIT")
+        with self._transaction():
+            cursor = self._conn.execute(
+                "DELETE FROM jobs WHERE job_id = ?", (job_id,)
+            )
+            if cursor.rowcount:
+                self._bump("submitted", -1)
 
     def mark_running(self, job_id: str) -> Job:
         now = self._clock()
@@ -217,56 +205,43 @@ class JobRepository:
 
     def attach(self, job_id: str, primary_id: str) -> Job:
         """Record that ``job_id`` coalesced onto ``primary_id``'s run."""
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute(
-                    "UPDATE jobs SET coalesced_with = ? WHERE job_id = ?",
-                    (primary_id, job_id),
-                )
-                self._bump("coalesced", 1)
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._conn.execute("COMMIT")
-            return self.get(job_id)
+        with self._transaction():
+            self._conn.execute(
+                "UPDATE jobs SET coalesced_with = ? WHERE job_id = ?",
+                (primary_id, job_id),
+            )
+            self._bump("coalesced", 1)
+        return self.get(job_id)
 
-    def finish(self, job_id: str, result: Optional[dict],
-               error: Optional[str]) -> Job:
-        return self._settle(job_id, result, error, aborted=False)
+    def finish(self, job_id: str, result_json: Optional[str],
+               error: Optional[str]) -> None:
+        """Settle a job with the JSON text of its ``advising_result``,
+        stored as given."""
+        self._settle(job_id, result_json, error, aborted=False)
 
-    def abort(self, job_id: str, error: str) -> Job:
-        return self._settle(job_id, None, error, aborted=True)
+    def abort(self, job_id: str, error: str) -> None:
+        self._settle(job_id, None, error, aborted=True)
 
-    def _settle(self, job_id: str, result: Optional[dict],
-                error: Optional[str], aborted: bool) -> Job:
+    def _settle(self, job_id: str, result_json: Optional[str],
+                error: Optional[str], aborted: bool) -> None:
         state = "failed" if error is not None else "done"
         now = self._clock()
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                cursor = self._conn.execute(
-                    "UPDATE jobs SET state = ?, result = ?, error = ?,"
-                    " finished_at = ?,"
-                    " started_at = COALESCE(started_at, ?)"
-                    " WHERE job_id = ?",
-                    (state, None if result is None else json.dumps(result),
-                     error, now, now, job_id),
-                )
-                if not cursor.rowcount:
-                    raise self._unknown(job_id)
-                counter = ("aborted" if aborted
-                           else "failed" if error is not None else "done")
-                self._bump(counter, 1)
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._conn.execute("COMMIT")
-            job = self.get(job_id)
+        with self._transaction():
+            cursor = self._conn.execute(
+                "UPDATE jobs SET state = ?, result = ?, error = ?,"
+                " finished_at = ?,"
+                " started_at = COALESCE(started_at, ?)"
+                " WHERE job_id = ?",
+                (state, result_json, error, now, now, job_id),
+            )
+            if not cursor.rowcount:
+                raise self._unknown(job_id)
+            counter = ("aborted" if aborted
+                       else "failed" if error is not None else "done")
+            self._bump(counter, 1)
         # Outside the store lock: a waiter holds the condition while it reads.
         with self._settled:
             self._settled.notify_all()
-        return job
 
     # ------------------------------------------------------------------
     # Queries
@@ -323,18 +298,12 @@ class JobRepository:
         queued id in original submission order for
         :meth:`~repro.service.queue.JobQueue.restore`.
         """
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute(
-                    "UPDATE jobs SET state = 'queued', started_at = NULL"
-                    " WHERE state = 'running'"
-                )
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._conn.execute("COMMIT")
-            return self.pending()
+        with self._transaction():
+            self._conn.execute(
+                "UPDATE jobs SET state = 'queued', started_at = NULL"
+                " WHERE state = 'running'"
+            )
+        return self.pending()
 
     @property
     def counts(self) -> JobCounts:
@@ -360,7 +329,14 @@ class JobRepository:
     # Eviction
     # ------------------------------------------------------------------
     def evict(self) -> int:
-        """Drop terminal jobs older than ``ttl``; returns how many.
+        """Drop terminal jobs older than ``ttl``; returns how many."""
+        if self.ttl is None:
+            return 0
+        with self._transaction():
+            return self._delete_expired()
+
+    def _delete_expired(self) -> int:
+        """Delete the expired rows inside the caller's transaction.
 
         Only a settling job gets a ``finished_at``, always together with a
         terminal state, so one range delete over ``jobs_by_finish`` finds
@@ -369,25 +345,31 @@ class JobRepository:
         """
         if self.ttl is None:
             return 0
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                cursor = self._conn.execute(
-                    "DELETE FROM jobs WHERE finished_at <= ?",
-                    (self._clock() - self.ttl,),
-                )
-                if cursor.rowcount:
-                    self._bump("evicted", cursor.rowcount)
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._conn.execute("COMMIT")
-            return cursor.rowcount
+        cursor = self._conn.execute(
+            "DELETE FROM jobs WHERE finished_at <= ?",
+            (self._clock() - self.ttl,),
+        )
+        if cursor.rowcount:
+            self._bump("evicted", cursor.rowcount)
+        return cursor.rowcount
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         with self._lock:
             self._conn.close()
+
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """One ``BEGIN IMMEDIATE`` ... ``COMMIT`` under the store lock,
+        rolled back if the body raises."""
+        with self._lock:
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+            except BaseException:
+                self._conn.execute("ROLLBACK")
+                raise
+            self._conn.execute("COMMIT")
 
     def _bump(self, name: str, delta: int) -> None:
         self._conn.execute(
@@ -400,9 +382,8 @@ class JobRepository:
          coalesced_with, submitted_at, started_at, finished_at) = row
         return Job(
             job_id=job_id, index=index, payload=json.loads(payload),
-            label=label, state=state,
-            result=None if result is None else json.loads(result),
-            error=error, submitted_at=submitted_at, started_at=started_at,
+            label=label, state=state, result_json=result, error=error,
+            submitted_at=submitted_at, started_at=started_at,
             finished_at=finished_at, coalesced_with=coalesced_with,
         )
 

@@ -365,7 +365,8 @@ class TestPoolWorker:
         outcomes = [session_module._pool_advise(config, payload, index)
                     for index in (0, 1)]
         assert built == [config]
-        results = [AdvisingResult.from_dict(outcome["result"]) for outcome in outcomes]
+        results = [AdvisingResult.from_dict(json.loads(outcome["result"]))
+                   for outcome in outcomes]
         assert [result.index for result in results] == [0, 1]
         assert not any(result.ok for result in results)
 

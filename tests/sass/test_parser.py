@@ -64,6 +64,16 @@ class TestParseInstruction:
         assert isinstance(instruction.sources[0], ImmediateOperand)
         assert instruction.sources[0].value == 0x20
 
+    @pytest.mark.parametrize("token, value", [
+        ("1e-05", 1e-05), ("-1e-05", -1e-05), ("1E+20", 1e20),
+    ])
+    def test_exponent_without_a_point(self, token, value):
+        # ImmediateOperand renders such floats in Python's repr.
+        instruction = parse_instruction(f"FMUL R1, R2, {token}")
+        (immediate,) = [source for source in instruction.sources
+                        if isinstance(source, ImmediateOperand)]
+        assert immediate.value == value
+
     def test_special_register(self):
         instruction = parse_instruction("S2R R0, SR_TID.X")
         assert str(instruction.sources[0]) == "SR_TID.X"

@@ -59,9 +59,10 @@ class GatedExecute:
         self.calls.append(index)
         assert self.gate.wait(10.0), "test never released the execute gate"
         return {
-            "result": fake_result_payload(
+            "result": json.dumps(fake_result_payload(
                 AdvisingRequest.from_dict(payload), index
-            ),
+            )),
+            "error": None,
             "cache_hits": 0,
             "cache_misses": 0,
         }
@@ -212,7 +213,7 @@ class TestSharedWorker:
 
         def recording_worker(config, payload, index):
             calls.append((config, payload, index))
-            return {"result": None, "cache_hits": 1, "cache_misses": 0}
+            return {"result": None, "error": None, "cache_hits": 1, "cache_misses": 0}
 
         monkeypatch.setattr(daemon_module, "_service_advise", recording_worker)
         daemon = make_daemon(start=False)

@@ -1,5 +1,6 @@
 """The HTTP protocol and the client, over a real localhost socket."""
 
+import dataclasses
 import http.client
 import json
 import socket
@@ -11,7 +12,8 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from repro.api.request import request_for_case
+from repro.api.request import AdvisingRequest, request_for_case
+from repro.api.result import AdvisingResult
 from repro.api.schema import API_SCHEMA_VERSION
 from repro.api.session import AdvisingSession
 from repro.service import ServiceClient, ServiceConfig, ServiceHTTPServer
@@ -517,6 +519,61 @@ class TestBlockingWait:
         assert status == 200 and json.loads(raw)["state"] == "failed"
         gate.set()
         stopper.join(30.0)
+
+
+class TestSplicedReply:
+    """``GET /v1/jobs/<id>`` places the stored result text verbatim into
+    the view; the bytes equal a fresh encoding of the decoded view."""
+
+    def test_reply_bytes_equal_the_encoded_view(self, make_service):
+        daemon, server, client = make_service(start=False, workers=1)
+        execute = daemon._execute
+        gate = threading.Event()
+        returned = {}
+
+        def recording_execute(payload, index):
+            assert gate.wait(30.0)
+            request = AdvisingRequest.from_dict(payload)
+            if request.sample_period == 4:
+                raise RuntimeError("worker process died mid-simulation")
+            outcome = execute(payload, index)
+            returned[request.label] = outcome["result"]
+            return outcome
+
+        daemon._execute = recording_execute
+        daemon.start()
+
+        def labelled(label, **knobs):
+            return dataclasses.replace(hotspot_request(**knobs), label=label)
+
+        primary = client.submit(labelled("primary"))
+        wait_for_state(daemon, primary, "running")
+        follower = client.submit(labelled("follower"))
+        died = client.submit(labelled("died", sample_period=4))
+        gate.set()
+        for job_id in (primary, follower, died):
+            client.wait(job_id, timeout=60.0)
+        odd_label = 'caf\u00e9 "result": null, "error": "x"}'
+        odd = client.submit(labelled(odd_label))
+        client.wait(odd, timeout=60.0)
+
+        jobs = {job_id: daemon.store.get(job_id)
+                for job_id in (primary, follower, died, odd)}
+        assert jobs[follower].coalesced_with == primary
+        assert jobs[died].state == "failed"
+        assert "died mid-simulation" in AdvisingResult.from_dict(
+            jobs[died].result).error
+        assert jobs[odd].label == odd_label
+        # An executed job stores exactly the text its worker returned.
+        assert set(returned) == {"primary", odd_label}
+        assert jobs[primary].result_json == returned["primary"]
+        assert jobs[odd].result_json == returned[odd_label]
+        for job_id, job in jobs.items():
+            status, body = raw_exchange(server.url, f"/v1/jobs/{job_id}")
+            assert status == 200
+            assert body == json.dumps(json.loads(body)).encode("utf-8"), job.label
+            assert body == json.dumps(job.view()).encode("utf-8"), job.label
+            assert json.loads(body)["label"] == job.label
 
 
 class TestConnection:

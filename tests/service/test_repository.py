@@ -13,6 +13,7 @@ import re
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -39,6 +40,8 @@ class FakeClock:
 
 
 PAYLOAD = {"kind": "advising_request", "schema_version": API_SCHEMA_VERSION}
+#: A worker's result text; the repository stores and serves it as given.
+OK_JSON = json.dumps({"ok": True})
 
 
 @pytest.fixture
@@ -76,7 +79,7 @@ class TestContract:
         repo.mark_running(job.job_id)
         assert repo.get(job.job_id).state == "running"
 
-        repo.finish(job.job_id, {"ok": True}, None)
+        repo.finish(job.job_id, OK_JSON, None)
         finished = repo.get(job.job_id)
         assert finished.state == "done" and finished.terminal
         assert finished.state in TERMINAL_STATES
@@ -118,7 +121,7 @@ class TestContract:
         with pytest.raises(UnknownJobError):
             repo.mark_running("nope")
         with pytest.raises(UnknownJobError):
-            repo.finish("nope", {}, None)
+            repo.finish("nope", "{}", None)
 
     def test_discard_reverses_create(self, repo):
         job = repo.create(PAYLOAD, "case-d")
@@ -179,7 +182,7 @@ class TestWait:
 
     def test_terminal_job_answers_at_once(self, repo):
         job = repo.create(PAYLOAD, "case-a")
-        repo.finish(job.job_id, {"ok": True}, None)
+        repo.finish(job.job_id, OK_JSON, None)
         started = time.monotonic()
         assert repo.wait(job.job_id, 10.0).state == "done"
         assert time.monotonic() - started < 1.0
@@ -202,7 +205,7 @@ class TestWait:
     def test_finish_wakes_a_waiter(self, repo):
         job = repo.create(PAYLOAD, "case-a")
         repo.mark_running(job.job_id)
-        timer = settle_later(repo.finish, job.job_id, {"ok": True}, None)
+        timer = settle_later(repo.finish, job.job_id, OK_JSON, None)
         started = time.monotonic()
         settled = repo.wait(job.job_id, 20.0)
         timer.join()
@@ -226,7 +229,7 @@ class TestWait:
         b = JobRepository(store_path, ttl=None)
         try:
             job = a.create(PAYLOAD, "case-a")
-            timer = settle_later(b.finish, job.job_id, {"ok": True}, None)
+            timer = settle_later(b.finish, job.job_id, OK_JSON, None)
             started = time.monotonic()
             assert a.wait(job.job_id, 20.0).state == "done"
             timer.join()
@@ -241,7 +244,7 @@ class TestEviction:
         clock = FakeClock()
         repo = make_repo(ttl=10.0, clock=clock)
         done = repo.create(PAYLOAD, "case-a")
-        repo.finish(done.job_id, {"ok": True}, None)
+        repo.finish(done.job_id, OK_JSON, None)
         queued = repo.create(PAYLOAD, "case-b")
 
         clock.advance(11.0)
@@ -269,7 +272,7 @@ class TestEviction:
                           "recovered")
         )
         repo.mark_running(done)
-        repo.finish(done, {"ok": True}, None)
+        repo.finish(done, OK_JSON, None)
         repo.mark_running(failed)
         repo.finish(failed, None, "boom")
         repo.abort(aborted, "shut down before the job ran")
@@ -313,7 +316,7 @@ class TestEviction:
         clock = FakeClock()
         repo = make_repo(ttl=10.0, clock=clock)
         done = repo.create(PAYLOAD, "case-a")
-        repo.finish(done.job_id, {"ok": True}, None)
+        repo.finish(done.job_id, OK_JSON, None)
         clock.advance(11.0)
         with pytest.raises(UnknownJobError, match="retention"):
             repo.get(done.job_id)
@@ -324,7 +327,7 @@ class TestEviction:
         clock = FakeClock()
         repo = make_repo(ttl=10.0, clock=clock)
         done = repo.create(PAYLOAD, "done")
-        repo.finish(done.job_id, {"ok": True}, None)
+        repo.finish(done.job_id, OK_JSON, None)
         queued = repo.create(PAYLOAD, "queued")
         clock.advance(11.0)
         statements = []
@@ -352,10 +355,50 @@ class TestEviction:
         clock = FakeClock()
         repo = make_repo(ttl=None, clock=clock)
         done = repo.create(PAYLOAD, "case-a")
-        repo.finish(done.job_id, {"ok": True}, None)
+        repo.finish(done.job_id, OK_JSON, None)
         clock.advance(1e9)
         assert repo.evict() == 0
         assert done.job_id in repo
+
+
+@contextmanager
+def traced(repo):
+    """The SQL statements ``repo`` issues inside the ``with`` block."""
+    statements = []
+    repo._conn.set_trace_callback(statements.append)
+    try:
+        yield statements
+    finally:
+        repo._conn.set_trace_callback(None)
+
+
+class TestWriteTransactions:
+    def test_create_evicts_and_inserts_in_one_transaction(self, make_repo):
+        clock = FakeClock()
+        repo = make_repo(ttl=10.0, clock=clock)
+        expired = repo.create(PAYLOAD, "expired")
+        repo.finish(expired.job_id, OK_JSON, None)
+        clock.advance(11.0)
+        with traced(repo) as statements:
+            fresh = repo.create(PAYLOAD, "fresh")
+        verbs = [sql.split()[0] for sql in statements]
+        assert verbs.count("BEGIN") == 1, statements
+        assert verbs[0] == "BEGIN" and verbs[-1] == "COMMIT", statements
+        assert "DELETE" in verbs and "INSERT" in verbs, statements
+        assert expired.job_id not in repo and fresh.job_id in repo
+        assert repo.counts.evicted == 1
+
+    def test_settle_reads_nothing_back(self, make_repo):
+        repo = make_repo(ttl=10.0, clock=FakeClock())
+        done = repo.create(PAYLOAD, "done").job_id
+        aborted = repo.create(PAYLOAD, "aborted").job_id
+        with traced(repo) as statements:
+            assert repo.finish(done, OK_JSON, None) is None
+            assert repo.abort(aborted, "shut down before the job ran") is None
+        assert [sql.split()[0] for sql in statements].count("BEGIN") == 2
+        assert not any(sql.startswith("SELECT") for sql in statements), statements
+        assert repo.get(done).result_json == OK_JSON
+        assert repo.get(aborted).result_json is None
 
 
 class TestDurability:
@@ -364,7 +407,7 @@ class TestDurability:
         repo = JobRepository(store_path, ttl=None)
         job = repo.create(PAYLOAD, "case-a")
         repo.mark_running(job.job_id)
-        repo.finish(job.job_id, result, None)
+        repo.finish(job.job_id, json.dumps(result), None)
         before = json.dumps(repo.view(job.job_id), sort_keys=True)
         repo.close()
 
@@ -381,7 +424,7 @@ class TestDurability:
     def test_counters_survive_reopen(self, store_path):
         repo = JobRepository(store_path, ttl=None)
         job = repo.create(PAYLOAD, "case-a")
-        repo.finish(job.job_id, {"ok": True}, None)
+        repo.finish(job.job_id, OK_JSON, None)
         repo.close()
         reopened = JobRepository(store_path, ttl=None)
         try:
@@ -396,7 +439,7 @@ class TestDurability:
         second = repo.create(PAYLOAD, "case-b")
         third = repo.create(PAYLOAD, "case-c")
         repo.mark_running(second.job_id)
-        repo.finish(third.job_id, {"ok": True}, None)
+        repo.finish(third.job_id, OK_JSON, None)
         repo.close()
 
         reopened = JobRepository(store_path, ttl=None)
@@ -450,7 +493,7 @@ class TestMultiHandle:
         b = JobRepository(store_path, ttl=None)
         try:
             job = a.create(PAYLOAD, "case-a")
-            a.finish(job.job_id, {"ok": True}, None)
+            a.finish(job.job_id, OK_JSON, None)
             assert b.get(job.job_id).state == "done"
             assert b.counts.done == 1
         finally:

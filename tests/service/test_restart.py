@@ -165,7 +165,7 @@ def test_replayed_view_is_json_stable(tmp_path):
     result = {"z": 1, "a": {"nested": [3, 2, 1]}, "m": None}
     repo = JobRepository(store, ttl=None)
     job = repo.create({"kind": "advising_request"}, "case")
-    repo.finish(job.job_id, result, None)
+    repo.finish(job.job_id, json.dumps(result), None)
     first = json.dumps(repo.view(job.job_id))
     repo.close()
 
