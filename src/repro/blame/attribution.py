@@ -29,7 +29,6 @@ from repro.arch.machine import GpuArchitecture, VoltaV100
 from repro.blame.classification import classify_source
 from repro.blame.graph import DependencyGraph, build_dependency_graph
 from repro.blame.pruning import PruningStatistics, edge_supports_reason, prune_cold_edges
-from repro.blame.slicing import BackwardSlicer
 from repro.sampling.sample import InstructionKey, KernelProfile
 from repro.sampling.stall_reasons import DetailedStallReason, StallReason
 from repro.structure.program import ProgramStructure, SourceLocation
@@ -164,8 +163,7 @@ class InstructionBlamer:
         structure: ProgramStructure,
     ) -> BlameResult:
         """Attribute the stalls of one kernel profile to their sources."""
-        slicers: Dict[str, BackwardSlicer] = {}
-        graph = build_dependency_graph(profile, structure, slicers)
+        graph = build_dependency_graph(profile, structure)
         pruning = prune_cold_edges(graph, structure, self.architecture)
         result = BlameResult(kernel=profile.kernel, graph=graph, pruning=pruning)
 

@@ -10,9 +10,8 @@ execution dependency, synchronization) that must be attributed backwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from repro.blame.slicing import BackwardSlicer
 from repro.blame.slicing import Resource  # re-exported for typing convenience
 from repro.isa.instruction import Instruction
 from repro.sampling.sample import InstructionKey, KernelProfile
@@ -191,22 +190,17 @@ class DependencyGraph:
 def build_dependency_graph(
     profile: KernelProfile,
     structure: ProgramStructure,
-    slicers: Optional[Dict[str, BackwardSlicer]] = None,
 ) -> DependencyGraph:
     """Build the dependency graph for one kernel profile.
 
     A node is created for every instruction that appears in the profile.  For
-    every node with dependent stalls, the backward slicer finds its immediate
+    every node with dependent stalls, the function's backward slicer
+    (:attr:`FunctionStructure.slicer <repro.structure.program.FunctionStructure.slicer>`,
+    which keeps its slices for the structure's lifetime) finds its immediate
     def sites and an edge is added from each def site to the node (def sites
     are added as nodes even when they carry no samples themselves).
     """
     graph = DependencyGraph()
-    slicers = slicers if slicers is not None else {}
-
-    def slicer_for(function_name: str) -> BackwardSlicer:
-        if function_name not in slicers:
-            slicers[function_name] = BackwardSlicer(structure.function(function_name).cfg)
-        return slicers[function_name]
 
     # Create nodes for every profiled instruction.
     for (function_name, offset), samples in profile.instructions.items():
@@ -230,8 +224,7 @@ def build_dependency_graph(
     for node in list(graph.nodes.values()):
         if not node.dependent_stalls():
             continue
-        slicer = slicer_for(node.function)
-        dependencies = slicer.slice_instruction(node.offset)
+        dependencies = structure.function(node.function).slicer.slice_instruction(node.offset)
         # Group def sites by source offset so one edge carries all resources.
         resources_by_source: Dict[int, Set[Resource]] = {}
         for site in dependencies.all_sites():

@@ -26,8 +26,9 @@ three heuristic rules remove edges that cannot be responsible:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set
 
 from repro.arch.machine import GpuArchitecture
 from repro.blame.graph import DependencyEdge, DependencyGraph
@@ -119,25 +120,21 @@ def _dominator_rule_applies(
         blocks_on_all_paths = cfg.blocks_on_all_paths(source_offset, dest_offset)
     except KeyError:
         return False
-    source_block = cfg.block_containing(source_offset)
-    dest_block = cfg.block_containing(dest_offset)
+    source_block = cfg.block_containing(source_offset).index
+    dest_block = cfg.block_containing(dest_offset).index
 
     for block_index in blocks_on_all_paths:
-        block = cfg.blocks[block_index]
-        for instruction in block.instructions:
-            offset = instruction.offset
-            if offset in (source_offset, dest_offset):
+        uses = cfg.blocks[block_index].unpredicated_uses
+        # In an endpoint's block only the instructions strictly between
+        # source and dest in program position count.
+        after = source_offset if block_index == source_block else None
+        before = dest_offset if block_index == dest_block else None
+        for register in registers:
+            offsets = uses.get(register)
+            if not offsets:
                 continue
-            # Restrict to instructions strictly between source and dest in
-            # program position when they share a block with either endpoint.
-            if block_index == source_block.index and offset < source_offset:
-                continue
-            if block_index == dest_block.index and offset > dest_offset:
-                continue
-            if instruction.is_predicated:
-                continue
-            used = {register.index for register in instruction.used_registers}
-            if used & registers:
+            position = 0 if after is None else bisect_right(offsets, after)
+            if position < len(offsets) and (before is None or offsets[position] < before):
                 return True
     return False
 

@@ -256,8 +256,11 @@ class BackwardSlicer:
         entry = self._solution.value_in(block.index)
         history = self._histories.get(block.index)
         if history is None:
-            history = self._histories[block.index] = {}
+            # Filled before it is stored: a slicer is shared by every
+            # analysis of its function, on any thread.
+            history = {}
             self._problem.walk(block, entry, history)
+            self._histories[block.index] = history
         reaching = entry.get(resource, frozenset())
         for offset, after in history.get(resource, ()):
             if offset >= use_offset:

@@ -10,7 +10,8 @@ splitting is performed by :func:`repro.cfg.graph.build_cfg`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.isa.instruction import Instruction
 
@@ -47,6 +48,19 @@ class BasicBlock:
     def size(self) -> int:
         """Number of instructions in the block."""
         return len(self.instructions)
+
+    @cached_property
+    def unpredicated_uses(self) -> Dict[int, Tuple[int, ...]]:
+        """Register index -> the offsets, ascending, of the block's
+        unpredicated instructions that read it (the dominator pruning
+        rule's index)."""
+        uses: Dict[int, List[int]] = {}
+        for instruction in self.instructions:
+            if instruction.is_predicated:
+                continue
+            for index in {register.index for register in instruction.used_registers}:
+                uses.setdefault(index, []).append(instruction.offset)
+        return {index: tuple(offsets) for index, offsets in uses.items()}
 
     def lines(self) -> Tuple[int, ...]:
         """Distinct source lines mapped to instructions of the block."""

@@ -41,6 +41,9 @@ class ControlFlowGraph:
     _block_of_offset: Optional[Dict[int, int]] = field(default=None, repr=False)
     _instruction_of_offset: Optional[Dict[int, Instruction]] = field(default=None, repr=False)
     _position_of_offset: Optional[Dict[int, int]] = field(default=None, repr=False)
+    _on_all_paths: Dict[Tuple[int, int], FrozenSet[int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -217,26 +220,26 @@ class ControlFlowGraph:
                 best = max(best, candidate) if longest else min(best, candidate)
         return best
 
-    def blocks_on_all_paths(self, source_offset: int, dest_offset: int) -> Set[int]:
+    def blocks_on_all_paths(self, source_offset: int, dest_offset: int) -> FrozenSet[int]:
         """Indices of blocks that appear on *every* path from source to dest.
 
         Used by the dominator-based pruning rule: an intervening def ``k``
         kills the edge only if ``k`` lies on every control-flow path from the
-        def ``i`` to the use ``j``.
+        def ``i`` to the use ``j``.  Memoized per block pair.
         """
         self._ensure_offset_maps()
-        source_block = self._block_of_offset[source_offset]
-        dest_block = self._block_of_offset[dest_offset]
-
-        # A block b is on every path iff removing b disconnects source from dest
-        # (or b is the source/dest block itself).
-        on_all: Set[int] = set()
-        for block in self.blocks:
-            if block.index in (source_block, dest_block):
-                on_all.add(block.index)
-                continue
-            if not self._reachable_avoiding(source_block, dest_block, block.index):
-                on_all.add(block.index)
+        pair = (self._block_of_offset[source_offset], self._block_of_offset[dest_offset])
+        on_all = self._on_all_paths.get(pair)
+        if on_all is None:
+            # A block b is on every path iff removing b disconnects source
+            # from dest (or b is the source/dest block itself).
+            source_block, dest_block = pair
+            on_all = self._on_all_paths[pair] = frozenset(
+                block.index
+                for block in self.blocks
+                if block.index in pair
+                or not self._reachable_avoiding(source_block, dest_block, block.index)
+            )
         return on_all
 
     def _reachable_avoiding(self, start: int, goal: int, banned: int) -> bool:

@@ -37,7 +37,7 @@ import tempfile
 import threading
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 try:  # pragma: no cover - present on every POSIX build we target
     import fcntl
@@ -64,18 +64,23 @@ from repro.sampling.workload import WorkloadSpec
 CACHE_SCHEMA_VERSION = 7
 
 
-def _cubin_token(cubin: Cubin) -> str:
-    """The binary's key token, ``json.dumps(cubin.to_dict(), sort_keys=True)``.
+def _frozen_token(value: Any, encode: Callable[[Any], dict]) -> str:
+    """The key token of a binary, workload or architecture:
+    ``json.dumps(encode(value), sort_keys=True)``.
 
-    A :class:`Cubin` is frozen, so the token is encoded once per object and
+    The three types are frozen, so the token is encoded once per object and
     memoized in its instance ``__dict__`` (as
     :func:`~repro.sampling.trace.instruction_meta` memoizes on an
-    instruction): it lives as long as the binary, and a
+    instruction): it lives as long as the object, and a
     :func:`dataclasses.replace` copy encodes its own.
     """
-    token = cubin.__dict__.get("_cache_token")
+    token = value.__dict__.get("_cache_token")
     if token is None:
-        token = cubin.__dict__["_cache_token"] = json.dumps(cubin.to_dict(), sort_keys=True)
+        # default=repr: a leaf JSON cannot express (a Fraction scale, say)
+        # digests by its repr instead of failing the key.
+        token = value.__dict__["_cache_token"] = json.dumps(
+            encode(value), sort_keys=True, default=repr
+        )
     return token
 
 
@@ -105,14 +110,12 @@ def profile_cache_key(
     hasher = hashlib.sha256()
     for token in (
         f"v{CACHE_SCHEMA_VERSION}",
-        _cubin_token(cubin),
+        _frozen_token(cubin, Cubin.to_dict),
         kernel_name,
         f"grid={config.grid_blocks};tpb={config.threads_per_block};"
         f"smem={config.shared_memory_bytes}",
-        # default=repr: a leaf JSON cannot express (a Fraction scale, say)
-        # digests by its repr instead of failing the key.
-        json.dumps(workload.to_dict(), sort_keys=True, default=repr),
-        json.dumps(asdict(architecture), sort_keys=True, default=repr),
+        _frozen_token(workload, WorkloadSpec.to_dict),
+        _frozen_token(architecture, asdict),
         f"period={sample_period}",
         f"max_cycles={max_cycles}",
         f"scope={simulation_scope}",

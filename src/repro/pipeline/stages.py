@@ -49,12 +49,19 @@ def retarget(cubin: Cubin, arch_flag: str) -> Cubin:
     The simulator picks its machine model from the binary's architecture
     flag, so sweeping the same synthetic kernels on a different registered
     architecture is just a flag rewrite (functions are shared, not copied).
-    Raises :class:`~repro.arch.machine.ArchitectureError` for unknown flags.
+    The copy is memoized per flag in the source binary's instance
+    ``__dict__``, so every request for one (binary, flag) shares one copy
+    and its memos (structure, cache token).  Raises
+    :class:`~repro.arch.machine.ArchitectureError` for unknown flags.
     """
     if cubin.arch_flag == arch_flag:
         return cubin
-    get_architecture(arch_flag)
-    return replace(cubin, arch_flag=arch_flag)
+    copies = cubin.__dict__.setdefault("_retargeted", {})
+    copy = copies.get(arch_flag)
+    if copy is None:
+        get_architecture(arch_flag)
+        copy = copies.setdefault(arch_flag, replace(cubin, arch_flag=arch_flag))
+    return copy
 
 
 class ProfileStage:

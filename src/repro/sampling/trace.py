@@ -69,7 +69,7 @@ _F_FIXED = 64  # fixed-latency op: write the dense scoreboard
 #   8 barrier_reason 9 offset       10 fetch_stall  11 mem_inc
 #  12 read_hold     13 transactions 14 address      15 stride
 #  16 site          17 sites
-# Slot 17 is the program's site table, a list of ``(function, offset)``
+# Slot 17 is the program's site table, a tuple of ``(function, offset)``
 # keys shared by every record of the program; ``rec[17][rec[16]]`` is the
 # op's key.
 
@@ -208,16 +208,26 @@ def _scale_kind(space: Optional[MemorySpace]) -> int:
     return _SCALE_NONE
 
 
-def _site_table(structure: ProgramStructure) -> Tuple[List[Tuple[str, int]], dict]:
+def _site_table(structure: ProgramStructure) -> Tuple[Tuple[Tuple[str, int], ...], dict]:
     """The program's site table and its inverse, memoized on the program.
 
     ``sites[n]`` is the ``(function, offset)`` of site ``n``, the number
-    record slot 16 holds; the dict maps a key back to its number.  Sites
-    are numbered as the walk first plans their block, once per program.
+    record slot 16 holds; the dict maps a key back to its number.  The
+    table numbers every instruction of the program at once (each function
+    in turn, in offset order), so it is complete before any block is
+    planned and walks on other threads only read it.  Racing first calls
+    may each build one; ``setdefault`` keeps the first for all of them.
     """
     table = structure.__dict__.get("_trace_sites")
     if table is None:
-        table = structure.__dict__["_trace_sites"] = ([], {})
+        sites = tuple(
+            (name, instruction.offset)
+            for name, function in structure.functions.items()
+            for instruction in function.cfg.instructions()
+        )
+        table = structure.__dict__.setdefault(
+            "_trace_sites", (sites, {key: site for site, key in enumerate(sites)})
+        )
     return table
 
 
@@ -261,7 +271,7 @@ def _block_exit(block, cfg) -> tuple:
 
 
 def _plan_block(block, cfg, function: str, architecture: GpuArchitecture,
-                sites: list, site_of: dict) -> tuple:
+                sites: tuple, site_of: dict) -> tuple:
     """Plan one basic block of ``function`` and memoize the plan on it.
 
     The plan is ``(steps, exit)``.
@@ -277,19 +287,15 @@ def _plan_block(block, cfg, function: str, architecture: GpuArchitecture,
 
     The memo, ``block._trace_plan = (architecture, sites, plan)``, is
     keyed by architecture (the plan holds its latencies) and by program
-    (the site table ``sites`` it numbers sites in), so every warp of a
-    launch shares it and it is freed with the program structure.  Returns
+    (the site table ``sites`` its records point to), so every warp of the
+    program shares it and it is freed with the program structure.  Returns
     the memo.
     """
     steps = []
     run: List[tuple] = []
     for instruction in block.instructions:
         meta = instruction_meta(instruction)
-        key = (function, meta.offset)
-        site = site_of.get(key)
-        if site is None:
-            site = site_of[key] = len(sites)
-            sites.append(key)
+        site = site_of[function, meta.offset]
         static = _static_prefix(meta, architecture)
         needs_dynamic = meta.is_memory or meta.is_variable_latency
         shared = None

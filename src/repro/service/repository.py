@@ -203,15 +203,16 @@ class JobRepository:
             )
             return self.get(job_id)
 
-    def attach(self, job_id: str, primary_id: str) -> Job:
+    def attach(self, job_id: str, primary_id: str) -> None:
         """Record that ``job_id`` coalesced onto ``primary_id``'s run."""
         with self._transaction():
-            self._conn.execute(
+            cursor = self._conn.execute(
                 "UPDATE jobs SET coalesced_with = ? WHERE job_id = ?",
                 (primary_id, job_id),
             )
+            if not cursor.rowcount:
+                raise self._unknown(job_id)
             self._bump("coalesced", 1)
-        return self.get(job_id)
 
     def finish(self, job_id: str, result_json: Optional[str],
                error: Optional[str]) -> None:

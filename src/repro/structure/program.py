@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.cfg.dominators import DominatorTree, compute_dominator_tree
 from repro.cfg.graph import ControlFlowGraph, build_cfg
 from repro.cfg.loops import Loop, LoopNestTree, find_loops
 from repro.cubin.binary import Cubin, Function, FunctionVisibility
 from repro.isa.instruction import Instruction
+
+if TYPE_CHECKING:  # the blamer imports this module
+    from repro.blame.slicing import BackwardSlicer
 
 
 @dataclass(frozen=True)
@@ -60,14 +65,22 @@ class SourceLocation:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionStructure:
-    """Structure of one function: CFG, dominators, loop nest, line maps."""
+    """Structure of one function: CFG, dominators, loop nest, line maps.
+
+    Frozen and shared by every analysis of its binary, so the facts derived
+    from it are memoized on it: :meth:`location` per offset and
+    :attr:`slicer` once.
+    """
 
     function: Function
     cfg: ControlFlowGraph
     dominator_tree: DominatorTree
     loop_nest: LoopNestTree
+    _locations: Dict[int, SourceLocation] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def name(self) -> str:
@@ -80,18 +93,29 @@ class FunctionStructure:
     def instruction_at(self, offset: int) -> Instruction:
         return self.cfg.instruction_at(offset)
 
+    @cached_property
+    def slicer(self) -> "BackwardSlicer":
+        """The function's backward slicer: its dataflow solution, block
+        histories and slices persist as long as the structure."""
+        from repro.blame.slicing import BackwardSlicer
+
+        return BackwardSlicer(self.cfg)
+
     def location(self, offset: int) -> SourceLocation:
         """Full source location (line, loop, inline stack) of an offset."""
-        instruction = self.cfg.instruction_at(offset)
-        loop = self.loop_nest.innermost_loop_containing(offset)
-        return SourceLocation(
-            function=self.function.name,
-            offset=offset,
-            file=instruction.source_file or self.function.source_file,
-            line=instruction.line,
-            inline_stack=self.function.inline_stack_at(offset) or instruction.inline_stack,
-            loop_line=loop.header_line if loop is not None else None,
-        )
+        location = self._locations.get(offset)
+        if location is None:
+            instruction = self.cfg.instruction_at(offset)
+            loop = self.loop_nest.innermost_loop_containing(offset)
+            location = self._locations[offset] = SourceLocation(
+                function=self.function.name,
+                offset=offset,
+                file=instruction.source_file or self.function.source_file,
+                line=instruction.line,
+                inline_stack=self.function.inline_stack_at(offset) or instruction.inline_stack,
+                loop_line=loop.header_line if loop is not None else None,
+            )
+        return location
 
     def offsets_for_line(self, line: int) -> List[int]:
         """Instruction offsets mapped to a source line."""
@@ -117,13 +141,19 @@ class FunctionStructure:
         return len(self.function.instructions)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProgramStructure:
-    """Structure of every function in a binary, plus the architecture flag."""
+    """Structure of every function in a binary, plus the architecture flag.
+
+    Frozen, with ``functions`` a read-only copy of the mapping it is given.
+    """
 
     arch_flag: str
-    functions: Dict[str, FunctionStructure] = field(default_factory=dict)
+    functions: Mapping[str, FunctionStructure] = field(default_factory=dict)
     module_name: str = "module.cubin"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "functions", MappingProxyType(dict(self.functions)))
 
     def function(self, name: str) -> FunctionStructure:
         try:
@@ -195,8 +225,24 @@ def build_function_structure(function: Function) -> FunctionStructure:
 
 
 def build_program_structure(cubin: Cubin) -> ProgramStructure:
-    """Analyze every function in a binary (the static analyzer's main entry)."""
-    structure = ProgramStructure(arch_flag=cubin.arch_flag, module_name=cubin.module_name)
-    for name, function in cubin.functions.items():
-        structure.functions[name] = build_function_structure(function)
+    """The structure of every function in a binary (the static analyzer's
+    main entry).
+
+    A :class:`Cubin` is frozen, so its structure is built once per object
+    and memoized in its instance ``__dict__``: every analysis of the binary
+    shares it and the facts memoized on it, and it lives as long as the
+    binary.  No lock: racing first calls may each build, and ``setdefault``
+    keeps the first stored structure for all of them.  A
+    :func:`dataclasses.replace` copy of the binary builds its own.
+    """
+    structure = cubin.__dict__.get("_program_structure")
+    if structure is None:
+        structure = cubin.__dict__.setdefault("_program_structure", ProgramStructure(
+            arch_flag=cubin.arch_flag,
+            functions={
+                name: build_function_structure(function)
+                for name, function in cubin.functions.items()
+            },
+            module_name=cubin.module_name,
+        ))
     return structure

@@ -220,26 +220,26 @@ class TestPlanKeying:
         structure = build_program_structure(toy_cubin)
         volta = trace_for(structure, self.WORKLOAD)
         turing = trace_for(structure, self.WORKLOAD, architecture=TuringLike)
-        fresh = trace_for(build_program_structure(toy_cubin), self.WORKLOAD,
-                          architecture=TuringLike)
+        fresh = trace_for(build_program_structure(dataclasses.replace(toy_cubin)),
+                          self.WORKLOAD, architecture=TuringLike)
         assert keyed(turing) == keyed(fresh)
         # The two architectures' LDG latencies differ, so a stale plan shows.
         assert keyed(volta) != keyed(turing)
         assert keyed(trace_for(structure, self.WORKLOAD)) == keyed(volta)
 
     def test_two_programs_give_fresh_records(self, toy_cubin):
-        """Two programs built from one binary share every ``Instruction``
-        but number their sites in their own tables."""
+        """Two programs built from copies of one binary share every
+        ``Instruction`` but number their sites in their own tables."""
         first = build_program_structure(toy_cubin)
-        second = build_program_structure(toy_cubin)
+        second = build_program_structure(dataclasses.replace(toy_cubin))
         setup = quicksilver.baseline()
         other = build_program_structure(setup.cubin)
         a = trace_for(first, self.WORKLOAD)
         b = trace_for(second, self.WORKLOAD)
         c = generate_warp_trace(other, setup.kernel, setup.workload, VoltaV100, 0, 8)
         fresh_c = generate_warp_trace(
-            build_program_structure(setup.cubin), setup.kernel, setup.workload,
-            VoltaV100, 0, 8,
+            build_program_structure(dataclasses.replace(setup.cubin)), setup.kernel,
+            setup.workload, VoltaV100, 0, 8,
         )
         assert a == trace_for(first, self.WORKLOAD)
         assert keyed(b) == keyed(a)
@@ -250,7 +250,7 @@ class TestPlanKeying:
 
     def test_one_simulation_rejects_warps_of_two_programs(self, toy_cubin):
         a = trace_for(build_program_structure(toy_cubin), self.WORKLOAD)
-        b = trace_for(build_program_structure(toy_cubin), self.WORKLOAD)
+        b = trace_for(build_program_structure(dataclasses.replace(toy_cubin)), self.WORKLOAD)
         simulator = VectorSMSimulator(VoltaV100)
         with pytest.raises(ValueError, match="one program"):
             simulator.simulate("toy_kernel", [a, b], [0, 0])

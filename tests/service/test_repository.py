@@ -122,6 +122,9 @@ class TestContract:
             repo.mark_running("nope")
         with pytest.raises(UnknownJobError):
             repo.finish("nope", "{}", None)
+        with pytest.raises(UnknownJobError):
+            repo.attach("nope", "primary")
+        assert repo.counts.coalesced == 0
 
     def test_discard_reverses_create(self, repo):
         job = repo.create(PAYLOAD, "case-d")
@@ -133,8 +136,8 @@ class TestContract:
     def test_attach_records_coalescing(self, repo):
         primary = repo.create(PAYLOAD, "case-e")
         follower = repo.create(PAYLOAD, "case-e")
-        attached = repo.attach(follower.job_id, primary.job_id)
-        assert attached.coalesced_with == primary.job_id
+        assert repo.attach(follower.job_id, primary.job_id) is None
+        assert repo.get(follower.job_id).coalesced_with == primary.job_id
         assert repo.counts.coalesced == 1
         assert repo.view(follower.job_id)["coalesced_with"] == primary.job_id
 
