@@ -1,9 +1,14 @@
 """Tests for backward slicing: operands, barrier registers and predicates."""
 
+import sys
+import threading
+
 from repro.blame.slicing import BackwardSlicer
 from repro.cfg.graph import build_cfg
 from repro.cubin.builder import assign_control_codes
 from repro.sass import parse_program
+from repro.structure.program import build_program_structure
+from repro.workloads.registry import case_by_name
 
 
 def slicer_for(text, assign=False):
@@ -186,3 +191,50 @@ def test_predicated_def_in_a_later_block_does_not_hide_an_earlier_def():
         program[0].offset,
         program[2].offset,
     ]
+
+
+def def_offsets(slicer, offsets):
+    """Each use's def offsets by resource, in ``offsets`` order."""
+    return [
+        {resource: [site.offset for site in sites]
+         for resource, sites in slicer.slice_instruction(offset).defs.items()}
+        for offset in offsets
+    ]
+
+
+def test_threads_sharing_a_slicer_get_the_serial_slices():
+    """A function's slicer is shared by every analysis of its binary, on any
+    thread: eight threads slicing every instruction of one fresh slicer at
+    once (half of them backwards) must see the slices of a serial run.  A
+    block's history published before it is filled fails this."""
+    setup = case_by_name("rodinia/myocyte:fast_math").build_baseline()
+    cfg = build_program_structure(setup.cubin).function(setup.kernel).cfg
+    offsets = [instruction.offset for instruction in cfg.instructions()]
+    expected = def_offsets(BackwardSlicer(cfg), offsets)
+    workers = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            slicer = BackwardSlicer(cfg)
+            slicer.slice_instruction(offsets[0])  # solve once, before the race
+            start = threading.Barrier(workers)
+            results = []
+
+            def slice_all(step):
+                start.wait(timeout=10)
+                results.append((step, def_offsets(slicer, offsets[::step])))
+
+            threads = [
+                threading.Thread(target=slice_all, args=(1 if index % 2 else -1,))
+                for index in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(results) == workers
+            assert all(got == expected[::step] for step, got in results)
+    finally:
+        sys.setswitchinterval(interval)
