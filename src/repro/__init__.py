@@ -12,8 +12,11 @@ The package is organised as the paper's Figure 2:
 * :mod:`repro.blame`, :mod:`repro.optimizers`, :mod:`repro.estimators` — the
   dynamic analyzer: the instruction blamer, the Table 2 optimizers and the
   Equation 2-10 estimators;
-* :mod:`repro.advisor` — the static and dynamic analyzers, the report
-  generator and the CLI;
+* :mod:`repro.staticcheck` — the static lint over each binary's one
+  program structure: dataflow analyses and typed diagnostics, no
+  simulation;
+* :mod:`repro.advisor` — the dynamic analyzer, the report generator and
+  the CLI;
 * :mod:`repro.pipeline` — the staged advising pipeline: the explicit
   profile stage and the on-disk profile cache;
 * :mod:`repro.workloads`, :mod:`repro.evaluation` — the synthetic Rodinia /
@@ -77,7 +80,7 @@ from repro.staticcheck.engine import StaticChecker
 from repro.staticcheck.report import StaticDiagnostic, StaticReport, render_static_report
 from repro.structure.program import ProgramStructure, build_program_structure
 
-__version__ = "17.0.0"
+__version__ = "18.0.0"
 
 __all__ = [
     "API_SCHEMA_VERSION",

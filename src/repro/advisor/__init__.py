@@ -1,9 +1,10 @@
-"""The GPA advisor: static analyzer, dynamic analyzer, report and CLI.
+"""The GPA advisor: dynamic analyzer, report and CLI.
 
-This package glues the pipeline of Figure 2 together:
+The right half of Figure 2.  Its static half is
+:func:`repro.structure.program.build_program_structure`, which recovers a
+CUBIN's control flow and program structure once, and :mod:`repro.staticcheck`,
+which lints them.  This package holds:
 
-* :class:`~repro.advisor.static_analyzer.StaticAnalyzer` — recovers control
-  flow, program structure and architectural features from a CUBIN;
 * :class:`~repro.advisor.dynamic_analyzer.DynamicAnalyzer` — runs the
   instruction blamer, matches every registered optimizer and estimates its
   speedup;
@@ -11,14 +12,11 @@ This package glues the pipeline of Figure 2 together:
 * :mod:`repro.advisor.cli` — the ``gpa-advise`` command line tool.
 """
 
-from repro.advisor.static_analyzer import StaticAnalysis, StaticAnalyzer
 from repro.advisor.dynamic_analyzer import DynamicAnalyzer
 from repro.advisor.report import AdviceReport, render_report
 
 __all__ = [
     "AdviceReport",
     "DynamicAnalyzer",
-    "StaticAnalysis",
-    "StaticAnalyzer",
     "render_report",
 ]

@@ -635,7 +635,11 @@ def _lint_sass_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
     if args.sass:
         try:
-            report = lint_file(args.sass, default_arch=args.arch or "sm_70")
+            report = lint_file(
+                args.sass,
+                default_arch=args.arch or "sm_70",
+                strict_architecture=args.strict_arch,
+            )
         except OSError as exc:
             print(f"gpa-advise lint: cannot read {args.sass}: {exc}", file=sys.stderr)
             return 1
@@ -658,7 +662,8 @@ def _lint_sass_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     directory = args.sass_corpus or None
     try:
         reports = [
-            (case, lint_corpus_case(case, directory)) for case in SASS_CORPUS
+            (case, lint_corpus_case(case, directory, strict_architecture=args.strict_arch))
+            for case in SASS_CORPUS
         ]
     except (OSError, ValueError) as exc:
         print(f"gpa-advise lint: {exc}", file=sys.stderr)
@@ -723,8 +728,6 @@ def _lint_main(argv: List[str]) -> int:
         parser.error("--crosscheck requires --case --output text")
     if args.optimized and (args.sass or args.sass_corpus is not None):
         parser.error("--optimized only applies to registry cases")
-    if args.sass or args.sass_corpus is not None:
-        return _lint_sass_main(args, parser)
     if args.case:
         try:
             case_by_name(args.case)
@@ -742,6 +745,8 @@ def _lint_main(argv: List[str]) -> int:
         return session.lint(request, strict_architecture=args.strict_arch)
 
     try:
+        if args.sass or args.sass_corpus is not None:
+            return _lint_sass_main(args, parser)
         if args.case:
             report = lint_one(args.case)
             if args.output == "json":
@@ -787,7 +792,8 @@ def _lint_main(argv: List[str]) -> int:
             )
         return 0
     except ArchitectureError as exc:
-        print(f"gpa-advise lint: {exc}", file=sys.stderr)
+        # A KeyError, whose str() would quote the message.
+        print(f"gpa-advise lint: {exc.args[0]}", file=sys.stderr)
         return 1
 
 

@@ -31,7 +31,7 @@ from repro.blame.graph import DependencyGraph, build_dependency_graph
 from repro.blame.pruning import PruningStatistics, edge_supports_reason, prune_cold_edges
 from repro.sampling.sample import InstructionKey, KernelProfile
 from repro.sampling.stall_reasons import DetailedStallReason, StallReason
-from repro.structure.program import ProgramStructure, SourceLocation
+from repro.structure.program import ProgramStructure
 
 
 @dataclass

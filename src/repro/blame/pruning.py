@@ -27,12 +27,11 @@ three heuristic rules remove edges that cannot be responsible:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Set
 
 from repro.arch.machine import GpuArchitecture
 from repro.blame.graph import DependencyEdge, DependencyGraph
-from repro.blame.slicing import Resource
 from repro.isa.instruction import Instruction
 from repro.sampling.stall_reasons import StallReason
 from repro.structure.program import ProgramStructure

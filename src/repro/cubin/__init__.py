@@ -1,8 +1,9 @@
 """CUBIN-like binary container and kernel authoring DSL.
 
 The paper's profiler records CUDA binaries (CUBINs) for offline analysis;
-GPA's static analyzer then recovers control flow, program structure and
-architectural features from them.  This package provides:
+GPA's static analyzer then recovers control flow and program structure from
+them (:func:`repro.structure.program.build_program_structure`, once per
+binary).  This package provides:
 
 * :class:`~repro.cubin.binary.Cubin` / :class:`~repro.cubin.binary.Function`
   — the binary container (architecture flag, function symbols with
@@ -10,14 +11,11 @@ architectural features from them.  This package provides:
   DWARF-like inline information, register and shared-memory usage);
 * :class:`~repro.cubin.builder.KernelBuilder` — a DSL for authoring SASS-like
   kernels, including an assembler pass that assigns control codes
-  (stall cycles, write/read barriers and wait masks) the way ptxas does;
-* :mod:`repro.cubin.disasm` — an nvdisasm substitute that decodes code
-  sections back to instruction listings and raw control flow graphs.
+  (stall cycles, write/read barriers and wait masks) the way ptxas does.
 """
 
 from repro.cubin.binary import Cubin, Function, FunctionVisibility, LineTableEntry
 from repro.cubin.builder import CubinBuilder, KernelBuilder
-from repro.cubin.disasm import disassemble_cubin, disassemble_function
 
 __all__ = [
     "Cubin",
@@ -26,6 +24,4 @@ __all__ = [
     "FunctionVisibility",
     "KernelBuilder",
     "LineTableEntry",
-    "disassemble_cubin",
-    "disassemble_function",
 ]

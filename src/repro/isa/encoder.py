@@ -3,7 +3,7 @@
 Volta and later NVIDIA architectures encode each instruction in a single
 128-bit word (Section 2.2 of the paper).  This module packs and unpacks our
 SASS-like instructions into 16-byte words so the CUBIN container holds real
-code sections and the disassembler has real bits to decode.
+code sections, which :func:`decode_program` reads back.
 
 The fields are written sequentially from the least significant bit; operand
 payloads and the immediate/target value are only present when used, which is

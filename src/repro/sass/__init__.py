@@ -21,7 +21,7 @@ from repro.sass.decoder import (
     strip_line,
 )
 from repro.sass.frontend import detect_dialect, ingest_file, ingest_listing
-from repro.sass.lint import cubin_ingest_ledger, ingest_and_lint, lint_file, lint_listing
+from repro.sass.lint import cubin_ingest_ledger, lint_file, lint_listing
 from repro.sass.operands import OperandError, extract_registers, parse_operand
 from repro.sass.report import FunctionIngest, IngestReport
 
@@ -34,7 +34,6 @@ __all__ = [
     "decode_instruction",
     "detect_dialect",
     "extract_registers",
-    "ingest_and_lint",
     "ingest_file",
     "ingest_listing",
     "cubin_ingest_ledger",

@@ -10,7 +10,7 @@ same way for advising runs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.cubin.binary import Cubin
 from repro.sampling.sample import LaunchConfig
@@ -110,20 +110,3 @@ def cubin_ingest_ledger(cubin: Cubin) -> Optional[dict]:
         warnings=warnings,
     )
     return merged.to_dict()
-
-
-def ingest_and_lint(
-    text: str, source_name: str = "<sass>", default_arch: str = "sm_70", **kwargs
-) -> Tuple[Cubin, IngestReport, StaticReport]:
-    """Ingest ``text`` and lint it, returning every intermediate artifact."""
-    cubin, ingest = ingest_listing(text, source_name=source_name, default_arch=default_arch)
-    report = _check(
-        cubin,
-        ingest,
-        kwargs.pop("kernel", None),
-        kwargs.pop("config", None),
-        kwargs.pop("workload", None),
-        kwargs.pop("case_id", None),
-        kwargs,
-    )
-    return cubin, ingest, report

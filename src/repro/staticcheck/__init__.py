@@ -15,15 +15,18 @@ Layers, bottom up:
 * :mod:`repro.staticcheck.rules` — the diagnostics (divergence taint,
   barrier hazards, access-pattern rules, unreachable code);
 * :mod:`repro.staticcheck.engine` — :class:`StaticChecker`, which runs it
-  all over a CUBIN;
+  all over a CUBIN's one program structure (the CFGs profiling and blame
+  share);
 * :mod:`repro.staticcheck.report` — ``StaticDiagnostic``/``StaticReport``
   wire forms (versioned envelopes, byte-stable JSON);
 * :mod:`repro.staticcheck.crosscheck` — annotating dynamic advisories with
   static corroboration.
 
-Entry points: ``StaticChecker().check(cubin, ...)``,
-:meth:`repro.api.session.AdvisingSession.lint`, or ``gpa-advise lint`` on
-the command line.
+Entry points: :meth:`repro.api.session.AdvisingSession.lint` for a case
+or binary request (what ``gpa-advise lint``, ``POST /v1/lint`` and
+``ServiceClient.lint`` run), ``StaticChecker().check(cubin, ...)`` for a
+bare binary, and :func:`repro.sass.lint_listing` /
+:func:`repro.sass.lint_file` for disassembly listings.
 """
 
 from repro.staticcheck.crosscheck import cross_check
@@ -37,7 +40,7 @@ from repro.staticcheck.dataflow import (
     solve_dataflow,
 )
 from repro.staticcheck.depth import DepthAnalysis, estimate_depths
-from repro.staticcheck.engine import StaticChecker, lint_case
+from repro.staticcheck.engine import StaticChecker
 from repro.staticcheck.liveness import LivenessAnalysis, analyze_liveness
 from repro.staticcheck.report import (
     FunctionLint,
@@ -72,7 +75,6 @@ __all__ = [
     "cross_check",
     "estimate_depths",
     "find_divergent_branches",
-    "lint_case",
     "reachable_blocks",
     "render_static_report",
     "run_rules",

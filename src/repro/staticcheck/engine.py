@@ -3,11 +3,11 @@
 :class:`StaticChecker` is the lint counterpart of the advising pipeline —
 it consumes the same inputs a profiling run would (a CUBIN, optionally a
 launch config and a workload access spec) but never simulates anything:
-structure recovery via :class:`~repro.advisor.static_analyzer.StaticAnalyzer`,
-then per function the dataflow analyses (liveness/pressure, divergence
-taint, post-dominators), the depth/ILP estimates, and the rule set of
-:mod:`repro.staticcheck.rules`.  The result is a deterministic
-:class:`~repro.staticcheck.report.StaticReport`.
+the binary's one :func:`~repro.structure.program.build_program_structure`
+(the CFGs and loop nests profiling and blame share), then per function the
+dataflow analyses (liveness/pressure, divergence taint, post-dominators),
+the depth/ILP estimates, and the rule set of :mod:`repro.staticcheck.rules`.
+The result is a deterministic :class:`~repro.staticcheck.report.StaticReport`.
 
 The occupancy block of the launched kernel is computed with the *same*
 :class:`~repro.arch.occupancy.OccupancyCalculator` call the profiler makes
@@ -19,10 +19,10 @@ what-if occupancy at the statically-estimated live-range pressure.
 
 from __future__ import annotations
 
+import warnings
 from typing import Optional
 
-from repro.advisor.static_analyzer import StaticAnalyzer
-from repro.arch.machine import GpuArchitecture
+from repro.arch.machine import ArchitectureError, GpuArchitecture, VoltaV100, get_architecture
 from repro.arch.occupancy import OccupancyCalculator, OccupancyResult
 from repro.cubin.binary import Cubin
 from repro.sampling.sample import LaunchConfig
@@ -37,6 +37,7 @@ from repro.staticcheck.rules import (
     find_divergent_branches,
     run_rules,
 )
+from repro.structure.program import build_program_structure
 
 
 def _occupancy_dict(result: OccupancyResult) -> dict:
@@ -84,7 +85,15 @@ def _depth_dicts(depths: DepthAnalysis) -> tuple:
 
 
 class StaticChecker:
-    """Runs the full static lint over CUBINs."""
+    """Runs the full static lint over CUBINs.
+
+    A binary whose architecture flag is unknown is linted against
+    ``architecture`` (default :data:`~repro.arch.machine.VoltaV100`); the
+    report records the substituted flag as ``architecture_fallback`` and a
+    ``UserWarning`` says so, because latency figures from the wrong machine
+    model are quietly misleading.  ``strict_architecture=True`` raises the
+    :class:`~repro.arch.machine.ArchitectureError` instead.
+    """
 
     def __init__(
         self,
@@ -92,20 +101,9 @@ class StaticChecker:
         strict_architecture: bool = False,
         rules=DEFAULT_RULES,
     ):
-        self.analyzer = StaticAnalyzer(
-            default_architecture=architecture, strict=strict_architecture
-        )
+        self.architecture = architecture or VoltaV100
+        self.strict_architecture = strict_architecture
         self.rules = rules
-
-    def check_setup(self, setup, case_id: Optional[str] = None) -> StaticReport:
-        """Lint one benchmark :class:`~repro.workloads.base.KernelSetup`."""
-        return self.check(
-            setup.cubin,
-            kernel=setup.kernel,
-            config=setup.config,
-            workload=setup.workload,
-            case_id=case_id,
-        )
 
     def check(
         self,
@@ -122,20 +120,33 @@ class StaticChecker:
         when the binary was lowered from a real disassembly listing; it is
         carried on the report verbatim.
         """
-        analysis = self.analyzer.analyze(cubin)
-        architecture = analysis.architecture
+        architecture_fallback: Optional[str] = None
+        try:
+            architecture = get_architecture(cubin.arch_flag)
+        except ArchitectureError:
+            if self.strict_architecture:
+                raise
+            architecture = self.architecture
+            architecture_fallback = cubin.arch_flag
+            warnings.warn(
+                f"unknown architecture flag {cubin.arch_flag!r}; analyzing "
+                f"against {architecture.name} — latency and occupancy figures "
+                "may not match the real target",
+                stacklevel=2,
+            )
+        program = build_program_structure(cubin)
         kernel_name = kernel or next(iter(cubin.functions))
 
         report = StaticReport(
             kernel=kernel_name,
             arch_flag=cubin.arch_flag,
             case_id=case_id,
-            architecture_fallback=analysis.architecture_fallback,
+            architecture_fallback=architecture_fallback,
             ingest=ingest,
         )
 
-        for name in sorted(analysis.structure.functions):
-            structure = analysis.structure.functions[name]
+        for name in sorted(program.functions):
+            structure = program.functions[name]
             function = structure.function
             cfg = structure.cfg
 
@@ -200,13 +211,3 @@ class StaticChecker:
 
         report.diagnostics.sort(key=lambda diagnostic: diagnostic.sort_key)
         return report
-
-
-def lint_case(case_or_id, variant: str = "baseline", **checker_kwargs) -> StaticReport:
-    """Lint one registry case (accepts a case id or a ``BenchmarkCase``)."""
-    from repro.workloads.registry import resolve_case
-
-    case = resolve_case(case_or_id)
-    setup = case.build_optimized() if variant == "optimized" else case.build_baseline()
-    checker = StaticChecker(**checker_kwargs)
-    return checker.check_setup(setup, case_id=case.case_id)

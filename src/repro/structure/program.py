@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 from repro.cfg.dominators import DominatorTree, compute_dominator_tree
 from repro.cfg.graph import ControlFlowGraph, build_cfg
 from repro.cfg.loops import Loop, LoopNestTree, find_loops
-from repro.cubin.binary import Cubin, Function, FunctionVisibility
+from repro.cubin.binary import Cubin, Function
 from repro.isa.instruction import Instruction
 
 if TYPE_CHECKING:  # the blamer imports this module

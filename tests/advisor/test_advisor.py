@@ -1,4 +1,4 @@
-"""Tests for the static analyzer, the report format, session analysis and the CLI."""
+"""Tests for the report format, session analysis and the CLI."""
 
 import json
 
@@ -6,24 +6,9 @@ import pytest
 
 from repro.advisor.cli import main as cli_main
 from repro.advisor.report import render_report
-from repro.advisor.static_analyzer import StaticAnalyzer
 from repro.api.request import AdvisingRequest
 from repro.api.session import AdvisingSession
 from repro.sampling.profiler import Profiler
-
-
-class TestStaticAnalyzer:
-    def test_analysis_contains_structure_arch_and_disassembly(self, toy_cubin):
-        analysis = StaticAnalyzer().analyze(toy_cubin)
-        assert analysis.architecture.arch_flag == "sm_70"
-        assert "toy_kernel" in analysis.structure.functions
-        assert "LDG" in analysis.listing("toy_kernel")
-
-    def test_unknown_arch_flag_falls_back_to_default(self, toy_cubin):
-        toy_cubin_copy = type(toy_cubin)(arch_flag="sm_123", functions=dict(toy_cubin.functions))
-        with pytest.warns(UserWarning, match="unknown architecture flag"):
-            analysis = StaticAnalyzer().analyze(toy_cubin_copy)
-        assert analysis.architecture.arch_flag == "sm_70"
 
 
 class TestAdviceReport:

@@ -1,11 +1,9 @@
-"""Tests for the CUBIN container, serialization and the disassembler."""
+"""Tests for the CUBIN container and its serialization."""
 
 import pytest
 
 from repro.cubin.binary import Cubin, FunctionVisibility
 from repro.cubin.builder import CubinBuilder
-from repro.cubin.disasm import disassemble_cubin, disassemble_function, render_listing
-from repro.isa.encoder import decode_program
 
 
 class TestCubin:
@@ -43,27 +41,3 @@ class TestCubin:
         assert [i.line for i in copy.instructions] == [i.line for i in original.instructions]
         branch_targets = [i.target for i in copy.instructions if i.opcode == "BRA"]
         assert branch_targets == [i.target for i in original.instructions if i.opcode == "BRA"]
-
-
-class TestDisassembler:
-    def test_listing_contains_offsets_and_lines(self, toy_cubin):
-        listing = render_listing(toy_cubin.function("toy_kernel"))
-        assert "/*0000*/" in listing
-        assert 'line 13' in listing
-        assert "LDG" in listing
-
-    def test_disassemble_builds_cfg(self, toy_cubin):
-        result = disassemble_function(toy_cubin.function("toy_kernel"))
-        assert len(result.cfg.blocks) >= 3
-        assert result.name == "toy_kernel"
-
-    def test_disassemble_from_encoded_bytes(self, toy_cubin):
-        function = toy_cubin.function("toy_kernel")
-        from_memory = disassemble_function(function)
-        from_bytes = decode_program(function.encode())
-        assert [i.opcode for i in from_bytes] == [
-            i.opcode for i in from_memory.instructions
-        ]
-
-    def test_disassemble_cubin_covers_all_functions(self, toy_cubin):
-        assert set(disassemble_cubin(toy_cubin)) == set(toy_cubin.functions)

@@ -6,6 +6,7 @@ importing :mod:`repro.sass` directly.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,12 @@ from repro.sass.corpus import SASS_CORPUS, default_corpus_dir
 
 CORPUS_DIR = Path(default_corpus_dir())
 SAXPY = CORPUS_DIR / "saxpy_sm70.sass"
+
+
+def relabelled_saxpy() -> str:
+    """The saxpy listing declaring ``sm_90``, which has no machine model,
+    in its ``code for`` line and its header flags."""
+    return SAXPY.read_text().replace("sm_70", "sm_90").replace("SM70", "SM90")
 
 
 class TestLintSassCli:
@@ -49,6 +56,19 @@ class TestLintSassCli:
     def test_sass_conflicts_with_case_scope(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["lint", "--sass", str(SAXPY), "--all"])
+
+    def test_unknown_architecture_falls_back_unless_strict(self, tmp_path, capsys):
+        listing = tmp_path / "saxpy_sm90.sass"
+        listing.write_text(relabelled_saxpy())
+        with pytest.warns(UserWarning, match="sm_90"):
+            assert cli_main(["lint", "--sass", str(listing), "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["architecture_fallback"] == "sm_90"
+
+        assert cli_main(["lint", "--sass", str(listing), "--strict-arch"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gpa-advise lint: unknown architecture flag 'sm_90'")
+        assert captured.err.count("\n") == 1
 
 
 class TestLintSassCorpusCli:
@@ -85,6 +105,15 @@ class TestLintSassCorpusCli:
     def test_output_dir_requires_json(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["lint", "--sass-corpus", "--output-dir", "x"])
+
+    def test_strict_arch_rejects_an_unknown_architecture(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS_DIR, corpus)
+        (corpus / SAXPY.name).write_text(relabelled_saxpy())
+        assert cli_main(["lint", "--sass-corpus", str(corpus), "--strict-arch"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gpa-advise lint: unknown architecture flag 'sm_90'")
 
 
 class TestRequestForListing:

@@ -1,7 +1,9 @@
 """Golden lint reports: every registry case pinned byte-for-byte.
 
-The same files back CI's ``lint-smoke`` job, which regenerates the reports
-with ``gpa-advise lint --all --output json --output-dir`` and diffs the
+Each report comes from ``AdvisingSession.lint``, the path ``gpa-advise
+lint``, ``POST /v1/lint`` and ``ServiceClient.lint`` run.  The same files
+back CI's ``lint-smoke`` job, which regenerates the reports with
+``gpa-advise lint --all --output json --output-dir`` and diffs the
 directory against this tree — so an engine change that shifts any byte of
 any report must regenerate the goldens in the same commit.
 """
@@ -10,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.request import request_for_case
+from repro.api.session import AdvisingSession
 from repro.arch.machine import get_architecture
 from repro.arch.occupancy import OccupancyCalculator
-from repro.staticcheck.engine import lint_case
 from repro.staticcheck.report import StaticReport
 from repro.workloads.registry import all_cases
 
@@ -25,6 +28,10 @@ def _slug(case_id: str) -> str:
     return case_id.replace("/", "__").replace(":", "__")
 
 
+def lint(case_id: str, variant: str = "baseline") -> StaticReport:
+    return AdvisingSession().lint(request_for_case(case_id, variant))
+
+
 def test_every_case_has_a_golden_and_vice_versa():
     expected = {f"{_slug(case_id)}.json" for case_id in CASE_IDS}
     actual = {path.name for path in GOLDEN_DIR.glob("*.json")}
@@ -33,7 +40,7 @@ def test_every_case_has_a_golden_and_vice_versa():
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_golden_report_is_byte_stable(case_id):
-    report = lint_case(case_id)
+    report = lint(case_id)
     golden = (GOLDEN_DIR / f"{_slug(case_id)}.json").read_text()
     assert report.to_json() == golden
     # The golden file itself must be loadable by the strict loader.
@@ -47,7 +54,7 @@ def test_static_occupancy_matches_arch_calculator(case_id):
 
     case = resolve_case(case_id)
     setup = case.build_baseline()
-    report = lint_case(case_id)
+    report = lint(case_id)
 
     architecture = get_architecture(setup.cubin.arch_flag)
     function = setup.cubin.functions[setup.kernel]
@@ -69,10 +76,10 @@ def test_static_occupancy_matches_arch_calculator(case_id):
 
 def test_reports_are_deterministic_across_runs():
     case_id = CASE_IDS[0]
-    assert lint_case(case_id).to_json() == lint_case(case_id).to_json()
+    assert lint(case_id).to_json() == lint(case_id).to_json()
 
 
 def test_optimized_variant_lints_too():
-    report = lint_case(CASE_IDS[0], variant="optimized")
+    report = lint(CASE_IDS[0], variant="optimized")
     assert report.case_id == CASE_IDS[0]
     assert report.functions

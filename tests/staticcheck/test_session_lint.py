@@ -28,11 +28,6 @@ def advised(session):
     return result
 
 
-def test_session_lint_matches_engine(session):
-    report = session.lint(request_for_case(CASE))
-    assert report.to_json() == _golden(CASE)
-
-
 def test_session_lint_rejects_profile_requests(session, advised):
     from repro.workloads.registry import resolve_case
 

@@ -67,7 +67,8 @@ def test_structure_serialization_is_json(toy_cubin):
 
 
 def count_cfg_builds(monkeypatch) -> list:
-    """Count ``build_cfg`` calls, one entry per function analyzed."""
+    """Count ``build_cfg`` calls, one entry per function analyzed, through
+    every loaded ``repro`` module that imported the function."""
     calls = []
     build_cfg = program_module.build_cfg
 
@@ -75,7 +76,9 @@ def count_cfg_builds(monkeypatch) -> list:
         calls.append(instructions)
         return build_cfg(instructions)
 
-    monkeypatch.setattr(program_module, "build_cfg", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(module, "build_cfg", None) is build_cfg:
+            monkeypatch.setattr(module, "build_cfg", counted)
     return calls
 
 
@@ -125,6 +128,26 @@ class TestOneStructurePerBinary:
         assert second.ok, second.error
         assert calls == []
         assert wire_form(second) == wire_form(first)
+
+    def test_a_second_lint_builds_no_cfg(self, monkeypatch):
+        case = dataclasses.replace(case_by_name(CASE))
+        session = AdvisingSession()
+        first = session.lint(request_for_case(case))
+        calls = count_cfg_builds(monkeypatch)
+        second = session.lint(request_for_case(case))
+        assert calls == []
+        assert second.to_json() == first.to_json()
+
+    def test_a_lint_after_an_advise_builds_no_cfg(self, monkeypatch):
+        case = dataclasses.replace(case_by_name(CASE))
+        session = AdvisingSession(sample_period=8)
+        advised = session.advise(request_for_case(case))
+        assert advised.ok, advised.error
+        calls = count_cfg_builds(monkeypatch)
+        report = session.lint(request_for_case(case))
+        assert calls == []
+        fresh = dataclasses.replace(case_by_name(CASE))
+        assert report.to_json() == session.lint(request_for_case(fresh)).to_json()
 
 
 class TestRetarget:
