@@ -1,5 +1,6 @@
 """``AdvisingSession.lint``, the ``gpa-advise lint`` CLI, and cross-checks."""
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from repro.advisor.cli import main
 from repro.api.request import AdvisingRequest, request_for_case
 from repro.api.schema import ApiValidationError
-from repro.arch.machine import ArchitectureError
+from repro.arch.machine import AmpereLike, ArchitectureError
+from repro.cubin.binary import Cubin
 from repro.staticcheck.crosscheck import cross_check
 from repro.staticcheck.engine import StaticChecker
+from repro.structure.program import build_program_structure
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -69,6 +72,46 @@ def test_architecture_fallback_recorded_and_warned(make_cubin):
         report = StaticChecker().check(cubin)
     assert report.architecture_fallback == "sm_999"
     assert '"architecture_fallback": "sm_999"' in report.to_json()
+
+
+def relabelled(cubin, arch_flag):
+    return Cubin(arch_flag=arch_flag, functions=dict(cubin.functions))
+
+
+def test_fallback_lints_against_the_default_architecture(toy_cubin, toy_config):
+    with pytest.warns(UserWarning, match="Volta V100"):
+        fallback = StaticChecker().check(relabelled(toy_cubin, "sm_999"), config=toy_config)
+    volta = StaticChecker().check(toy_cubin, config=toy_config)
+    assert fallback.functions == volta.functions
+    assert fallback.diagnostics == volta.diagnostics
+
+
+def test_fallback_lints_against_the_checkers_architecture(toy_cubin, toy_config):
+    checker = StaticChecker(architecture=AmpereLike)
+    with pytest.warns(UserWarning, match=AmpereLike.name):
+        fallback = checker.check(relabelled(toy_cubin, "sm_999"), config=toy_config)
+    ampere = StaticChecker().check(
+        relabelled(toy_cubin, AmpereLike.arch_flag), config=toy_config
+    )
+    assert fallback.functions == ampere.functions
+    assert fallback.diagnostics == ampere.diagnostics
+    volta = StaticChecker().check(toy_cubin, config=toy_config)
+    assert fallback.functions != volta.functions
+
+
+def test_known_architecture_lints_every_function_without_warning(toy_cubin):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = StaticChecker(strict_architecture=True).check(toy_cubin)
+    assert report.arch_flag == "sm_70"
+    assert report.architecture_fallback is None
+    assert report.kernel == "toy_kernel"
+    assert [entry.name for entry in report.functions] == sorted(toy_cubin.functions)
+    structure = build_program_structure(toy_cubin)
+    for entry in report.functions:
+        function = structure.function(entry.name)
+        assert entry.blocks == len(function.cfg.blocks)
+        assert entry.loops == len(function.loops())
 
 
 # ----------------------------------------------------------------------

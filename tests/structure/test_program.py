@@ -1,9 +1,11 @@
 """Tests for program-structure recovery."""
 
+import ast
 import dataclasses
 import json
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.api.request import AdvisingRequest, request_for_case
 from repro.api.session import AdvisingSession
 from repro.pipeline.stages import retarget
 from repro.sampling.trace import _site_table
+from repro.staticcheck.engine import StaticChecker
 from repro.structure import program as program_module
 from repro.structure.program import build_program_structure
 from repro.workloads.registry import case_by_name
@@ -148,6 +151,53 @@ class TestOneStructurePerBinary:
         assert calls == []
         fresh = dataclasses.replace(case_by_name(CASE))
         assert report.to_json() == session.lint(request_for_case(fresh)).to_json()
+
+    def test_a_check_reads_the_binarys_structure(self, toy_cubin, monkeypatch):
+        cubin = dataclasses.replace(toy_cubin)
+        calls = count_cfg_builds(monkeypatch)
+        first = StaticChecker().check(cubin)
+        assert len(calls) == len(cubin.functions)
+        structure = build_program_structure(cubin)
+        second = StaticChecker().check(cubin)
+        assert len(calls) == len(cubin.functions)
+        assert second.to_json() == first.to_json()
+        assert [entry.blocks for entry in first.functions] == [
+            len(structure.function(name).cfg.blocks) for name in sorted(cubin.functions)
+        ]
+
+
+class _BuildCfgCallers(ast.NodeVisitor):
+    """Names the function around every ``build_cfg(...)`` call in a module."""
+
+    def __init__(self):
+        self.scopes = ["<module>"]
+        self.callers = []
+
+    def visit_FunctionDef(self, node):
+        self.scopes.append(node.name)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        callee = node.func
+        name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+        if name == "build_cfg":
+            self.callers.append(self.scopes[-1])
+        self.generic_visit(node)
+
+
+def test_only_the_structure_builder_builds_cfgs():
+    """Every CFG in the package comes from ``build_function_structure``, so
+    a binary's one structure is the only place its CFGs are built."""
+    package = Path(program_module.__file__).resolve().parents[1]
+    callers = set()
+    for path in sorted(package.rglob("*.py")):
+        visitor = _BuildCfgCallers()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        callers.update(f"{path.relative_to(package).as_posix()}:{name}" for name in visitor.callers)
+    assert callers == {"structure/program.py:build_function_structure"}
 
 
 class TestRetarget:
