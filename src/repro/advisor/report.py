@@ -10,12 +10,11 @@ could ingest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.blame.attribution import BlameResult
 from repro.optimizers.base import OptimizationAdvice
 from repro.sampling.sample import KernelProfile
-from repro.sampling.stall_reasons import StallReason
 
 
 @dataclass

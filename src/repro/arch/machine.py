@@ -16,9 +16,9 @@ model from the flag recorded in a binary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.isa.opcodes import OPCODES, lookup_opcode_tolerant
+from repro.isa.opcodes import lookup_opcode_tolerant
 
 
 class ArchitectureError(KeyError):

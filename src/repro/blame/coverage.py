@@ -16,7 +16,6 @@ flow) remain lower.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable
 
 from repro.blame.classification import classify_source
 from repro.blame.graph import DependencyGraph

@@ -8,8 +8,8 @@ optimizers and the report generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.cfg.graph import ControlFlowGraph
 

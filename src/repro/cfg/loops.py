@@ -10,7 +10,7 @@ a header, and arranges them into a nesting tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.cfg.dominators import DominatorTree, compute_dominator_tree
 from repro.cfg.graph import ControlFlowGraph

@@ -23,8 +23,8 @@ offers:
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cubin.binary import Cubin, Function, FunctionVisibility, InlineRange
 from repro.isa.instruction import INSTRUCTION_SIZE, ControlCode, Instruction, MAX_STALL_CYCLES

@@ -19,7 +19,7 @@ scope (a loop or function) can only use the active samples of that scope
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 
 def _guarded_ratio(total: float, removed: float) -> float:

@@ -299,7 +299,9 @@ def decode_instruction(data: bytes, offset: int = 0) -> Instruction:
         immediate = ImmediateOperand(float(raw))
     elif value_kind == _VALUE_FLOAT:
         raw = reader.take(32)
-        immediate = ImmediateOperand(float(struct.unpack("<f", struct.pack("<I", raw))[0]))
+        value = struct.unpack("<f", struct.pack("<I", raw))[0]
+        # Only a double is float-coded when integral, so the bytes re-encode.
+        immediate = ImmediateOperand(value, is_double=value.is_integer())
     control_bits = reader.take(16)
     line = reader.take(10)
 

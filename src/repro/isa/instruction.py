@@ -32,12 +32,10 @@ from repro.isa.opcodes import OpcodeInfo, lookup_opcode_tolerant, opcode_is_know
 from repro.isa.registers import (
     ALWAYS,
     BarrierRegister,
-    ImmediateOperand,
     MemoryOperand,
     MemorySpace,
     Predicate,
     RegisterOperand,
-    SpecialRegister,
 )
 
 #: Size of one encoded instruction in bytes (128-bit words on Volta+).

@@ -19,7 +19,7 @@ register spilling).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 #: Index of the architectural zero register ``RZ``.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.machine import GpuArchitecture, VoltaV100
 from repro.blame.attribution import BlamedEdge, BlameResult

@@ -21,7 +21,6 @@ from typing import List, Optional, Tuple
 from repro.estimators.parallel import ParallelEstimate, ParallelEstimator
 from repro.optimizers.base import AnalysisContext, OptimizationAdvice, Optimizer, OptimizerCategory
 from repro.sampling.sample import LaunchConfig
-from repro.sampling.stall_reasons import StallReason
 
 
 def _estimate_details(estimate: ParallelEstimate) -> dict:

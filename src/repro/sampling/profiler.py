@@ -21,17 +21,16 @@ workload specification it
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 from repro.arch.machine import GpuArchitecture, VoltaV100, get_architecture
 from repro.arch.occupancy import OccupancyCalculator, OccupancyResult
 from repro.cubin.binary import Cubin
 from repro.sampling.gpu import GpuSimulationResult, GpuSimulator
-from repro.sampling.memory import MEMORY_MODELS, check_memory_model
+from repro.sampling.memory import check_memory_model
 from repro.sampling.sample import KernelProfile, LaunchConfig, LaunchStatistics
 from repro.sampling.trace import generate_warp_trace
 from repro.sampling.vector import (

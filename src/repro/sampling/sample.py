@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sampling.memory import MemoryStatistics
 from repro.sampling.stall_reasons import StallReason

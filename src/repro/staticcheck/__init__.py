@@ -53,7 +53,6 @@ from repro.staticcheck.rules import (
     LintContext,
     LintRule,
     find_divergent_branches,
-    run_rules,
 )
 
 __all__ = [
@@ -77,6 +76,5 @@ __all__ = [
     "find_divergent_branches",
     "reachable_blocks",
     "render_static_report",
-    "run_rules",
     "solve_dataflow",
 ]

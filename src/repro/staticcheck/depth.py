@@ -98,8 +98,6 @@ def estimate_depths(
             latency = architecture.latency(instruction.full_opcode)
             start = 0
             for register in instruction.used_registers:
-                if register.is_zero:
-                    continue
                 start = max(start, finish.get(register.index, 0))
             for predicate in instruction.used_predicates:
                 start = max(start, finish.get(("p", predicate.index), 0))
@@ -107,8 +105,6 @@ def estimate_depths(
             total += latency
             critical = max(critical, done)
             for register in instruction.defined_registers:
-                if register.is_zero:
-                    continue
                 finish[register.index] = done
             for predicate in instruction.defined_predicates:
                 finish[("p", predicate.index)] = done

@@ -2,12 +2,14 @@
 
 :class:`StaticChecker` is the lint counterpart of the advising pipeline —
 it consumes the same inputs a profiling run would (a CUBIN, optionally a
-launch config and a workload access spec) but never simulates anything:
-the binary's one :func:`~repro.structure.program.build_program_structure`
-(the CFGs and loop nests profiling and blame share), then per function the
-dataflow analyses (liveness/pressure, divergence taint, post-dominators),
-the depth/ILP estimates, and the rule set of :mod:`repro.staticcheck.rules`.
-The result is a deterministic :class:`~repro.staticcheck.report.StaticReport`.
+launch config and a workload access spec) but never simulates anything.
+It reads the binary's one
+:func:`~repro.structure.program.build_program_structure` (the CFGs and loop
+nests profiling and blame share, with each function's liveness, divergence
+taint, post-dominators and reachable blocks memoized on it), estimates the
+per-architecture depth/ILP, and runs the rule set of
+:mod:`repro.staticcheck.rules`.  The result is a deterministic
+:class:`~repro.staticcheck.report.StaticReport`.
 
 The occupancy block of the launched kernel is computed with the *same*
 :class:`~repro.arch.occupancy.OccupancyCalculator` call the profiler makes
@@ -27,16 +29,9 @@ from repro.arch.occupancy import OccupancyCalculator, OccupancyResult
 from repro.cubin.binary import Cubin
 from repro.sampling.sample import LaunchConfig
 from repro.sampling.workload import WorkloadSpec
-from repro.staticcheck.dataflow import compute_post_dominators, reachable_blocks
 from repro.staticcheck.depth import DepthAnalysis, estimate_depths
-from repro.staticcheck.liveness import analyze_liveness
 from repro.staticcheck.report import FunctionLint, StaticReport
-from repro.staticcheck.rules import (
-    DEFAULT_RULES,
-    LintContext,
-    find_divergent_branches,
-    run_rules,
-)
+from repro.staticcheck.rules import DEFAULT_RULES, LintContext
 from repro.structure.program import build_program_structure
 
 
@@ -99,11 +94,9 @@ class StaticChecker:
         self,
         architecture: Optional[GpuArchitecture] = None,
         strict_architecture: bool = False,
-        rules=DEFAULT_RULES,
     ):
         self.architecture = architecture or VoltaV100
         self.strict_architecture = strict_architecture
-        self.rules = rules
 
     def check(
         self,
@@ -150,18 +143,15 @@ class StaticChecker:
             function = structure.function
             cfg = structure.cfg
 
-            liveness = analyze_liveness(cfg)
+            liveness = structure.liveness
             depths = estimate_depths(cfg, structure.loop_nest, architecture)
             context = LintContext(
                 structure=structure,
                 architecture=architecture,
-                liveness=liveness,
-                divergent_branches=find_divergent_branches(cfg),
-                post_dominators=compute_post_dominators(cfg),
-                reachable=reachable_blocks(cfg),
                 workload=workload if name == kernel_name else None,
             )
-            report.diagnostics.extend(run_rules(context, self.rules))
+            for rule in DEFAULT_RULES:
+                report.diagnostics.extend(rule.run(context))
 
             occupancy = None
             if name == kernel_name and config is not None:
@@ -195,7 +185,7 @@ class StaticChecker:
                     unreachable_blocks=sorted(
                         block.index
                         for block in cfg.blocks
-                        if block.index not in context.reachable
+                        if block.index not in structure.reachable
                     ),
                     registers={
                         "declared": function.registers_per_thread,

@@ -24,16 +24,12 @@ from repro.staticcheck.dataflow import BACKWARD, DataflowProblem, solve_dataflow
 
 def used_register_indices(instruction: Instruction) -> FrozenSet[int]:
     """Indices of the general registers ``instruction`` reads (``RZ`` excluded)."""
-    return frozenset(
-        register.index for register in instruction.used_registers if not register.is_zero
-    )
+    return frozenset(register.index for register in instruction.used_registers)
 
 
 def defined_register_indices(instruction: Instruction) -> FrozenSet[int]:
     """Indices of the general registers ``instruction`` writes (``RZ`` excluded)."""
-    return frozenset(
-        register.index for register in instruction.defined_registers if not register.is_zero
-    )
+    return frozenset(register.index for register in instruction.defined_registers)
 
 
 def may_write_only(instruction: Instruction) -> bool:

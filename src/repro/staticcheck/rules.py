@@ -1,10 +1,12 @@
 """The typed lint rules of the static checker.
 
-Each rule consumes a prepared :class:`LintContext` (CFG, dominators, loop
-nest, liveness, divergence taint, post-dominators, the workload access spec
-when one exists) and emits :class:`~repro.staticcheck.report.StaticDiagnostic`
-findings.  Rules never mutate the context, and every rule is deterministic:
-the engine sorts the combined findings by ``(function, offset, rule)``.
+Each rule consumes a :class:`LintContext` (the function's structure, whose
+CFG, dominators, loop nest, liveness, divergence taint, post-dominators and
+reachable blocks are memoized on it, plus the target architecture and the
+workload access spec when one exists) and emits
+:class:`~repro.staticcheck.report.StaticDiagnostic` findings.  Rules never
+mutate the context, and every rule is deterministic: the engine sorts the
+combined findings by ``(function, offset, rule, message)``.
 
 The divergence analysis feeding two of the rules is a forward taint over the
 worklist solver: thread-varying special registers (``SR_TID.*``,
@@ -17,7 +19,7 @@ makes every instruction it guards divergent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.arch.machine import GpuArchitecture
 from repro.cfg.basic_block import BasicBlock
@@ -27,7 +29,6 @@ from repro.isa.registers import MemorySpace, SpecialRegister
 from repro.sampling.workload import WorkloadSpec
 from repro.staticcheck.dataflow import FORWARD, DataflowProblem, solve_dataflow
 from repro.staticcheck.liveness import (
-    LivenessAnalysis,
     defined_register_indices,
     may_write_only,
     used_register_indices,
@@ -156,10 +157,6 @@ class LintContext:
 
     structure: FunctionStructure
     architecture: GpuArchitecture
-    liveness: LivenessAnalysis
-    divergent_branches: List[DivergentBranch]
-    post_dominators: Dict[int, FrozenSet[int]]
-    reachable: FrozenSet[int]
     workload: Optional[WorkloadSpec] = None
 
     @property
@@ -211,7 +208,7 @@ class UnreachableBlockRule(LintRule):
     def run(self, context: LintContext) -> List[StaticDiagnostic]:
         findings = []
         for block in context.cfg.blocks:
-            if block.index in context.reachable or not block.instructions:
+            if block.index in context.structure.reachable or not block.instructions:
                 continue
             first = block.instructions[0]
             findings.append(
@@ -237,7 +234,7 @@ class DeadRegisterWriteRule(LintRule):
 
     def run(self, context: LintContext) -> List[StaticDiagnostic]:
         findings = []
-        for write in context.liveness.dead_writes:
+        for write in context.structure.liveness.dead_writes:
             findings.append(
                 self.diagnostic(
                     context,
@@ -258,7 +255,7 @@ class DivergentBranchRule(LintRule):
 
     def run(self, context: LintContext) -> List[StaticDiagnostic]:
         findings = []
-        for branch in context.divergent_branches:
+        for branch in context.structure.divergent_branches:
             what = (
                 "indirect branch target is thread-varying"
                 if branch.kind == "indirect"
@@ -292,19 +289,20 @@ class BarrierDivergenceRule(LintRule):
 
     def run(self, context: LintContext) -> List[StaticDiagnostic]:
         findings = []
-        if not context.divergent_branches:
+        structure = context.structure
+        if not structure.divergent_branches:
             return findings
-        dominators = context.structure.dominator_tree
+        dominators = structure.dominator_tree
         for block in context.cfg.blocks:
             for instruction in block.instructions:
                 if not instruction.is_synchronization or instruction.opcode != "BAR":
                     continue
-                for branch in context.divergent_branches:
+                for branch in structure.divergent_branches:
                     if branch.block_index == block.index:
                         continue
                     if not dominators.dominates(branch.block_index, block.index):
                         continue
-                    if block.index in context.post_dominators[branch.block_index]:
+                    if block.index in structure.post_dominators[branch.block_index]:
                         continue
                     findings.append(
                         self.diagnostic(
@@ -466,14 +464,3 @@ DEFAULT_RULES: Tuple[LintRule, ...] = (
     BankConflictRule(),
     UnknownOpcodeRule(),
 )
-
-
-def run_rules(
-    context: LintContext, rules: Tuple[LintRule, ...] = DEFAULT_RULES
-) -> List[StaticDiagnostic]:
-    """Run every rule over ``context`` and return the sorted findings."""
-    findings: List[StaticDiagnostic] = []
-    for rule in rules:
-        findings.extend(rule.run(context))
-    findings.sort(key=lambda diagnostic: diagnostic.sort_key)
-    return findings

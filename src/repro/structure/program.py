@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.cfg.dominators import DominatorTree, compute_dominator_tree
 from repro.cfg.graph import ControlFlowGraph, build_cfg
@@ -14,8 +14,10 @@ from repro.cfg.loops import Loop, LoopNestTree, find_loops
 from repro.cubin.binary import Cubin, Function
 from repro.isa.instruction import Instruction
 
-if TYPE_CHECKING:  # the blamer imports this module
+if TYPE_CHECKING:  # the blamer and the lint rules import this module
     from repro.blame.slicing import BackwardSlicer
+    from repro.staticcheck.liveness import LivenessAnalysis
+    from repro.staticcheck.rules import DivergentBranch
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,10 @@ class FunctionStructure:
     """Structure of one function: CFG, dominators, loop nest, line maps.
 
     Frozen and shared by every analysis of its binary, so the facts derived
-    from it are memoized on it: :meth:`location` per offset and
-    :attr:`slicer` once.
+    from it are memoized on it: :meth:`location` per offset, and once each
+    the blamer's :attr:`slicer` and the lint's :attr:`liveness`,
+    :attr:`divergent_branches`, :attr:`post_dominators` and
+    :attr:`reachable`.
     """
 
     function: Function
@@ -100,6 +104,34 @@ class FunctionStructure:
         from repro.blame.slicing import BackwardSlicer
 
         return BackwardSlicer(self.cfg)
+
+    @cached_property
+    def liveness(self) -> "LivenessAnalysis":
+        """Register liveness, live-range pressure and dead writes."""
+        from repro.staticcheck.liveness import analyze_liveness
+
+        return analyze_liveness(self.cfg)
+
+    @cached_property
+    def divergent_branches(self) -> Tuple["DivergentBranch", ...]:
+        """Branches steered by thread-varying data, in offset order."""
+        from repro.staticcheck.rules import find_divergent_branches
+
+        return tuple(find_divergent_branches(self.cfg))
+
+    @cached_property
+    def post_dominators(self) -> Mapping[int, FrozenSet[int]]:
+        """Post-dominator set of every block, against a virtual exit."""
+        from repro.staticcheck.dataflow import compute_post_dominators
+
+        return MappingProxyType(compute_post_dominators(self.cfg))
+
+    @cached_property
+    def reachable(self) -> FrozenSet[int]:
+        """Indices of the blocks reachable from the entry."""
+        from repro.staticcheck.dataflow import reachable_blocks
+
+        return reachable_blocks(self.cfg)
 
     def location(self, offset: int) -> SourceLocation:
         """Full source location (line, loop, inline stack) of an offset."""

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cubin.builder import CubinBuilder, KernelBuilder, imm, p, r
+from repro.cubin.builder import CubinBuilder, KernelBuilder, imm, p
 from repro.sampling.sample import LaunchConfig
 from repro.sampling.workload import TripCount, WorkloadSpec
 from repro.workloads.base import KernelSetup
 from repro.workloads.patterns import (
-    double_constant_multiply,
     global_load_use,
-    integer_division,
     slow_math,
     standard_prologue,
     store_result,

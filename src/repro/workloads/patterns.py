@@ -11,10 +11,7 @@ block barriers.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.cubin.builder import KernelBuilder, imm, mem, p, r
-from repro.isa.registers import MemorySpace
+from repro.cubin.builder import KernelBuilder, imm, r
 
 
 def standard_prologue(k: KernelBuilder, addr_reg: int = 2, line: int = 1) -> None:

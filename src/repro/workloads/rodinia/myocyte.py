@@ -12,12 +12,8 @@ problems separately:
 
 from __future__ import annotations
 
-from repro.cubin.builder import CubinBuilder, imm, p
-from repro.sampling.sample import LaunchConfig
-from repro.sampling.workload import WorkloadSpec
 from repro.workloads.base import BenchmarkCase, KernelSetup
 from repro.workloads.families import build_math_kernel
-from repro.workloads.patterns import slow_math
 
 KERNEL = "solver_2"
 SOURCE = "solver_2.cu"

@@ -11,8 +11,16 @@ from repro.api.schema import (
     ApiSchemaError,
     ApiValidationError,
 )
+from repro.cubin.binary import Cubin
 from repro.sampling.sample import LaunchConfig
-from repro.sampling.workload import WorkloadSpec
+from repro.workloads.registry import all_cases, case_by_name
+
+#: Every registry setup, as ``(case id, variant)``.
+REGISTRY_SETUPS = [
+    pytest.param(case.case_id, variant, id=f"{case.case_id}/{variant}")
+    for case in all_cases()
+    for variant in ("baseline", "optimized")
+]
 
 
 class TestConstruction:
@@ -119,21 +127,26 @@ class TestSerialization:
         assert reloaded == request
         assert reloaded.to_dict() == dumped
 
-    def test_binary_request_round_trip(self, toy_cubin, toy_config):
-        workload = WorkloadSpec(
-            name="toy", loop_trip_counts={12: 9}, uncoalesced_lines={13}
-        )
+    @pytest.mark.parametrize("case_id, variant", REGISTRY_SETUPS)
+    def test_binary_request_round_trip(self, case_id, variant):
+        """Every registry binary's wire form, and that of a ``binary``
+        request carrying it, is a fixed point: decoding then re-encoding
+        gives back the same code bytes and so the same fingerprint."""
+        case = case_by_name(case_id)
+        setup = case.build_baseline() if variant == "baseline" else case.build_optimized()
+        cubin_dumped = setup.cubin.to_dict()
+        assert Cubin.from_dict(json.loads(json.dumps(cubin_dumped))).to_dict() == cubin_dumped
         request = AdvisingRequest(
-            source="binary", cubin=toy_cubin, kernel="toy_kernel",
-            config=toy_config, workload=workload,
+            source="binary", cubin=setup.cubin, kernel=setup.kernel,
+            config=setup.config, workload=setup.workload,
         )
         dumped = request.to_dict()
         reloaded = AdvisingRequest.from_dict(json.loads(json.dumps(dumped)))
         assert reloaded.to_dict() == dumped
-        assert reloaded.kernel == "toy_kernel"
-        assert reloaded.config == toy_config
-        assert reloaded.workload.loop_trip_counts == {12: 9}
-        assert reloaded.cubin.function("toy_kernel").instructions
+        assert reloaded.kernel == setup.kernel
+        assert reloaded.config == setup.config
+        assert reloaded.workload == setup.workload
+        assert reloaded.cubin.function(setup.kernel).instructions
 
     def test_simulation_scope_round_trips(self):
         request = AdvisingRequest(
@@ -182,8 +195,6 @@ class TestRequestForCase:
         assert request.label == "rodinia/hotspot:strength_reduction"
 
     def test_registry_case_object_becomes_case_source(self):
-        from repro.workloads.registry import case_by_name
-
         case = case_by_name("rodinia/hotspot:strength_reduction")
         request = request_for_case(case, "optimized", arch_flag="sm_80")
         assert request.source == "case"
@@ -191,10 +202,6 @@ class TestRequestForCase:
         assert request.arch_flag == "sm_80"
 
     def test_ad_hoc_case_is_materialized_to_binary(self):
-        import dataclasses
-
-        from repro.workloads.registry import case_by_name
-
         case = case_by_name("rodinia/hotspot:strength_reduction")
         clone = dataclasses.replace(case, name="custom/clone")
         request = request_for_case(clone)

@@ -249,9 +249,20 @@ class TestBatchModes:
         assert all(result.ok for result in results)
 
     def test_pool_results_equal_inline_results(self, session):
-        requests = [request_for_case(name) for name in SUBSET]
+        from repro.workloads.registry import case_by_name
+
+        # A binary request reaches a pool worker through its wire form, so
+        # the binary must survive decoding (hotspot's double immediates).
+        setup = case_by_name("rodinia/hotspot:strength_reduction").build_baseline()
+        requests = [request_for_case(name) for name in SUBSET] + [
+            AdvisingRequest(
+                source="binary", cubin=setup.cubin, kernel=setup.kernel,
+                config=setup.config, workload=setup.workload,
+            )
+        ]
         inline = session.advise_many(requests)
         pooled = AdvisingSession(sample_period=8, jobs=2).advise_many(requests)
+        assert all(result.ok for result in inline + pooled), [r.error for r in pooled]
         for left, right in zip(inline, pooled):
             assert left.to_dict()["report"] == right.to_dict()["report"]
 

@@ -86,8 +86,6 @@ class TestEquation1:
     def test_figure4d_equal_apportioning(self):
         """Figure 4d: LDC has 2x the issue samples but 2x the path length of
         LDG, so both sources receive the same share of the 4 stalls."""
-        from repro.blame.graph import DependencyEdge, DependencyGraph, DependencyNode
-        from repro.cfg.graph import build_cfg
         from repro.cubin.binary import Cubin, Function, FunctionVisibility
         from repro.sass import parse_program
         from repro.sampling.sample import KernelProfile, LaunchConfig, LaunchStatistics

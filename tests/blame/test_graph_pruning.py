@@ -1,7 +1,5 @@
 """Tests for dependency-graph construction and cold-edge pruning."""
 
-import pytest
-
 from repro.arch.machine import VoltaV100
 from repro.blame.graph import build_dependency_graph
 from repro.blame.pruning import edge_supports_reason, prune_cold_edges
@@ -81,7 +79,6 @@ class TestPruning:
     def test_figure4_opcode_pruning_removes_imad_for_memory_stall(self):
         """Figure 4c: the IMAD -> IADD edge is pruned for memory dependency stalls."""
         from repro.blame.graph import DependencyEdge, DependencyGraph, DependencyNode
-        from repro.cfg.graph import build_cfg
         from repro.cubin.binary import Cubin, Function, FunctionVisibility
         from repro.sass import parse_program
         from repro.structure.program import build_program_structure

@@ -4,7 +4,6 @@ import pytest
 
 from repro.isa.opcodes import (
     GLOBAL_MEMORY_UPPER_BOUND,
-    InstructionClass,
     LatencyClass,
     OPCODES,
     is_long_latency_arithmetic,

@@ -9,10 +9,9 @@ the inefficiency must not be matched spuriously.
 import pytest
 
 from repro.api.request import request_for_case
-from repro.optimizers.base import AnalysisContext, OptimizerCategory
+from repro.optimizers.base import OptimizerCategory
 from repro.optimizers.registry import OptimizerRegistry, default_optimizers
 from repro.optimizers.stall_elimination import WarpBalanceOptimizer
-from repro.optimizers.parallel import BlockIncreaseOptimizer, ThreadIncreaseOptimizer
 from repro.workloads.registry import case_by_name
 
 

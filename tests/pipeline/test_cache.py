@@ -7,7 +7,6 @@ from repro.pipeline.cache import ProfileCache, profile_cache_key
 from repro.pipeline.stages import ProfileRequest, ProfileStage
 from repro.sampling.sample import LaunchConfig
 from repro.sampling.vector import VectorSMSimulator
-from repro.sampling.workload import WorkloadSpec
 
 
 @pytest.fixture

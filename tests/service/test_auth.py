@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.api.request import request_for_case
-from repro.service import ServiceClient
 from repro.service.auth import ANONYMOUS, AuthPolicy, TokenBucket
 from repro.service.errors import (
     AuthenticationError,

@@ -1,5 +1,7 @@
 """``AdvisingSession.lint``, the ``gpa-advise lint`` CLI, and cross-checks."""
 
+import dataclasses
+import inspect
 import warnings
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from repro.arch.machine import AmpereLike, ArchitectureError
 from repro.cubin.binary import Cubin
 from repro.staticcheck.crosscheck import cross_check
 from repro.staticcheck.engine import StaticChecker
+from repro.staticcheck.rules import LintContext
 from repro.structure.program import build_program_structure
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -112,6 +115,17 @@ def test_known_architecture_lints_every_function_without_warning(toy_cubin):
         function = structure.function(entry.name)
         assert entry.blocks == len(function.cfg.blocks)
         assert entry.loops == len(function.loops())
+
+
+def test_the_checker_and_the_rule_context_take_no_precomputed_facts():
+    # The facts a rule reads live on the function structure, and the rule
+    # set is fixed: neither is handed in.
+    assert [field.name for field in dataclasses.fields(LintContext)] == [
+        "structure", "architecture", "workload",
+    ]
+    assert list(inspect.signature(StaticChecker).parameters) == [
+        "architecture", "strict_architecture",
+    ]
 
 
 # ----------------------------------------------------------------------

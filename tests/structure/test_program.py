@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.api.request import AdvisingRequest, request_for_case
 from repro.api.session import AdvisingSession
 from repro.pipeline.stages import retarget
 from repro.sampling.trace import _site_table
+from repro.staticcheck import dataflow as dataflow_module
 from repro.staticcheck.engine import StaticChecker
 from repro.structure import program as program_module
 from repro.structure.program import build_program_structure
@@ -69,20 +71,24 @@ def test_structure_serialization_is_json(toy_cubin):
 # ----------------------------------------------------------------------
 
 
-def count_cfg_builds(monkeypatch) -> list:
-    """Count ``build_cfg`` calls, one entry per function analyzed, through
-    every loaded ``repro`` module that imported the function."""
+def count_calls(monkeypatch, function) -> list:
+    """Count calls of ``function``, one entry of its first argument per
+    call, through every loaded ``repro`` module that imported it."""
     calls = []
-    build_cfg = program_module.build_cfg
 
-    def counted(instructions):
-        calls.append(instructions)
-        return build_cfg(instructions)
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return function(first, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("repro.") and getattr(module, "build_cfg", None) is build_cfg:
-            monkeypatch.setattr(module, "build_cfg", counted)
+        if name.startswith("repro.") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
     return calls
+
+
+def count_cfg_builds(monkeypatch) -> list:
+    """Count ``build_cfg`` calls, one entry per function analyzed."""
+    return count_calls(monkeypatch, program_module.build_cfg)
 
 
 def wire_form(result) -> dict:
@@ -121,6 +127,12 @@ class TestOneStructurePerBinary:
         assert function.slicer.slice_instruction(offset) is (
             function.slicer.slice_instruction(offset)
         )
+        assert function.liveness is function.liveness
+        assert function.reachable is function.reachable
+        assert isinstance(function.divergent_branches, tuple)
+        assert function.divergent_branches is function.divergent_branches
+        assert isinstance(function.post_dominators, MappingProxyType)
+        assert function.post_dominators is function.post_dominators
 
     def test_a_second_advise_builds_no_cfg(self, monkeypatch):
         session = AdvisingSession(sample_period=8)
@@ -137,6 +149,20 @@ class TestOneStructurePerBinary:
         session = AdvisingSession()
         first = session.lint(request_for_case(case))
         calls = count_cfg_builds(monkeypatch)
+        second = session.lint(request_for_case(case))
+        assert calls == []
+        assert second.to_json() == first.to_json()
+
+    def test_a_second_lint_solves_no_dataflow(self, monkeypatch):
+        """Liveness and the divergence taint are each solved once per
+        function, by the first lint of the binary."""
+        case = dataclasses.replace(case_by_name(CASE))
+        functions = len(case.build_baseline().cubin.functions)
+        session = AdvisingSession()
+        calls = count_calls(monkeypatch, dataflow_module.solve_dataflow)
+        first = session.lint(request_for_case(case))
+        assert len(calls) == 2 * functions
+        calls.clear()
         second = session.lint(request_for_case(case))
         assert calls == []
         assert second.to_json() == first.to_json()
@@ -166,11 +192,13 @@ class TestOneStructurePerBinary:
         ]
 
 
-class _BuildCfgCallers(ast.NodeVisitor):
-    """Names the function around every ``build_cfg(...)`` call in a module."""
+class _Callers(ast.NodeVisitor):
+    """Names the class and function around every call of ``callees`` in a
+    module, e.g. ``FunctionStructure.slicer``."""
 
-    def __init__(self):
-        self.scopes = ["<module>"]
+    def __init__(self, callees):
+        self.callees = callees
+        self.scopes = []
         self.callers = []
 
     def visit_FunctionDef(self, node):
@@ -178,26 +206,43 @@ class _BuildCfgCallers(ast.NodeVisitor):
         self.generic_visit(node)
         self.scopes.pop()
 
-    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
     def visit_Call(self, node):
         callee = node.func
         name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
-        if name == "build_cfg":
-            self.callers.append(self.scopes[-1])
+        if name in self.callees:
+            self.callers.append(".".join(self.scopes) or "<module>")
         self.generic_visit(node)
+
+
+def callers_in_package(*callees) -> set:
+    """``module:scope`` of every call of ``callees`` in the package."""
+    package = Path(program_module.__file__).resolve().parents[1]
+    callers = set()
+    for path in sorted(package.rglob("*.py")):
+        visitor = _Callers(callees)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        callers.update(f"{path.relative_to(package).as_posix()}:{name}" for name in visitor.callers)
+    return callers
 
 
 def test_only_the_structure_builder_builds_cfgs():
     """Every CFG in the package comes from ``build_function_structure``, so
     a binary's one structure is the only place its CFGs are built."""
-    package = Path(program_module.__file__).resolve().parents[1]
-    callers = set()
-    for path in sorted(package.rglob("*.py")):
-        visitor = _BuildCfgCallers()
-        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
-        callers.update(f"{path.relative_to(package).as_posix()}:{name}" for name in visitor.callers)
-    assert callers == {"structure/program.py:build_function_structure"}
+    assert callers_in_package("build_cfg") == {"structure/program.py:build_function_structure"}
+
+
+def test_only_the_function_structure_computes_lint_facts():
+    """Each per-function fact the lint reads is computed by the memoized
+    property of ``FunctionStructure`` that owns it, and nowhere else."""
+    assert callers_in_package(
+        "analyze_liveness", "find_divergent_branches", "compute_post_dominators",
+        "reachable_blocks",
+    ) == {
+        f"structure/program.py:FunctionStructure.{fact}"
+        for fact in ("liveness", "divergent_branches", "post_dominators", "reachable")
+    }
 
 
 class TestRetarget:
@@ -219,6 +264,31 @@ class TestRetarget:
         assert all(result.ok for result in results), results[0].error
         assert len(calls) == functions
         assert wire_form(results[0]) == wire_form(results[1])
+
+
+def race(workers, call) -> list:
+    """Run ``call`` on ``workers`` threads released together, switching
+    threads as often as the interpreter allows; return the results."""
+    start = threading.Barrier(workers)
+    results = []
+
+    def run():
+        start.wait(timeout=10)
+        results.append(call())
+
+    threads = [threading.Thread(target=run) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == workers
+    return results
 
 
 @pytest.mark.parametrize("source", ["binary", "profile"])
@@ -244,26 +314,7 @@ def test_racing_advises_share_one_structure(source):
     serial = session.advise(fresh_request())
     assert serial.ok, serial.error
     request = fresh_request()
-    workers = 8
-    start = threading.Barrier(workers)
-    results = []
-
-    def advise():
-        start.wait(timeout=10)
-        results.append(session.advise(request))
-
-    threads = [threading.Thread(target=advise) for _ in range(workers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(results) == workers
+    results = race(8, lambda: session.advise(request))
     assert all(wire_form(result) == wire_form(serial) for result in results)
     if source == "profile":
         return
@@ -285,3 +336,22 @@ def test_racing_advises_share_one_structure(source):
         if "_trace_plan" in block.__dict__
     ]
     assert plans and all(plan[1] is sites for plan in plans)
+
+
+def test_racing_first_lints_give_the_serial_report():
+    """Eight threads make the first lints of one fresh binary, so they race
+    on the facts memoized on its function structures, and every report
+    matches a serial lint of another copy."""
+    setup = case_by_name(CASE).build_baseline()
+    session = AdvisingSession()
+
+    def fresh_request() -> AdvisingRequest:
+        return AdvisingRequest(
+            source="binary", cubin=dataclasses.replace(setup.cubin), kernel=setup.kernel,
+            config=setup.config, workload=setup.workload,
+        )
+
+    serial = session.lint(fresh_request()).to_json()
+    request = fresh_request()
+    reports = race(8, lambda: session.lint(request))
+    assert all(report.to_json() == serial for report in reports)
