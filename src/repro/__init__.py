@@ -13,8 +13,8 @@ The package is organised as the paper's Figure 2:
   dynamic analyzer: the instruction blamer, the Table 2 optimizers and the
   Equation 2-10 estimators;
 * :mod:`repro.staticcheck` — the static lint over each binary's one
-  program structure: dataflow analyses and typed diagnostics, no
-  simulation;
+  program structure: dataflow analyses (on the :mod:`repro.cfg` solver
+  the blamer shares) and typed diagnostics, no simulation;
 * :mod:`repro.advisor` — the dynamic analyzer, the report generator and
   the CLI;
 * :mod:`repro.pipeline` — the staged advising pipeline: the explicit
@@ -33,6 +33,11 @@ The package is organised as the paper's Figure 2:
   on disk with ``--store``), a versioned JSON-over-HTTP protocol (``gpa-advise serve``) and the
   :class:`~repro.service.client.ServiceClient` whose results are
   bit-identical to inline advising.
+
+``import repro`` loads the advising stack alone: the daemon, the client and
+the lint are imported from :mod:`repro.service` and :mod:`repro.staticcheck`
+(the names are not re-exported here), so a process that only advises never
+loads SQLite, the HTTP server or the lint rules.
 
 Quickstart::
 
@@ -72,25 +77,17 @@ from repro.sampling.profiler import SIMULATION_SCOPES, ProfiledKernel, Profiler
 from repro.sampling.sample import KernelProfile, LaunchConfig, LaunchStatistics
 from repro.sampling.stall_reasons import DetailedStallReason, StallReason
 from repro.sampling.workload import WorkloadSpec
-from repro.service.auth import AuthPolicy, TokenBucket
-from repro.service.client import ServiceClient
-from repro.service.daemon import AdvisingDaemon, ServiceConfig
-from repro.service.repository import JobRepository
-from repro.staticcheck.engine import StaticChecker
-from repro.staticcheck.report import StaticDiagnostic, StaticReport, render_static_report
 from repro.structure.program import ProgramStructure, build_program_structure
 
-__version__ = "19.0.0"
+__version__ = "20.0.0"
 
 __all__ = [
     "API_SCHEMA_VERSION",
     "AdviceReport",
     "Advisor",
-    "AdvisingDaemon",
     "AdvisingRequest",
     "AdvisingResult",
     "AdvisingSession",
-    "AuthPolicy",
     "BlameResult",
     "Cubin",
     "CubinBuilder",
@@ -101,7 +98,6 @@ __all__ = [
     "GpuSimulationResult",
     "GpuSimulator",
     "InstructionBlamer",
-    "JobRepository",
     "KernelBuilder",
     "KernelProfile",
     "LaunchConfig",
@@ -116,8 +112,6 @@ __all__ = [
     "ProfiledKernel",
     "Profiler",
     "ProgramStructure",
-    "ServiceClient",
-    "ServiceConfig",
     "MEMORY_MODELS",
     "MemoryStatistics",
     "SIMULATION_SCOPES",
@@ -125,16 +119,11 @@ __all__ = [
     "request_for_case",
     "request_for_listing",
     "StallReason",
-    "StaticChecker",
-    "TokenBucket",
-    "StaticDiagnostic",
-    "StaticReport",
     "VoltaV100",
     "WorkloadSpec",
     "build_program_structure",
     "default_optimizers",
     "get_architecture",
     "render_report",
-    "render_static_report",
     "__version__",
 ]

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.advisor.dynamic_analyzer import DynamicAnalyzer
@@ -362,6 +361,10 @@ class AdvisingSession:
             yield result
 
     def _stream_pool(self, config, payloads, requests, progress) -> Iterator[AdvisingResult]:
+        # Imported here: loading multiprocessing costs every process that
+        # never starts a pool (an inline advise, the CLI) its set-up time.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         emit = progress if progress is not None else (lambda event: None)
         total = len(requests)
         workers = min(self.jobs, total)

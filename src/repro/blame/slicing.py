@@ -20,7 +20,7 @@ binary slicing (Section 4, "Backward slicing"):
   sources; transitive dependencies are unlikely to cause the observed stalls.
 
 The slices of one function come from one forward may-analysis that
-:func:`~repro.staticcheck.dataflow.solve_dataflow` solves.  Its value at a
+:func:`~repro.cfg.dataflow.solve_dataflow` solves.  Its value at a
 program point maps each resource to a set of pairs: the offset of a def of
 the resource that reaches the point along some path, and the predicate keys
 of the later defs of that resource on the path.  A def of the resource
@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.cfg.basic_block import BasicBlock
+from repro.cfg.dataflow import FORWARD, DataflowProblem, DataflowSolution, solve_dataflow
 from repro.cfg.graph import ControlFlowGraph
 from repro.isa.instruction import Instruction
 from repro.isa.registers import Predicate
-from repro.staticcheck.dataflow import FORWARD, DataflowProblem, DataflowSolution, solve_dataflow
 
 #: A sliced resource: ``("R", index)`` for a register, ``("B", index)`` for a
 #: virtual barrier register.

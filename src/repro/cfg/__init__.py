@@ -7,7 +7,9 @@ package provides the equivalent functionality for our SASS-like ISA:
 * :mod:`repro.cfg.basic_block` — basic blocks over instruction lists,
 * :mod:`repro.cfg.graph` — CFG construction with superblock splitting,
 * :mod:`repro.cfg.dominators` — dominator tree computation,
-* :mod:`repro.cfg.loops` — natural loop detection and loop-nest trees.
+* :mod:`repro.cfg.loops` — natural loop detection and loop-nest trees,
+* :mod:`repro.cfg.dataflow` — the worklist dataflow solver and
+  post-dominators, shared by the blamer's slicer and the static lint.
 """
 
 from repro.cfg.basic_block import BasicBlock

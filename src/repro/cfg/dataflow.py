@@ -1,7 +1,8 @@
 """Generic worklist dataflow over basic-block CFGs.
 
-The solver is the foundation of every analysis in :mod:`repro.staticcheck`
-and of the blamer's backward slicer (:mod:`repro.blame.slicing`): an
+The solver sits with the CFG it iterates over because the blamer's
+backward slicer (:mod:`repro.blame.slicing`) needs it on every advise, and
+every analysis in :mod:`repro.staticcheck` instantiates it too: an
 analysis describes itself as a :class:`DataflowProblem` (a direction, a
 meet operator and a per-block transfer function) and :func:`solve_dataflow`
 iterates it to a fixed point over the blocks of one

@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Set, Tuple
@@ -111,6 +112,14 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         with self._open_lock:
             self._open.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that resets or drops its connection mid-request (a kept-
+        # alive socket closed while its handler waits for the next request
+        # line) is routine, not a server fault: no traceback on stderr.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
 
     def server_close(self) -> None:
         super().server_close()

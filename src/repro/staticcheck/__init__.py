@@ -3,12 +3,12 @@
 This package is the static half the paper's advisor implies but the
 simulation pipeline never needed: dataflow analyses over the recovered
 control-flow graphs, plus a typed lint rule set, surfaced as deterministic
-:class:`~repro.staticcheck.report.StaticReport` wire forms.
+:class:`~repro.staticcheck.report.StaticReport` wire forms.  Every
+analysis instantiates the worklist solver of :mod:`repro.cfg.dataflow`,
+which the blamer's slicer shares.
 
 Layers, bottom up:
 
-* :mod:`repro.staticcheck.dataflow` — the generic worklist solver
-  (forward/backward) every analysis instantiates, plus post-dominators;
 * :mod:`repro.staticcheck.liveness` — register liveness, live-range
   pressure, dead writes;
 * :mod:`repro.staticcheck.depth` — static dependency-depth / ILP estimates;
@@ -30,15 +30,6 @@ bare binary, and :func:`repro.sass.lint_listing` /
 """
 
 from repro.staticcheck.crosscheck import cross_check
-from repro.staticcheck.dataflow import (
-    BACKWARD,
-    FORWARD,
-    DataflowProblem,
-    DataflowSolution,
-    compute_post_dominators,
-    reachable_blocks,
-    solve_dataflow,
-)
 from repro.staticcheck.depth import DepthAnalysis, estimate_depths
 from repro.staticcheck.engine import StaticChecker
 from repro.staticcheck.liveness import LivenessAnalysis, analyze_liveness
@@ -56,11 +47,7 @@ from repro.staticcheck.rules import (
 )
 
 __all__ = [
-    "BACKWARD",
     "DEFAULT_RULES",
-    "FORWARD",
-    "DataflowProblem",
-    "DataflowSolution",
     "DepthAnalysis",
     "FunctionLint",
     "LintContext",
@@ -70,11 +57,8 @@ __all__ = [
     "StaticDiagnostic",
     "StaticReport",
     "analyze_liveness",
-    "compute_post_dominators",
     "cross_check",
     "estimate_depths",
     "find_divergent_branches",
-    "reachable_blocks",
     "render_static_report",
-    "solve_dataflow",
 ]

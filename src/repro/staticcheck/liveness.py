@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.cfg.basic_block import BasicBlock
+from repro.cfg.dataflow import BACKWARD, DataflowProblem, solve_dataflow
 from repro.cfg.graph import ControlFlowGraph
 from repro.isa.instruction import Instruction
-from repro.staticcheck.dataflow import BACKWARD, DataflowProblem, solve_dataflow
 
 
 def used_register_indices(instruction: Instruction) -> FrozenSet[int]:

@@ -23,11 +23,11 @@ from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.arch.machine import GpuArchitecture
 from repro.cfg.basic_block import BasicBlock
+from repro.cfg.dataflow import FORWARD, DataflowProblem, solve_dataflow
 from repro.cfg.graph import ControlFlowGraph
 from repro.isa.instruction import Instruction
 from repro.isa.registers import MemorySpace, SpecialRegister
 from repro.sampling.workload import WorkloadSpec
-from repro.staticcheck.dataflow import FORWARD, DataflowProblem, solve_dataflow
 from repro.staticcheck.liveness import (
     defined_register_indices,
     may_write_only,

@@ -8,6 +8,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
+from repro.cfg.dataflow import compute_post_dominators, reachable_blocks
 from repro.cfg.dominators import DominatorTree, compute_dominator_tree
 from repro.cfg.graph import ControlFlowGraph, build_cfg
 from repro.cfg.loops import Loop, LoopNestTree, find_loops
@@ -122,15 +123,11 @@ class FunctionStructure:
     @cached_property
     def post_dominators(self) -> Mapping[int, FrozenSet[int]]:
         """Post-dominator set of every block, against a virtual exit."""
-        from repro.staticcheck.dataflow import compute_post_dominators
-
         return MappingProxyType(compute_post_dominators(self.cfg))
 
     @cached_property
     def reachable(self) -> FrozenSet[int]:
         """Indices of the blocks reachable from the entry."""
-        from repro.staticcheck.dataflow import reachable_blocks
-
         return reachable_blocks(self.cfg)
 
     def location(self, offset: int) -> SourceLocation:

@@ -4,6 +4,7 @@ import dataclasses
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -106,11 +107,15 @@ def gated_service(make_service):
         gate.set()
 
 
-def wait_for_state(daemon, job_id, state):
+def wait_until(condition, what=None):
     deadline = time.monotonic() + 10.0
-    while daemon.store.get(job_id).state != state:
-        assert time.monotonic() < deadline, state
+    while not condition():
+        assert time.monotonic() < deadline, what
         time.sleep(0.01)
+
+
+def wait_for_state(daemon, job_id, state):
+    wait_until(lambda: daemon.store.get(job_id).state == state, state)
 
 
 class TestProtocol:
@@ -633,6 +638,18 @@ class TestConnection:
         server.server_close()
         with pytest.raises(ServiceConnectionError):
             client.healthz()
+
+    def test_a_client_reset_prints_no_handler_traceback(self, make_service, capsys):
+        """A client that resets its connection mid-request is routine: the
+        handler thread prints nothing and the daemon keeps serving."""
+        _, server, client = make_service()
+        with socket.create_connection(server.server_address[:2], timeout=10.0) as raw:
+            raw.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n")
+            wait_until(lambda: server._open)  # the handler waits for the rest
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        wait_until(lambda: not server._open)  # closing sent a reset
+        assert capsys.readouterr().err == ""
+        assert client.healthz()["status"] == "ok"
 
     def test_short_client_timeout_waits_out_a_long_job(self, make_service):
         daemon, server, _ = make_service(start=False, workers=1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.staticcheck.dataflow import (
+from repro.cfg.dataflow import (
     BACKWARD,
     FORWARD,
     DataflowProblem,

@@ -12,9 +12,9 @@ import pytest
 
 from repro.api.request import AdvisingRequest, request_for_case
 from repro.api.session import AdvisingSession
+from repro.cfg import dataflow as dataflow_module
 from repro.pipeline.stages import retarget
 from repro.sampling.trace import _site_table
-from repro.staticcheck import dataflow as dataflow_module
 from repro.staticcheck.engine import StaticChecker
 from repro.structure import program as program_module
 from repro.structure.program import build_program_structure
